@@ -1,21 +1,15 @@
-//! Reactor back-end scaling: ingest throughput against the
-//! thread-per-connection back end, and the cost of holding an idle
-//! connection fleet on each.
+//! Reactor scaling: ingest throughput with and without an idle
+//! connection fleet, and the cost of holding one.
 //!
-//! * `threads_4_clients` / `reactor_4_clients` — the same 4-producer
-//!   loopback ingest as `net_throughput`, once per back end. Both drive
-//!   the identical session machine, so the delta is pure transport:
-//!   blocking reads on parked threads versus one `poll(2)` loop.
+//! * `reactor_4_clients` — the same 4-producer loopback ingest as
+//!   `net_throughput`.
 //! * `reactor_4_clients_idle_fleet` — the same ingest while the reactor
 //!   additionally holds a fleet of idle, handshaken connections (2 000,
 //!   or 300 under `CORRFUSE_QUICK`): the price active traffic pays for
 //!   registered-but-silent peers is the per-wakeup `poll(2)` scan.
-//! * `idle_hold_{threads,reactor}` — establish + ping + tear down a
-//!   fleet of idle connections: the footprint axis. The thread back end
-//!   pays one parked thread (stack, scheduler) per connection, the
-//!   reactor one file descriptor and a slab slot; the fleet is capped
-//!   far below the idle-scale test's 10⁴ so the thread back end can
-//!   play at all.
+//! * `idle_hold_reactor` — establish + ping + tear down a fleet of idle
+//!   connections (512, or 128 under `CORRFUSE_QUICK`): the footprint
+//!   axis, one file descriptor and a slab slot per connection.
 //!
 //! Recorded numbers live in BENCH_PR10.json.
 
@@ -85,13 +79,11 @@ fn idle_connect(addr: &std::net::SocketAddr) -> TcpStream {
 /// One full ingest run: construct, stream through `n_clients` loopback
 /// producers while `n_idle` handshaken connections sit registered,
 /// flush, shut down. Returns ingested events for the throughput line.
-fn run_ingest(stream: &MultiTenantStream, reactor: bool, n_idle: usize) -> u64 {
+fn run_ingest(stream: &MultiTenantStream, n_idle: usize) -> u64 {
     let server = Server::bind(
         "127.0.0.1:0",
         build_router(stream),
-        ServerConfig::new()
-            .reactor(reactor)
-            .with_max_connections(n_idle + 32),
+        ServerConfig::new().with_max_connections(n_idle + 32),
     )
     .unwrap();
     let addr = server.local_addr().unwrap();
@@ -124,13 +116,11 @@ fn run_ingest(stream: &MultiTenantStream, reactor: bool, n_idle: usize) -> u64 {
 
 /// Establish a fleet of idle connections, prove each is live with one
 /// PING round trip, and tear the fleet down.
-fn run_idle_hold(stream: &MultiTenantStream, reactor: bool, n_idle: usize) -> usize {
+fn run_idle_hold(stream: &MultiTenantStream, n_idle: usize) -> usize {
     let server = Server::bind(
         "127.0.0.1:0",
         build_router(stream),
-        ServerConfig::new()
-            .reactor(reactor)
-            .with_max_connections(n_idle + 8),
+        ServerConfig::new().with_max_connections(n_idle + 8),
     )
     .unwrap();
     let addr = server.local_addr().unwrap();
@@ -166,20 +156,12 @@ fn bench_reactor(c: &mut Criterion) {
     );
     let mut group = c.benchmark_group("reactor_idle_scale");
     group.sample_size(5);
-    group.bench_function("threads_4_clients", |b| {
-        b.iter(|| run_ingest(&stream, false, 0))
-    });
-    group.bench_function("reactor_4_clients", |b| {
-        b.iter(|| run_ingest(&stream, true, 0))
-    });
+    group.bench_function("reactor_4_clients", |b| b.iter(|| run_ingest(&stream, 0)));
     group.bench_function("reactor_4_clients_idle_fleet", |b| {
-        b.iter(|| run_ingest(&stream, true, fleet))
-    });
-    group.bench_function("idle_hold_threads", |b| {
-        b.iter(|| run_idle_hold(&stream, false, hold))
+        b.iter(|| run_ingest(&stream, fleet))
     });
     group.bench_function("idle_hold_reactor", |b| {
-        b.iter(|| run_idle_hold(&stream, true, hold))
+        b.iter(|| run_idle_hold(&stream, hold))
     });
     group.finish();
 }

@@ -9,7 +9,9 @@
 //! reads from concurrent TCP readers. Three variants:
 //!
 //! * `leader_only` — every reader on the leader: the baseline
-//!   aggregate, bounded by the leader's per-shard state locks.
+//!   aggregate. Each endpoint answers its readers on one server thread
+//!   (`corrfuse_net::server`), so concurrent readers of one endpoint
+//!   queue behind each other rather than running in parallel.
 //! * `leader_plus_2_followers` — the same readers and read budget
 //!   spread across the three serving endpoints. On a multi-core host
 //!   this is the direct wall-clock demonstration of read scaling; on a
@@ -33,8 +35,7 @@ use corrfuse_net::server::spawn;
 use corrfuse_net::wire::WireMetricValue;
 use corrfuse_net::{Client, Server, ServerConfig};
 use corrfuse_replica::{
-    spawn as spawn_follower, Follower, FollowerConfig, FollowerServer, FollowerServerConfig,
-    FollowerServerHandle,
+    spawn as spawn_follower, Follower, FollowerConfig, FollowerServer, FollowerServerHandle,
 };
 use corrfuse_serve::{ReplicationConfig, RouterConfig, ShardRouter, TenantId};
 use corrfuse_synth::{multi_tenant_events, MultiTenantSpec, MultiTenantStream};
@@ -141,12 +142,9 @@ fn build_topology(stream: &MultiTenantStream, n_followers: usize) -> Topology {
             assert!(Instant::now() < deadline, "follower never caught up");
             std::thread::sleep(Duration::from_millis(2));
         }
-        let fserver = FollowerServer::bind(
-            "127.0.0.1:0",
-            Arc::clone(&follower),
-            FollowerServerConfig::new(),
-        )
-        .unwrap();
+        let fserver =
+            FollowerServer::bind("127.0.0.1:0", Arc::clone(&follower), ServerConfig::new())
+                .unwrap();
         follower_addrs.push(fserver.local_addr().unwrap().to_string());
         let (h, j) = spawn_follower(fserver).unwrap();
         followers.push(follower);

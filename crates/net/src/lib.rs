@@ -1,14 +1,14 @@
 //! # corrfuse-net
 //!
 //! The network front door for correlation-aware fusion: a versioned,
-//! length-prefixed binary wire protocol plus a blocking TCP [`Server`]
-//! and [`Client`], so producers on other machines can ingest into a
-//! [`corrfuse_serve::ShardRouter`] and query tenant scores remotely.
+//! length-prefixed binary wire protocol plus a TCP [`Server`] and a
+//! blocking [`Client`], so producers on other machines can ingest into
+//! a [`corrfuse_serve::ShardRouter`] and query tenant scores remotely.
 //!
 //! ```text
 //!  remote producer ──┐
 //!  remote producer ──┤  TCP, `corrfuse-net v1` frames
-//!  remote producer ──┴──▶ Server (accept semaphore, thread per conn)
+//!  remote producer ──┴──▶ Server (one poll(2) loop, conns = fds)
 //!                             │  Request::Ingest { tenant, events }
 //!                             ▼
 //!                         ShardRouter ──▶ shard StreamSessions ──▶ journals
@@ -24,19 +24,19 @@
 //!   [`SessionStateMachine`] consuming arbitrary byte chunks and
 //!   emitting writes and decoded requests, with no sockets, threads or
 //!   clocks, so protocol behaviour is testable byte-at-a-time and
-//!   shared verbatim by both server back ends.
+//!   shared verbatim by every server endpoint.
 //! * [`transport`] — the in-tree readiness transport: a `poll(2)`
 //!   [`Poller`] (registration, interest flags, wakeups) plus the
 //!   partial-write [`WriteBuf`], so one thread can hold tens of
 //!   thousands of idle connections as file descriptors.
 //! * [`acl`] — per-tenant access control resolved from the optional
 //!   HELLO credential; denials surface as typed `FORBIDDEN` errors.
-//! * [`server`] — the server owning the router, with two back ends
-//!   over the one session machine: blocking thread-per-connection
-//!   (default) and the readiness reactor
-//!   ([`ServerConfig::reactor`]). Backpressure surfaces as retryable
-//!   `BUSY` protocol errors, shard poisoning as fatal
-//!   `SHARD_POISONED`.
+//! * [`server`] — the one server loop ([`Endpoint::serve`]): a
+//!   readiness reactor driving the session machine and answering
+//!   requests through a [`Service`]. [`Server`] runs it with the
+//!   owned router; `corrfuse-replica` runs it with a read-only
+//!   follower. Backpressure surfaces as retryable `BUSY` protocol
+//!   errors, shard poisoning as fatal `SHARD_POISONED`.
 //! * [`client`] — connect/retry, pipelined ingest with at-least-once
 //!   in-order resend across reconnects, read-your-writes
 //!   [`Client::flush`].
@@ -107,7 +107,6 @@ pub mod error;
 pub mod frame;
 pub mod server;
 pub mod session;
-pub mod sync;
 pub mod transport;
 pub mod wire;
 
@@ -115,7 +114,7 @@ pub use acl::{Access, AclTable};
 pub use client::{Client, ClientConfig};
 pub use error::{ErrorCode, NetError, Result};
 pub use frame::{Frame, FrameError, FrameType};
-pub use server::{Server, ServerConfig, ServerHandle};
+pub use server::{Conn, Endpoint, Reply, Server, ServerConfig, ServerHandle, Service};
 pub use session::{Output, SessionConfig, SessionStateMachine};
 pub use transport::{raise_nofile_limit, Event, FlushProgress, Interest, Poller, Token, WriteBuf};
 pub use wire::{

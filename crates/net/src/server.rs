@@ -1,42 +1,58 @@
-//! The TCP [`Server`]: two interchangeable back ends over one session
-//! state machine, forwarding decoded batches into an owned
-//! [`ShardRouter`].
+//! The TCP server: one readiness loop ([`Endpoint::serve`]) holding
+//! every connection as a file descriptor, driving one sans-I/O session
+//! state machine per connection, and answering application requests
+//! through a [`Service`] — the leader's [`ShardRouter`] here, the
+//! read-only follower in `corrfuse-replica`.
 //!
 //! ```text
-//!                        ┌── thread-per-connection (default) ──────────┐
-//!  remote producers ─TCP─┤    accept loop ─ permit ─▶ handler thread   │
-//!                        │                            blocking read ─▶ │
-//!                        └── reactor (ServerConfig::reactor(true)) ────┤
-//!                             one poll(2) thread, 10⁴ idle conns =     │
-//!                             fds not threads (crate::transport)       │
-//!                                                                      ▼
-//!                                        SessionStateMachine (crate::session)
-//!                                          HELLO/ACL/framing/ordering
-//!                                                      │ Request
-//!                                                      ▼
-//!                                        ShardRouter::ingest / scores /
-//!                                        decisions / flush / stats
+//!  producers, readers ─TCP─▶ Endpoint::serve: one poll(2) thread,
+//!                            10⁴ idle conns = fds (crate::transport)
+//!                                          │ bytes
+//!                                          ▼
+//!                            SessionStateMachine (crate::session)
+//!                              HELLO/ACL/framing/ordering
+//!                                          │ Request
+//!                                          ▼
+//!                            ConnDriver: PING, SHUTDOWN, net_* spans
+//!                                          │ Request
+//!                                          ▼
+//!                            Service::handle
+//!               ┌──────────────────────────┴──────────────────────┐
+//!      ShardRouter (leader, Server)              Follower (read-only,
+//!      ingest/scores/decisions/flush/            corrfuse-replica)
+//!      stats/metrics; SUBSCRIBE ─▶ take-over     scores/decisions/stats
+//!      thread per replication link
 //! ```
 //!
-//! * Both back ends drive the same sans-I/O [`SessionStateMachine`], so
-//!   their wire behaviour is identical by construction — the
-//!   `tests/net_equivalence.rs` server-mode axis pins it bitwise.
-//! * The server **owns** the router (connections share it through an
-//!   `Arc`); [`Server::serve`] runs until [`ServerHandle::stop`] fires
-//!   or a remote `SHUTDOWN` is honoured, then gracefully shuts the
-//!   router down and returns the final [`RouterStats`].
+//! * Every endpoint runs this one loop, so wire behaviour — framing,
+//!   ordering, ACLs, typed errors, `net_*` metrics — is the same on the
+//!   leader and on a follower by construction.
+//! * Fairness: level-triggered `poll(2)` wakeups with one bounded read
+//!   per connection per turn — a flooding or dribbling connection costs
+//!   one chunk a turn, never the whole turn.
+//! * The cost of a single I/O thread: a request that blocks holds the
+//!   turn for every connection. `FLUSH` waits for the shard queues to
+//!   drain; under [`corrfuse_serve::Backpressure::Block`] an `INGEST`
+//!   into a full shard queue waits for room (prefer `Reject`/`Timeout`
+//!   or generous queues); a follower read carrying `min_epoch` waits up
+//!   to the follower's catch-up timeout.
+//! * Slow *readers* never stall the loop: responses queue in a
+//!   partial-write buffer ([`crate::transport::WriteBuf`]), and past a
+//!   high-water mark the connection is neither read nor answered until
+//!   the peer drains.
+//! * A successful `SUBSCRIBE` leaves the loop: the socket moves to a
+//!   dedicated blocking thread ([`Service::take_over`]) that streams
+//!   replication batches.
+//! * The [`Server`] **owns** the router (the loop and the replication
+//!   threads share it through an `Arc`); [`Server::serve`] runs until
+//!   [`ServerHandle::stop`] fires or a remote `SHUTDOWN` is honoured,
+//!   then gracefully shuts the router down and returns the final
+//!   [`RouterStats`].
 //! * Backpressure propagates as protocol-level `BUSY` errors: when the
 //!   router's policy is `Reject`/`Timeout` a full shard queue turns
-//!   into a retryable [`ErrorCode::Busy`] response, while the `Block`
-//!   policy stalls the connection (natural TCP backpressure) — on the
-//!   reactor back end that stalls the whole reactor turn, so prefer
-//!   `Reject`/`Timeout` or generous queues there.
-//! * Slow *readers* never stall the reactor: responses queue in a
-//!   partial-write buffer ([`crate::transport::WriteBuf`]) and the
-//!   connection stops being read past a high-water mark until the peer
-//!   drains.
-//! * A poisoned shard answers with the **fatal**
-//!   [`ErrorCode::ShardPoisoned`] so clients stop retrying.
+//!   into a retryable [`ErrorCode::Busy`] response. A poisoned shard
+//!   answers with the **fatal** [`ErrorCode::ShardPoisoned`] so clients
+//!   stop retrying.
 
 use std::collections::HashMap;
 use std::io::{Read as _, Write as _};
@@ -53,32 +69,30 @@ use corrfuse_serve::{RouterStats, ServeError, ShardRouter, Subscription, Subscri
 
 use crate::acl::AclTable;
 use crate::error::{code_of, ErrorCode, NetError, Result};
-use crate::frame::{Frame, FrameError, FrameType};
+use crate::frame::{Frame, FrameType};
 use crate::session::{MonotonicClock, Output, SessionConfig, SessionStateMachine};
-use crate::sync::Semaphore;
 use crate::transport::{FlushProgress, Interest, Poller, Token, WriteBuf};
 use crate::wire::{Request, Response, WireMetric, WireStats, WireSubscriptionStart};
 
-/// Read chunk size for both back ends: bounds per-wakeup work on the
-/// reactor (fairness) and the stack/heap churn on handler threads.
+/// Read chunk size: bounds the work one connection gets per wakeup.
 const READ_CHUNK: usize = 64 * 1024;
 
-/// Reactor write-buffer high-water mark: past this many queued response
-/// bytes the connection stops being *read* until the peer drains, so a
-/// client that queries but never reads cannot balloon server memory.
+/// Write-buffer high-water mark: past this many queued response bytes
+/// the connection is neither read nor answered until the peer drains,
+/// so a client that queries but never reads cannot balloon server
+/// memory.
 const WRITE_HIGH_WATER: usize = 1 << 20;
 
-/// The reactor's registration token for the listener (connections get
+/// The loop's registration token for the listener (connections get
 /// `slot + 1`).
 const LISTENER: Token = Token(0);
 
-/// Server configuration.
+/// Server configuration, shared by the leader's [`Server`] and the
+/// follower's read-only server.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Maximum concurrently served connections. On the thread back end
-    /// this is the accept-semaphore permit count; on the reactor it is
-    /// the registered-connection cap (accepts pause at capacity).
-    /// Further connections queue in the OS accept backlog.
+    /// Maximum concurrently registered connections. Accepts pause at
+    /// capacity; further connections queue in the OS accept backlog.
     pub max_connections: usize,
     /// Honour remote `SHUTDOWN` requests. Off by default: a production
     /// front door should only stop from its own process; the example
@@ -87,20 +101,14 @@ pub struct ServerConfig {
     /// Metrics registry for wire-level instrumentation. When set,
     /// connection handlers record per-frame-type decode/handle/encode
     /// latency histograms (`net_decode_ns_<type>` etc. — catalog in
-    /// `docs/OBSERVABILITY.md`), the reactor exports its
-    /// `net_reactor_*` series, and the `METRICS` reply carries the
-    /// registry's full snapshot. `None` (the default) keeps the request
-    /// loop free of clock reads; `METRICS` still answers with the
-    /// router-derived series. Share the same registry with
+    /// `docs/OBSERVABILITY.md`), the loop exports its `net_reactor_*`
+    /// series, and the `METRICS` reply carries the registry's full
+    /// snapshot. `None` (the default) keeps the request loop free of
+    /// clock reads; `METRICS` still answers with the service-derived
+    /// series. Share the same registry with
     /// [`corrfuse_serve::RouterConfig::with_metrics`] to get the shard
     /// pipeline's stage histograms in the same snapshot.
     pub metrics: Option<Arc<Registry>>,
-    /// Serve with the readiness reactor (one `poll(2)` thread holding
-    /// every connection as a file descriptor) instead of
-    /// thread-per-connection. Both back ends share the session state
-    /// machine, so wire behaviour is identical; the default stays
-    /// thread-per-connection.
-    pub reactor: bool,
     /// Per-tenant ACL table enforced by the session layer on
     /// tenant-scoped requests and `SUBSCRIBE` (see [`crate::acl`]).
     /// `None` (the default) leaves the server open.
@@ -113,15 +121,13 @@ impl Default for ServerConfig {
             max_connections: 64,
             accept_shutdown: false,
             metrics: None,
-            reactor: false,
             acl: None,
         }
     }
 }
 
 impl ServerConfig {
-    /// The defaults: 64 connections, remote shutdown disabled,
-    /// thread-per-connection, no ACL.
+    /// The defaults: 64 connections, remote shutdown disabled, no ACL.
     pub fn new() -> ServerConfig {
         ServerConfig::default()
     }
@@ -142,13 +148,6 @@ impl ServerConfig {
     /// through `METRICS` (see [`ServerConfig::metrics`]).
     pub fn with_metrics(mut self, registry: Arc<Registry>) -> ServerConfig {
         self.metrics = Some(registry);
-        self
-    }
-
-    /// Select the readiness-reactor back end (see
-    /// [`ServerConfig::reactor`]).
-    pub fn reactor(mut self, on: bool) -> ServerConfig {
-        self.reactor = on;
         self
     }
 
@@ -177,7 +176,79 @@ fn new_session(config: &ServerConfig) -> SessionStateMachine {
     }
 }
 
-/// A handle that can stop a running [`Server`] from another thread.
+/// An endpoint's application logic: everything between a decoded
+/// [`Request`] and the [`Response`] handed back to the session machine.
+///
+/// [`Endpoint::serve`] answers `HELLO`, `EPOCH_ACK`, `PING` and
+/// `SHUTDOWN` itself and routes every other request here, so a service
+/// only sees `INGEST`, `SCORES`, `DECISIONS`, `FLUSH`, `STATS`,
+/// `METRICS` and `SUBSCRIBE`. Requests run on the loop's one thread, in
+/// order per connection; see the module docs for what blocking here
+/// costs.
+pub trait Service: Send + Sync + 'static {
+    /// What [`Reply::TakeOver`] hands to [`Service::take_over`]: the
+    /// leader's replication subscription, or
+    /// [`std::convert::Infallible`] for a service that never takes a
+    /// connection over.
+    type TakeOver: Send + 'static;
+
+    /// Answer one request arriving on `conn`.
+    fn handle(&self, request: Request, conn: &mut Conn) -> Reply<Self::TakeOver>;
+
+    /// Own a connection taken over by [`Reply::TakeOver`] until it
+    /// ends, on a dedicated blocking thread. Responses queued before
+    /// the take-over are already on the wire; `leftover` holds the
+    /// bytes the session machine had buffered past the request.
+    fn take_over(&self, stream: TcpStream, leftover: Vec<u8>, state: Self::TakeOver);
+}
+
+/// What a [`Service`] sees of the connection a request arrived on.
+#[derive(Debug, Default)]
+pub struct Conn {
+    /// Frames decoded on this connection so far, the HELLO and this
+    /// request included (`STATS` `conn_frames`).
+    pub frames: u64,
+    /// The service's per-connection work count (`STATS`
+    /// `conn_batches`): ingest batches accepted on the leader, reads
+    /// answered on a follower. Maintained by the service.
+    pub batches: u64,
+    /// Events ingested through this connection (`STATS`
+    /// `conn_events`). Maintained by the service.
+    pub events: u64,
+    /// The server is stopping: refuse work that would outlive it.
+    pub stopping: bool,
+    /// The server's metrics registry ([`ServerConfig::metrics`]), whose
+    /// snapshot heads a `METRICS` reply.
+    pub registry: Option<Arc<Registry>>,
+}
+
+/// A [`Service`]'s answer to one request.
+#[derive(Debug)]
+pub enum Reply<T> {
+    /// Queue this response; the connection keeps serving.
+    Respond(Response),
+    /// Leave request/response mode for good: nothing is queued, and
+    /// [`Service::take_over`] owns the socket from here.
+    TakeOver(T),
+}
+
+impl<T> Reply<T> {
+    /// The reply to a request [`Endpoint::serve`] answers before any
+    /// service sees it (`HELLO`, `EPOCH_ACK`, `PING`, `SHUTDOWN`),
+    /// should one ever be routed to a service: a typed `INTERNAL`
+    /// error, never a panic.
+    pub fn not_routed(request: &Request) -> Reply<T> {
+        Reply::Respond(Response::Error {
+            code: ErrorCode::Internal,
+            message: format!(
+                "{} is answered by the connection driver",
+                request.frame_type().label()
+            ),
+        })
+    }
+}
+
+/// A handle that can stop a running server from another thread.
 #[derive(Debug, Clone)]
 pub struct ServerHandle {
     stop: Arc<AtomicBool>,
@@ -186,17 +257,14 @@ pub struct ServerHandle {
 
 impl ServerHandle {
     /// Ask the server to stop: no new connections are accepted, live
-    /// connections are closed once their in-flight request finishes
-    /// (a mid-read handler is unblocked by a socket shutdown), and
+    /// connections are closed once the in-flight request finishes, and
     /// [`Server::serve`] returns after the graceful router shutdown —
     /// every *accepted* ingest batch is applied and journaled before
     /// the final stats come back.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
-        // Wake the blocking accept with a throwaway connection; the
-        // accept loop re-checks the flag before handling it. (The
-        // reactor needs no wake — it polls with a sliced timeout — but
-        // the connection is harmless there.)
+        // Wake the poll with a throwaway connection rather than waiting
+        // out its timeout slice; the accept path drops it unserved.
         let _ = TcpStream::connect_timeout(&wake_addr(self.addr), Duration::from_millis(250));
     }
 
@@ -206,29 +274,21 @@ impl ServerHandle {
     }
 }
 
-/// The network front door; see the module docs.
+/// A bound listener and its stop flag: the part of a server that does
+/// not depend on what it serves. The leader's [`Server`] and the
+/// follower's read-only server each wrap one and run
+/// [`Endpoint::serve`] with their [`Service`].
 #[derive(Debug)]
-pub struct Server {
+pub struct Endpoint {
     listener: TcpListener,
-    router: Arc<ShardRouter>,
-    config: ServerConfig,
     stop: Arc<AtomicBool>,
 }
 
-impl Server {
-    /// Bind to `addr` (use port 0 for an ephemeral port) and take
-    /// ownership of the router. The router keeps serving its in-process
-    /// API through [`Server::router`] while the server runs.
-    pub fn bind(
-        addr: impl ToSocketAddrs,
-        router: ShardRouter,
-        config: ServerConfig,
-    ) -> Result<Server> {
-        let listener = TcpListener::bind(addr)?;
-        Ok(Server {
-            listener,
-            router: Arc::new(router),
-            config,
+impl Endpoint {
+    /// Bind to `addr` (use port 0 for an ephemeral port).
+    pub fn bind(addr: impl ToSocketAddrs) -> Result<Endpoint> {
+        Ok(Endpoint {
+            listener: TcpListener::bind(addr)?,
             stop: Arc::new(AtomicBool::new(false)),
         })
     }
@@ -236,21 +296,6 @@ impl Server {
     /// The bound address (resolves the ephemeral port).
     pub fn local_addr(&self) -> Result<SocketAddr> {
         Ok(self.listener.local_addr()?)
-    }
-
-    /// The owned router (for in-process reads next to the network
-    /// traffic).
-    pub fn router(&self) -> &ShardRouter {
-        &self.router
-    }
-
-    /// A shared handle to the owned router, for in-process operations
-    /// that must outlive a borrow of the server — e.g. driving a live
-    /// tenant migration ([`ShardRouter::migrate_tenant`]) or a
-    /// rebalancer loop from another thread while [`crate::spawn`] owns
-    /// the server.
-    pub fn router_handle(&self) -> Arc<ShardRouter> {
-        Arc::clone(&self.router)
     }
 
     /// A stop handle, safe to move to another thread.
@@ -261,119 +306,13 @@ impl Server {
         })
     }
 
-    /// Serve until stopped with the configured back end. Blocking. On
-    /// stop, winds down every connection, shuts the router down
-    /// gracefully (drain queues, seal journals) and returns the final
-    /// stats.
-    pub fn serve(self) -> Result<RouterStats> {
-        if self.config.reactor {
-            self.serve_reactor()
-        } else {
-            self.serve_threads()
-        }
-    }
-
-    /// The thread-per-connection back end: accepts bounded by a
-    /// semaphore, one blocking handler thread per connection.
-    fn serve_threads(self) -> Result<RouterStats> {
-        let sem = Arc::new(Semaphore::new(self.config.max_connections));
-        // The bound address cannot change after bind; resolve it once.
-        let addr = self.local_addr()?;
-        // Handler join handles paired with a clone of their socket, so
-        // shutdown can unblock a handler parked in a read.
-        let mut handlers: Vec<(JoinHandle<()>, TcpStream)> = Vec::new();
-        loop {
-            // Take the permit *before* accepting, so at most
-            // `max_connections` handlers run and the overflow waits in
-            // the OS backlog instead of in half-served threads. The
-            // wait is sliced so a stop still lands when every permit is
-            // held by an idle connection (whose socket only gets
-            // force-closed *after* this loop exits).
-            let permit = loop {
-                if self.stop.load(Ordering::SeqCst) {
-                    break None;
-                }
-                if let Some(p) = sem.acquire_timeout(Duration::from_millis(50)) {
-                    break Some(p);
-                }
-            };
-            let Some(permit) = permit else { break };
-            if self.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let (stream, _peer) = match self.listener.accept() {
-                Ok(pair) => pair,
-                Err(_) if self.stop.load(Ordering::SeqCst) => break,
-                Err(_) => {
-                    // Accept errors (ECONNABORTED, EMFILE under load)
-                    // are transient from the listener's point of view;
-                    // bailing out here would leak parked handlers and
-                    // skip the graceful router shutdown. Back off
-                    // briefly and keep accepting — a stop still exits
-                    // through the permit loop.
-                    std::thread::sleep(Duration::from_millis(50));
-                    continue;
-                }
-            };
-            if self.stop.load(Ordering::SeqCst) {
-                // The wake-up connection from `ServerHandle::stop` (or a
-                // client racing the stop); drop it unserved.
-                break;
-            }
-            handlers.retain(|(h, _)| !h.is_finished());
-            // Without the shutdown clone the connection cannot be
-            // force-closed at stop time; refuse it rather than serve
-            // it unsupervised.
-            let Ok(socket) = stream.try_clone() else {
-                continue;
-            };
-            let router = Arc::clone(&self.router);
-            let config = self.config.clone();
-            let stop = Arc::clone(&self.stop);
-            let spawned = std::thread::Builder::new()
-                .name("corrfuse-net-conn".to_string())
-                .spawn(move || {
-                    let _permit = permit;
-                    let _ = handle_connection(stream, &router, &config, &stop, addr);
-                });
-            match spawned {
-                Ok(join) => handlers.push((join, socket)),
-                // Thread exhaustion: refuse this connection (dropping
-                // the stream closes it) instead of abandoning the
-                // already-accepted ones.
-                Err(_) => continue,
-            }
-        }
-        drop(self.listener);
-        // Force-close live connections so handlers blocked in a read
-        // wake up; in-flight requests already read still complete.
-        for (_, socket) in &handlers {
-            let _ = socket.shutdown(std::net::Shutdown::Both);
-        }
-        for (h, _) in handlers {
-            let _ = h.join();
-        }
-        // Handlers are joined, so ours is the last Arc; fall back to a
-        // plain drop (drain + seal via Drop) in the pathological case.
-        match Arc::try_unwrap(self.router) {
-            Ok(router) => router.shutdown().map_err(serve_to_net),
-            Err(_) => Err(NetError::Protocol(
-                "router still shared after handler join".to_string(),
-            )),
-        }
-    }
-
-    /// The reactor back end: one thread, every connection a registered
-    /// fd. Level-triggered `poll(2)` wakeups with one bounded read per
-    /// connection per turn keep service fair — a flooding or dribbling
-    /// connection costs one chunk a turn, never the whole turn.
-    fn serve_reactor(self) -> Result<RouterStats> {
-        let Server {
-            listener,
-            router,
-            config,
-            stop,
-        } = self;
+    /// Serve connections with `service` until stopped. Blocking. One
+    /// thread, every connection a registered fd; see the module docs.
+    /// On stop, delivers what fits in a bounded blocking flush, closes
+    /// every connection and joins the take-over threads, so no clone of
+    /// `service` made here outlives the call.
+    pub fn serve<S: Service>(self, service: &Arc<S>, config: &ServerConfig) -> Result<()> {
+        let Endpoint { listener, stop } = self;
         listener.set_nonblocking(true)?;
         let mut poller = Poller::new();
         poller.register(listener.as_raw_fd(), LISTENER, Interest::READABLE)?;
@@ -382,10 +321,10 @@ impl Server {
         let mut free: Vec<usize> = Vec::new();
         let mut events = Vec::new();
         let mut chunk = vec![0u8; READ_CHUNK];
-        // Replication hand-offs: sockets move to dedicated blocking
-        // threads (replication links are few; request traffic stays on
-        // the reactor). The socket clone force-closes them at stop.
-        let mut repl: Vec<(JoinHandle<()>, TcpStream)> = Vec::new();
+        // Taken-over connections run on dedicated blocking threads
+        // (replication links are few; request traffic stays on the
+        // loop). The socket clone force-closes them at stop.
+        let mut taken: Vec<(JoinHandle<()>, TcpStream)> = Vec::new();
         let mut live: usize = 0;
         let mut accept_paused = false;
 
@@ -403,7 +342,7 @@ impl Server {
                         &mut conns,
                         &mut free,
                         &mut live,
-                        &config,
+                        config,
                         &stop,
                         metrics.as_ref(),
                     );
@@ -414,49 +353,49 @@ impl Server {
                     continue;
                 };
                 let mut gone = ev.error;
-                let mut handoff = None;
                 if !gone && (ev.readable || ev.hangup) && conn.interest.is_readable() {
                     // Fairness: one bounded read per wakeup. Leftover
                     // kernel bytes keep the fd level-triggered ready,
                     // so the next turn continues exactly here.
                     match conn.stream.read(&mut chunk) {
                         Ok(0) => gone = true,
-                        Ok(n) => {
-                            conn.sm.feed(&chunk[..n]);
-                            match drive_conn(conn, &router, &config, &stop) {
-                                Drive::Keep => {}
-                                Drive::Stop => {
-                                    stop.store(true, Ordering::SeqCst);
-                                }
-                                Drive::Replicate { shard, start, sub } => {
-                                    handoff = Some((shard, start, sub));
-                                }
-                            }
-                        }
+                        Ok(n) => conn.sm.feed(&chunk[..n]),
                         Err(e)
                             if e.kind() == std::io::ErrorKind::WouldBlock
                                 || e.kind() == std::io::ErrorKind::Interrupted => {}
                         Err(_) => gone = true,
                     }
                 }
-                if let Some((shard, start, sub)) = handoff {
+                let mut takeover = None;
+                while !gone {
+                    match drive_conn(conn, &**service, &stop) {
+                        Handled::Done => {}
+                        Handled::StopServer => stop.store(true, Ordering::SeqCst),
+                        Handled::TakeOver(state) => {
+                            takeover = Some(state);
+                            break;
+                        }
+                    }
+                    gone = !flush_and_rearm(conn, &mut poller, ev.token, metrics.as_ref());
+                    // Answer on while the flush clears a high-water
+                    // stall: the peer is draining.
+                    if !(conn.sm.awaiting_response() && conn.wbuf.pending() < WRITE_HIGH_WATER) {
+                        break;
+                    }
+                }
+                if takeover.is_some() || gone {
                     poller.deregister(ev.token).ok();
-                    let conn = conns[slot].take().expect("handoff conn");
+                    // Dropping a closed conn closes the fd.
+                    let conn = conns[slot].take().expect("live conn");
                     free.push(slot);
                     live -= 1;
                     if let Some(m) = &metrics {
                         m.registered.set(live as i64);
                     }
-                    if let Some(pair) = hand_off_replication(conn, &router, shard, start, sub) {
-                        repl.push(pair);
-                    }
-                } else if gone || !flush_and_rearm(conn, &mut poller, ev.token, metrics.as_ref()) {
-                    poller.deregister(ev.token).ok();
-                    conns[slot] = None; // dropping the conn closes the fd
-                    free.push(slot);
-                    live -= 1;
-                    if let Some(m) = &metrics {
-                        m.registered.set(live as i64);
+                    if let Some(state) = takeover {
+                        if let Some(pair) = take_over(conn, service, state) {
+                            taken.push(pair);
+                        }
                     }
                 }
                 if accept_paused && live < config.max_connections {
@@ -467,10 +406,9 @@ impl Server {
         }
         drop(listener);
         // Wind down: deliver what fits in a bounded blocking flush
-        // (ShutdownOk to the client that asked, tail responses), then
-        // close everything and take the router down gracefully.
-        for conn in conns.into_iter().flatten() {
-            let mut conn = conn;
+        // (SHUTDOWN_OK to the client that asked, tail responses), then
+        // close everything.
+        for mut conn in conns.into_iter().flatten() {
             conn.stream.set_nonblocking(false).ok();
             conn.stream
                 .set_write_timeout(Some(Duration::from_millis(250)))
@@ -478,22 +416,88 @@ impl Server {
             let _ = conn.wbuf.flush_to(&mut conn.stream);
             let _ = conn.stream.shutdown(std::net::Shutdown::Both);
         }
-        for (_, socket) in &repl {
+        for (_, socket) in &taken {
             let _ = socket.shutdown(std::net::Shutdown::Both);
         }
-        for (h, _) in repl {
+        for (h, _) in taken {
             let _ = h.join();
         }
+        Ok(())
+    }
+}
+
+/// The leader's network front door: an [`Endpoint`] serving the owned
+/// [`ShardRouter`]; see the module docs.
+#[derive(Debug)]
+pub struct Server {
+    endpoint: Endpoint,
+    router: Arc<ShardRouter>,
+    config: ServerConfig,
+}
+
+impl Server {
+    /// Bind to `addr` (use port 0 for an ephemeral port) and take
+    /// ownership of the router. The router keeps serving its in-process
+    /// API through [`Server::router`] while the server runs.
+    pub fn bind(
+        addr: impl ToSocketAddrs,
+        router: ShardRouter,
+        config: ServerConfig,
+    ) -> Result<Server> {
+        Ok(Server {
+            endpoint: Endpoint::bind(addr)?,
+            router: Arc::new(router),
+            config,
+        })
+    }
+
+    /// The bound address (resolves the ephemeral port).
+    pub fn local_addr(&self) -> Result<SocketAddr> {
+        self.endpoint.local_addr()
+    }
+
+    /// The owned router (for in-process reads next to the network
+    /// traffic).
+    pub fn router(&self) -> &ShardRouter {
+        &self.router
+    }
+
+    /// A shared handle to the owned router, for in-process operations
+    /// that must outlive a borrow of the server — e.g. driving a live
+    /// tenant migration ([`ShardRouter::migrate_tenant`]) or a
+    /// rebalancer loop from another thread while [`spawn`] owns
+    /// the server.
+    pub fn router_handle(&self) -> Arc<ShardRouter> {
+        Arc::clone(&self.router)
+    }
+
+    /// A stop handle, safe to move to another thread.
+    pub fn handle(&self) -> Result<ServerHandle> {
+        self.endpoint.handle()
+    }
+
+    /// Serve until stopped. Blocking. On stop, winds down every
+    /// connection, shuts the router down gracefully (drain queues, seal
+    /// journals) and returns the final stats.
+    pub fn serve(self) -> Result<RouterStats> {
+        let Server {
+            endpoint,
+            router,
+            config,
+        } = self;
+        endpoint.serve(&router, &config)?;
+        // The loop joined every replication thread, so ours is the last
+        // Arc unless an embedder still holds a `router_handle`.
         match Arc::try_unwrap(router) {
             Ok(router) => router.shutdown().map_err(serve_to_net),
             Err(_) => Err(NetError::Protocol(
-                "router still shared after reactor shutdown".to_string(),
+                "router still shared after the server loop stopped".to_string(),
             )),
         }
     }
 }
 
-/// One reactor-held connection: the non-blocking stream, its session
+/// One loop-held connection: the non-blocking stream, its session
 /// machine, per-connection driver state and the partial-write buffer.
 struct ReactorConn {
     stream: TcpStream,
@@ -504,7 +508,7 @@ struct ReactorConn {
     interest: Interest,
 }
 
-/// The reactor's own metric series (`docs/OBSERVABILITY.md`).
+/// The loop's own metric series (`docs/OBSERVABILITY.md`).
 struct ReactorMetrics {
     wakeups: Arc<Counter>,
     registered: Arc<Gauge>,
@@ -544,8 +548,8 @@ fn accept_ready(
         match listener.accept() {
             Ok((stream, _peer)) => {
                 if stop.load(Ordering::SeqCst) {
-                    // The stop wake-up (or a client racing it); the
-                    // main loop exits on its next check.
+                    // The stop wake-up (or a client racing it); the main
+                    // loop exits on its next check.
                     return false;
                 }
                 if stream.set_nonblocking(true).is_err() {
@@ -585,44 +589,32 @@ fn accept_ready(
     }
 }
 
-/// What [`drive_conn`] wants the reactor to do with the connection.
-enum Drive {
-    Keep,
-    /// A remote `SHUTDOWN` was honoured: stop the server once the
-    /// queued `SHUTDOWN_OK` is out.
-    Stop,
-    /// A `SUBSCRIBE` succeeded: hand the socket to a replication
-    /// thread.
-    Replicate {
-        shard: usize,
-        start: SubscriptionStart,
-        sub: Subscription,
-    },
-}
-
 /// Pump the session machine's outputs into the write buffer, answering
-/// application requests inline.
-fn drive_conn(
+/// application requests inline — but take no further request while the
+/// buffer sits at the high-water mark: an unanswered request keeps the
+/// machine from decoding more, so a peer that queries without reading
+/// pins at most one read chunk plus the mark.
+fn drive_conn<S: Service>(
     conn: &mut ReactorConn,
-    router: &ShardRouter,
-    config: &ServerConfig,
+    service: &S,
     stop: &AtomicBool,
-) -> Drive {
-    let mut result = Drive::Keep;
-    while let Some(out) = conn.sm.pop_output() {
+) -> Handled<S::TakeOver> {
+    let mut result = Handled::Done;
+    while !(conn.sm.awaiting_response() && conn.wbuf.pending() >= WRITE_HIGH_WATER) {
+        let Some(out) = conn.sm.pop_output() else {
+            break;
+        };
         match out {
             Output::Write(bytes) => conn.wbuf.push(&bytes),
             Output::Close => conn.closing = true,
             Output::App { request, decode_ns } => {
                 match conn
                     .driver
-                    .handle(&mut conn.sm, router, config, stop, request, decode_ns)
+                    .handle(&mut conn.sm, service, stop, request, decode_ns)
                 {
                     Handled::Done => {}
-                    Handled::StopServer => result = Drive::Stop,
-                    Handled::Replicate { shard, start, sub } => {
-                        return Drive::Replicate { shard, start, sub };
-                    }
+                    Handled::StopServer => result = Handled::StopServer,
+                    taken @ Handled::TakeOver(_) => return taken,
                 }
             }
         }
@@ -668,19 +660,17 @@ fn flush_and_rearm(
     true
 }
 
-/// Move a subscribed connection off the reactor onto a dedicated
-/// blocking thread running [`replicate`]. Returns the join handle and a
-/// socket clone for stop-time force-close.
-fn hand_off_replication(
+/// Move a connection off the loop onto a dedicated blocking thread
+/// running [`Service::take_over`]. Returns the join handle and a socket
+/// clone for stop-time force-close.
+fn take_over<S: Service>(
     mut conn: ReactorConn,
-    router: &Arc<ShardRouter>,
-    shard: usize,
-    start: SubscriptionStart,
-    sub: Subscription,
+    service: &Arc<S>,
+    state: S::TakeOver,
 ) -> Option<(JoinHandle<()>, TcpStream)> {
     let leftover = conn.sm.detach();
     let socket = conn.stream.try_clone().ok()?;
-    let router = Arc::clone(router);
+    let service = Arc::clone(service);
     let join = std::thread::Builder::new()
         .name("corrfuse-net-repl".to_string())
         .spawn(move || {
@@ -689,7 +679,7 @@ fn hand_off_replication(
                 return;
             }
             // Deliver any responses still queued from request mode
-            // before the SUBSCRIBE_OK.
+            // before the service writes its own.
             while !conn.wbuf.is_empty() {
                 match conn.wbuf.flush_to(&mut stream) {
                     Ok(FlushProgress::Done) => break,
@@ -697,7 +687,7 @@ fn hand_off_replication(
                     Err(_) => return,
                 }
             }
-            let _ = replicate(stream, leftover, &router, shard, start, sub);
+            service.take_over(stream, leftover, state);
         })
         .ok()?;
     Some((join, socket))
@@ -720,13 +710,6 @@ fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
     addr
 }
 
-/// Per-connection counters (surfaced through `STATS`).
-#[derive(Debug, Default)]
-struct ConnStats {
-    batches: u64,
-    events: u64,
-}
-
 /// Per-connection cache of the per-frame-type wire histograms
 /// (`net_<stage>_ns_<type>`), so the request loop pays one map probe
 /// per record instead of a registry lookup with its name formatting.
@@ -745,97 +728,121 @@ impl ConnSpans {
     }
 }
 
-/// What [`ConnDriver::handle`] tells the back end beyond "responded".
-enum Handled {
+/// What [`ConnDriver::handle`] tells the loop beyond "responded".
+enum Handled<T> {
     /// The response went through [`SessionStateMachine::respond`].
     Done,
     /// An honoured `SHUTDOWN`: its `SHUTDOWN_OK` is queued; stop the
     /// server once it is flushed.
     StopServer,
-    /// A successful `SUBSCRIBE`: no response queued — [`replicate`]
-    /// writes the `SUBSCRIBE_OK` and owns the connection from here.
-    Replicate {
-        shard: usize,
-        start: SubscriptionStart,
-        sub: Subscription,
-    },
+    /// The service took the connection over ([`Reply::TakeOver`]).
+    TakeOver(T),
 }
 
-/// The application request handler both back ends share: everything
-/// between a decoded [`Request`] and the [`Response`] handed back to
-/// the session machine. Keeping this in one place (like the machine
-/// itself) is what pins the two back ends to identical wire behaviour.
+/// Per-connection request handling: answers the session-level requests
+/// itself, routes the rest to the [`Service`], and records the
+/// per-frame-type wire histograms around both.
 struct ConnDriver {
-    stats: ConnStats,
-    seq: u64,
+    conn: Conn,
     spans: Option<ConnSpans>,
-    timed: bool,
 }
 
 impl ConnDriver {
     fn new(config: &ServerConfig) -> ConnDriver {
-        let spans = config.metrics.as_ref().map(|r| ConnSpans {
-            registry: Arc::clone(r),
-            cache: HashMap::new(),
-        });
         ConnDriver {
-            stats: ConnStats::default(),
-            seq: 0,
-            timed: spans.is_some(),
-            spans,
+            conn: Conn {
+                registry: config.metrics.clone(),
+                ..Conn::default()
+            },
+            spans: config.metrics.as_ref().map(|r| ConnSpans {
+                registry: Arc::clone(r),
+                cache: HashMap::new(),
+            }),
         }
     }
 
-    fn handle(
+    fn handle<S: Service>(
         &mut self,
         sm: &mut SessionStateMachine,
-        router: &ShardRouter,
-        config: &ServerConfig,
+        service: &S,
         stop: &AtomicBool,
         request: Request,
         decode_ns: u64,
-    ) -> Handled {
+    ) -> Handled<S::TakeOver> {
         let req_kind = request.frame_type();
         if let Some(sp) = self.spans.as_mut() {
             sp.record("decode", req_kind, decode_ns);
         }
-        let handle_span = Span::start(self.timed);
+        let handle_span = Span::start(self.spans.is_some());
         let mut outcome = Handled::Done;
-        let response = match request {
+        let reply = match request {
             // The session machine answers HELLO, EPOCH_ACK, gated
             // SHUTDOWN and ACL denials itself; mirror its messages
             // here so a future machine change cannot panic the server.
-            Request::Hello { .. } => Response::Error {
+            Request::Hello { .. } => Reply::Respond(Response::Error {
                 code: ErrorCode::Malformed,
                 message: "HELLO is only valid as the first frame".to_string(),
-            },
-            Request::EpochAck { .. } => Response::Error {
+            }),
+            Request::EpochAck { .. } => Reply::Respond(Response::Error {
                 code: ErrorCode::Malformed,
                 message: "EPOCH_ACK is only valid in replication mode".to_string(),
-            },
+            }),
+            Request::Ping => Reply::Respond(Response::Pong),
+            // The machine only forwards SHUTDOWN when the config
+            // honours it.
+            Request::Shutdown => {
+                outcome = Handled::StopServer;
+                Reply::Respond(Response::ShutdownOk)
+            }
+            request => {
+                self.conn.frames = sm.frames();
+                self.conn.stopping = stop.load(Ordering::SeqCst);
+                service.handle(request, &mut self.conn)
+            }
+        };
+        if let Some(sp) = self.spans.as_mut() {
+            sp.record("handle", req_kind, handle_span.elapsed_ns());
+        }
+        let response = match reply {
+            Reply::Respond(response) => response,
+            Reply::TakeOver(state) => return Handled::TakeOver(state),
+        };
+        let (resp_kind, encode_ns) = sm.respond(response);
+        if let Some(sp) = self.spans.as_mut() {
+            sp.record("encode", resp_kind, encode_ns);
+        }
+        outcome
+    }
+}
+
+/// The leader's requests: reads and writes against the router. A
+/// successful `SUBSCRIBE` takes its connection over for replication.
+impl Service for ShardRouter {
+    type TakeOver = Replication;
+
+    fn handle(&self, request: Request, conn: &mut Conn) -> Reply<Replication> {
+        let response = match request {
+            Request::Ingest { .. } | Request::Subscribe { .. } if conn.stopping => {
+                Response::Error {
+                    code: ErrorCode::ShuttingDown,
+                    message: "server is stopping".to_string(),
+                }
+            }
             Request::Ingest { tenant, events } => {
-                if stop.load(Ordering::SeqCst) {
-                    Response::Error {
-                        code: ErrorCode::ShuttingDown,
-                        message: "server is stopping".to_string(),
+                let n = events.len() as u64;
+                match self.ingest(tenant, events) {
+                    Ok(()) => {
+                        conn.batches += 1;
+                        conn.events += n;
+                        Response::IngestOk { seq: conn.batches }
                     }
-                } else {
-                    let n = events.len() as u64;
-                    match router.ingest(tenant, events) {
-                        Ok(()) => {
-                            self.seq += 1;
-                            self.stats.batches += 1;
-                            self.stats.events += n;
-                            Response::IngestOk { seq: self.seq }
-                        }
-                        Err(e) => error_response(&e),
-                    }
+                    Err(e) => error_response(&e),
                 }
             }
             Request::Scores { tenant, min_epoch } => {
                 let result = match min_epoch {
-                    Some(e) => router.scores_at(tenant, e),
-                    None => router.scores(tenant),
+                    Some(e) => self.scores_at(tenant, e),
+                    None => self.scores(tenant),
                 };
                 match result {
                     Ok(scores) => Response::ScoresOk { scores },
@@ -844,15 +851,15 @@ impl ConnDriver {
             }
             Request::Decisions { tenant, min_epoch } => {
                 let result = match min_epoch {
-                    Some(e) => router.decisions_at(tenant, e),
-                    None => router.decisions(tenant),
+                    Some(e) => self.decisions_at(tenant, e),
+                    None => self.decisions(tenant),
                 };
                 match result {
                     Ok(decisions) => Response::DecisionsOk { decisions },
                     Err(e) => error_response(&e),
                 }
             }
-            Request::Flush => match router.flush() {
+            Request::Flush => match self.flush() {
                 Ok(()) => Response::FlushOk,
                 Err(e) => error_response(&e),
             },
@@ -860,55 +867,45 @@ impl ConnDriver {
             // authoritative present. Followers gate on their applied
             // epoch before answering.
             Request::Stats { min_epoch: _ } => {
-                let mut wire = WireStats::from_router(&router.stats());
-                wire.conn_frames = sm.frames();
-                wire.conn_batches = self.stats.batches;
-                wire.conn_events = self.stats.events;
+                let mut wire = WireStats::from_router(&self.stats());
+                wire.conn_frames = conn.frames;
+                wire.conn_batches = conn.batches;
+                wire.conn_events = conn.events;
                 Response::StatsOk { stats: wire }
             }
-            Request::Ping => Response::Pong,
-            Request::Metrics => metrics_response(config.metrics.as_ref(), router),
-            // The machine only forwards SHUTDOWN when the config
-            // honours it.
-            Request::Shutdown => {
-                outcome = Handled::StopServer;
-                Response::ShutdownOk
-            }
+            Request::Metrics => metrics_response(conn.registry.as_ref(), self),
             Request::Subscribe { shard, from_epoch } => {
-                if stop.load(Ordering::SeqCst) {
-                    Response::Error {
-                        code: ErrorCode::ShuttingDown,
-                        message: "server is stopping".to_string(),
+                match self.subscribe(shard as usize, from_epoch) {
+                    // The connection leaves request/response for good:
+                    // `replicate` owns it until the follower disconnects
+                    // or the subscription closes.
+                    Ok((start, sub)) => {
+                        return Reply::TakeOver(Replication {
+                            shard: shard as usize,
+                            start,
+                            sub,
+                        })
                     }
-                } else {
-                    match router.subscribe(shard as usize, from_epoch) {
-                        // The connection leaves request/response for
-                        // good: `replicate` owns it until the follower
-                        // disconnects or the subscription closes.
-                        Ok((start, sub)) => {
-                            if let Some(sp) = self.spans.as_mut() {
-                                sp.record("handle", req_kind, handle_span.elapsed_ns());
-                            }
-                            return Handled::Replicate {
-                                shard: shard as usize,
-                                start,
-                                sub,
-                            };
-                        }
-                        Err(e) => error_response(&e),
-                    }
+                    Err(e) => error_response(&e),
                 }
             }
+            other => return Reply::not_routed(&other),
         };
-        if let Some(sp) = self.spans.as_mut() {
-            sp.record("handle", req_kind, handle_span.elapsed_ns());
-        }
-        let (resp_kind, encode_ns) = sm.respond(response);
-        if let Some(sp) = self.spans.as_mut() {
-            sp.record("encode", resp_kind, encode_ns);
-        }
-        outcome
+        Reply::Respond(response)
     }
+
+    fn take_over(&self, stream: TcpStream, leftover: Vec<u8>, r: Replication) {
+        let _ = replicate(stream, leftover, self, r.shard, r.start, r.sub);
+    }
+}
+
+/// A successful `SUBSCRIBE`: the shard, how the follower starts, and the
+/// live batch feed the replication thread streams.
+#[derive(Debug)]
+pub struct Replication {
+    shard: usize,
+    start: SubscriptionStart,
+    sub: Subscription,
 }
 
 /// The `METRICS` reply body: the registry snapshot (when the server has
@@ -1014,87 +1011,6 @@ fn metrics_response(registry: Option<&Arc<Registry>>, router: &ShardRouter) -> R
     Response::MetricsOk {
         metrics: WireMetric::from_samples(&samples),
     }
-}
-
-/// Serve one connection on the thread back end: blocking chunk reads
-/// feeding the same session machine the reactor drives.
-fn handle_connection(
-    mut stream: TcpStream,
-    router: &ShardRouter,
-    config: &ServerConfig,
-    stop: &AtomicBool,
-    addr: SocketAddr,
-) -> Result<()> {
-    stream.set_nodelay(true).ok();
-    let mut sm = new_session(config);
-    let mut driver = ConnDriver::new(config);
-    let mut chunk = vec![0u8; READ_CHUNK];
-    loop {
-        let n = match stream.read(&mut chunk) {
-            Ok(0) => {
-                // EOF between frames is a clean close; inside a frame
-                // it is a truncation.
-                return if sm.buffered() == 0 {
-                    Ok(())
-                } else {
-                    Err(FrameError::Truncated {
-                        needed: sm.buffered() + 1,
-                        got: sm.buffered(),
-                    }
-                    .into())
-                };
-            }
-            Ok(n) => n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
-        };
-        sm.feed(&chunk[..n]);
-        while let Some(out) = sm.pop_output() {
-            match out {
-                Output::Write(bytes) => stream.write_all(&bytes)?,
-                Output::Close => {
-                    write_pending(&mut sm, &mut stream)?;
-                    stream.flush()?;
-                    return Ok(());
-                }
-                Output::App { request, decode_ns } => {
-                    match driver.handle(&mut sm, router, config, stop, request, decode_ns) {
-                        Handled::Done => {}
-                        Handled::StopServer => {
-                            write_pending(&mut sm, &mut stream)?;
-                            stream.flush()?;
-                            stop.store(true, Ordering::SeqCst);
-                            // Wake the accept loop exactly like
-                            // `ServerHandle::stop`.
-                            let _ = TcpStream::connect_timeout(
-                                &wake_addr(addr),
-                                Duration::from_millis(250),
-                            );
-                            return Ok(());
-                        }
-                        Handled::Replicate { shard, start, sub } => {
-                            write_pending(&mut sm, &mut stream)?;
-                            stream.flush()?;
-                            let leftover = sm.detach();
-                            return replicate(stream, leftover, router, shard, start, sub);
-                        }
-                    }
-                }
-            }
-        }
-        stream.flush()?;
-    }
-}
-
-/// Drain the machine's already-queued writes to the stream (used before
-/// leaving the request loop, when the pop-loop will not run again).
-fn write_pending(sm: &mut SessionStateMachine, stream: &mut TcpStream) -> Result<()> {
-    while let Some(out) = sm.pop_output() {
-        if let Output::Write(bytes) = out {
-            stream.write_all(&bytes)?;
-        }
-    }
-    Ok(())
 }
 
 fn error_response(e: &ServeError) -> Response {

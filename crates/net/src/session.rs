@@ -24,16 +24,19 @@
 //! byte-at-a-time property in `tests/codec_fuzz.rs` drive it with
 //! random chunk splits and demand identical outputs. (An optional
 //! [`SessionClock`] can be injected for latency *attribution*; it never
-//! influences behaviour.) Both server back ends — thread-per-connection
-//! and the `poll(2)` reactor ([`crate::transport`]) — drive this same
-//! machine, which is what pins them to identical wire behaviour.
+//! influences behaviour.) Every server endpoint — the leader and each
+//! read-only follower, all on the one `poll(2)` loop
+//! ([`crate::server::Endpoint::serve`]) — drives this same machine,
+//! which is what pins them to identical wire behaviour.
 //!
 //! Driver contract: after feeding bytes, pop outputs until `None`. A
 //! [`Output::Write`] goes on the wire in order; an [`Output::App`] must
 //! be answered with [`SessionStateMachine::respond`] before the machine
 //! will decode further frames (that ordering is what keeps pipelined
-//! responses in request order); [`Output::Close`] means flush then
-//! close. A successful `SUBSCRIBE` leaves request/response for good:
+//! responses in request order, and what lets a driver pause popping
+//! while [`SessionStateMachine::awaiting_response`] holds — its write
+//! backpressure); [`Output::Close`] means flush then close. A
+//! successful `SUBSCRIBE` leaves request/response for good:
 //! the driver calls [`SessionStateMachine::detach`] and takes over the
 //! raw stream (plus any bytes the machine had already buffered).
 

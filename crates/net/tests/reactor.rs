@@ -1,10 +1,10 @@
-//! Integration tests for the readiness-reactor back end
-//! (`ServerConfig::reactor(true)`): request-surface parity with the
-//! thread back end, slow-loris robustness (a dribbling or stalled
+//! Integration tests for the server's readiness reactor: the full
+//! request surface, slow-loris robustness (a dribbling or stalled
 //! connection never starves the others and pins no memory beyond the
-//! bytes it actually sent), and per-tenant ACL enforcement on both back
-//! ends — including that a mixed-tenant client hitting a denied tenant
-//! cannot poison its allowed-tenant pipeline.
+//! bytes it actually sent), write backpressure against a client that
+//! queries without reading, and per-tenant ACL enforcement — including
+//! that a mixed-tenant client hitting a denied tenant cannot poison its
+//! allowed-tenant pipeline.
 
 use std::io::Write as _;
 use std::net::TcpStream;
@@ -59,15 +59,15 @@ fn raw_hello(stream: &mut TcpStream, credential: Option<&str>) -> Response {
     read_response(stream)
 }
 
-/// The reactor back end serves the same request surface as the thread
-/// back end: ingest, read-your-writes flush, scores/decisions, stats,
-/// ping, typed errors, remote shutdown.
+/// The reactor serves the full request surface: ingest,
+/// read-your-writes flush, scores/decisions, stats, ping, typed errors,
+/// remote shutdown.
 #[test]
 fn reactor_serves_full_request_surface() {
     let server = Server::bind(
         "127.0.0.1:0",
         router(&[0, 1]),
-        ServerConfig::new().reactor(true).with_accept_shutdown(true),
+        ServerConfig::new().with_accept_shutdown(true),
     )
     .unwrap();
     let addr = server.local_addr().unwrap().to_string();
@@ -117,12 +117,7 @@ fn reactor_serves_full_request_surface() {
 /// well-behaved client sharing the one reactor thread.
 #[test]
 fn slow_loris_never_starves_the_reactor() {
-    let server = Server::bind(
-        "127.0.0.1:0",
-        router(&[0]),
-        ServerConfig::new().reactor(true),
-    )
-    .unwrap();
+    let server = Server::bind("127.0.0.1:0", router(&[0]), ServerConfig::new()).unwrap();
     let addr = server.local_addr().unwrap();
     let (handle, join) = spawn(server).unwrap();
 
@@ -183,134 +178,268 @@ fn slow_loris_never_starves_the_reactor() {
     assert_eq!(stats.aggregate().ingest_errors, 0);
 }
 
-/// ACL enforcement is identical on both back ends: missing or wrong
-/// credentials get `FORBIDDEN` on every tenant-scoped request (the
-/// connection keeps serving), the right credential round-trips, a
-/// scoped credential cannot `SUBSCRIBE`, and a mixed-tenant client
-/// hitting a denied tenant cannot poison its allowed-tenant pipeline —
+/// ACL enforcement: missing or wrong credentials get `FORBIDDEN` on
+/// every tenant-scoped request (the connection keeps serving), the
+/// right credential round-trips, a scoped credential cannot
+/// `SUBSCRIBE`, and a mixed-tenant client hitting a denied tenant
+/// cannot poison its allowed-tenant pipeline —
 /// the allowed tenant's scores stay bitwise identical to a control
 /// server that only ever saw the allowed traffic.
 #[test]
-fn acl_is_enforced_on_both_backends() {
-    for reactor in [false, true] {
-        let acl = AclTable::new()
-            .allow("writer-0", [TenantId(0)])
-            .allow_all("root");
-        let server = Server::bind(
-            "127.0.0.1:0",
-            router(&[0, 1]),
-            ServerConfig::new().reactor(reactor).with_acl(acl),
-        )
-        .unwrap();
-        let addr = server.local_addr().unwrap().to_string();
-        let (handle, join) = spawn(server).unwrap();
+fn acl_is_enforced_per_tenant() {
+    let acl = AclTable::new()
+        .allow("writer-0", [TenantId(0)])
+        .allow_all("root");
+    let server = Server::bind(
+        "127.0.0.1:0",
+        router(&[0, 1]),
+        ServerConfig::new().with_acl(acl),
+    )
+    .unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let (handle, join) = spawn(server).unwrap();
 
-        // Control: an open server that only ever receives the allowed
-        // traffic; the ACL'd server's allowed tenant must match it
-        // bitwise.
-        let control = Server::bind("127.0.0.1:0", router(&[0, 1]), ServerConfig::new()).unwrap();
-        let control_addr = control.local_addr().unwrap().to_string();
-        let (control_handle, control_join) = spawn(control).unwrap();
+    // Control: an open server that only ever receives the allowed
+    // traffic; the ACL'd server's allowed tenant must match it
+    // bitwise.
+    let control = Server::bind("127.0.0.1:0", router(&[0, 1]), ServerConfig::new()).unwrap();
+    let control_addr = control.local_addr().unwrap().to_string();
+    let (control_handle, control_join) = spawn(control).unwrap();
 
-        // Missing and wrong credentials: HELLO_OK, then FORBIDDEN on
-        // every tenant-scoped request; PING (unscoped) still works.
-        for config in [
-            ClientConfig::new(),
-            ClientConfig::new().with_credential("intruder"),
-        ] {
-            let mut denied = Client::connect_with(&addr, config).unwrap();
-            denied.ping().unwrap();
-            for tenant in [0u32, 1] {
-                match denied.scores(TenantId(tenant)).unwrap_err() {
-                    NetError::Remote { code, .. } => assert_eq!(code, ErrorCode::Forbidden),
-                    other => panic!("unexpected {other:?}"),
-                }
-                match denied.decisions(TenantId(tenant)).unwrap_err() {
-                    NetError::Remote { code, .. } => assert_eq!(code, ErrorCode::Forbidden),
-                    other => panic!("unexpected {other:?}"),
-                }
-                denied
-                    .ingest(TenantId(tenant), &[Event::label(TripleId(0), true)])
-                    .unwrap();
-                match denied.sync().unwrap_err() {
-                    NetError::Remote { code, .. } => assert_eq!(code, ErrorCode::Forbidden),
-                    other => panic!("unexpected {other:?}"),
-                }
+    // Missing and wrong credentials: HELLO_OK, then FORBIDDEN on
+    // every tenant-scoped request; PING (unscoped) still works.
+    for config in [
+        ClientConfig::new(),
+        ClientConfig::new().with_credential("intruder"),
+    ] {
+        let mut denied = Client::connect_with(&addr, config).unwrap();
+        denied.ping().unwrap();
+        for tenant in [0u32, 1] {
+            match denied.scores(TenantId(tenant)).unwrap_err() {
+                NetError::Remote { code, .. } => assert_eq!(code, ErrorCode::Forbidden),
+                other => panic!("unexpected {other:?}"),
             }
-            // The connection is still alive after every denial.
-            denied.ping().unwrap();
-        }
-
-        // A scoped credential cannot subscribe (whole-shard access).
-        let mut raw = TcpStream::connect(&addr).unwrap();
-        assert!(matches!(
-            raw_hello(&mut raw, Some("writer-0")),
-            Response::HelloOk { .. }
-        ));
-        Request::Subscribe {
-            shard: 0,
-            from_epoch: 0,
-        }
-        .to_frame()
-        .write_to(&mut raw)
-        .unwrap();
-        raw.flush().unwrap();
-        match read_response(&mut raw) {
-            Response::Error { code, .. } => assert_eq!(code, ErrorCode::Forbidden),
-            other => panic!("unexpected {other:?}"),
-        }
-        drop(raw);
-
-        // Mixed-tenant client: allowed tenant round-trips, denied
-        // tenant is refused, and the denial does not perturb the
-        // allowed pipeline.
-        let mut writer =
-            Client::connect_with(&addr, ClientConfig::new().with_credential("writer-0")).unwrap();
-        let mut control_client = Client::connect(&control_addr).unwrap();
-        let batches: [&[Event]; 3] = [
-            &[
-                Event::add_triple("z", "p", "3"),
-                Event::claim(SourceId(0), TripleId(2)),
-            ],
-            &[Event::label(TripleId(2), true)],
-            &[Event::claim(SourceId(0), TripleId(1))],
-        ];
-        for (i, batch) in batches.iter().enumerate() {
-            writer.ingest(TenantId(0), batch).unwrap();
-            control_client.ingest(TenantId(0), batch).unwrap();
-            if i == 1 {
-                // Interleave a denied-tenant batch mid-pipeline.
-                writer
-                    .ingest(TenantId(1), &[Event::label(TripleId(0), false)])
-                    .unwrap();
-                match writer.sync().unwrap_err() {
-                    NetError::Remote { code, .. } => assert_eq!(code, ErrorCode::Forbidden),
-                    other => panic!("unexpected {other:?}"),
-                }
+            match denied.decisions(TenantId(tenant)).unwrap_err() {
+                NetError::Remote { code, .. } => assert_eq!(code, ErrorCode::Forbidden),
+                other => panic!("unexpected {other:?}"),
+            }
+            denied
+                .ingest(TenantId(tenant), &[Event::label(TripleId(0), true)])
+                .unwrap();
+            match denied.sync().unwrap_err() {
+                NetError::Remote { code, .. } => assert_eq!(code, ErrorCode::Forbidden),
+                other => panic!("unexpected {other:?}"),
             }
         }
-        writer.flush().unwrap();
-        control_client.flush().unwrap();
-        let scores = writer.scores(TenantId(0)).unwrap();
-        let control_scores = control_client.scores(TenantId(0)).unwrap();
-        assert_eq!(
-            scores, control_scores,
-            "denied-tenant traffic perturbed the allowed pipeline (reactor={reactor})"
-        );
-        // The denied tenant never received the batch.
-        match writer.scores(TenantId(1)).unwrap_err() {
-            NetError::Remote { code, .. } => assert_eq!(code, ErrorCode::Forbidden),
-            other => panic!("unexpected {other:?}"),
-        }
+        // The connection is still alive after every denial.
+        denied.ping().unwrap();
+    }
 
-        handle.stop();
-        control_handle.stop();
-        let stats = join.join().unwrap().unwrap();
-        let control_stats = control_join.join().unwrap().unwrap();
-        assert_eq!(
-            stats.aggregate().ingested_events,
-            control_stats.aggregate().ingested_events,
-            "denied batches must never reach the router (reactor={reactor})"
+    // A scoped credential cannot subscribe (whole-shard access).
+    let mut raw = TcpStream::connect(&addr).unwrap();
+    assert!(matches!(
+        raw_hello(&mut raw, Some("writer-0")),
+        Response::HelloOk { .. }
+    ));
+    Request::Subscribe {
+        shard: 0,
+        from_epoch: 0,
+    }
+    .to_frame()
+    .write_to(&mut raw)
+    .unwrap();
+    raw.flush().unwrap();
+    match read_response(&mut raw) {
+        Response::Error { code, .. } => assert_eq!(code, ErrorCode::Forbidden),
+        other => panic!("unexpected {other:?}"),
+    }
+    drop(raw);
+
+    // Mixed-tenant client: allowed tenant round-trips, denied
+    // tenant is refused, and the denial does not perturb the
+    // allowed pipeline.
+    let mut writer =
+        Client::connect_with(&addr, ClientConfig::new().with_credential("writer-0")).unwrap();
+    let mut control_client = Client::connect(&control_addr).unwrap();
+    let batches: [&[Event]; 3] = [
+        &[
+            Event::add_triple("z", "p", "3"),
+            Event::claim(SourceId(0), TripleId(2)),
+        ],
+        &[Event::label(TripleId(2), true)],
+        &[Event::claim(SourceId(0), TripleId(1))],
+    ];
+    for (i, batch) in batches.iter().enumerate() {
+        writer.ingest(TenantId(0), batch).unwrap();
+        control_client.ingest(TenantId(0), batch).unwrap();
+        if i == 1 {
+            // Interleave a denied-tenant batch mid-pipeline.
+            writer
+                .ingest(TenantId(1), &[Event::label(TripleId(0), false)])
+                .unwrap();
+            match writer.sync().unwrap_err() {
+                NetError::Remote { code, .. } => assert_eq!(code, ErrorCode::Forbidden),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+    }
+    writer.flush().unwrap();
+    control_client.flush().unwrap();
+    let scores = writer.scores(TenantId(0)).unwrap();
+    let control_scores = control_client.scores(TenantId(0)).unwrap();
+    assert_eq!(
+        scores, control_scores,
+        "denied-tenant traffic perturbed the allowed pipeline"
+    );
+    // The denied tenant never received the batch.
+    match writer.scores(TenantId(1)).unwrap_err() {
+        NetError::Remote { code, .. } => assert_eq!(code, ErrorCode::Forbidden),
+        other => panic!("unexpected {other:?}"),
+    }
+
+    handle.stop();
+    control_handle.stop();
+    let stats = join.join().unwrap().unwrap();
+    let control_stats = control_join.join().unwrap().unwrap();
+    assert_eq!(
+        stats.aggregate().ingested_events,
+        control_stats.aggregate().ingested_events,
+        "denied batches must never reach the router"
+    );
+}
+
+/// Write backpressure is per request, not per read: a client pipelines
+/// 3000 `SCORES` requests (one ~54 KB write, a single read chunk on the
+/// server) for two large tenants and never reads. The reactor must stop
+/// answering once its write buffer reaches the high-water mark, so only
+/// what fits in that buffer plus the kernel socket buffers is ever
+/// answered — not all 3000 responses (~110 MiB) queued in memory. Once
+/// the client reads, every response arrives, in request order and
+/// bitwise equal to the in-process scores.
+#[test]
+fn unread_responses_stop_the_reactor_answering() {
+    use corrfuse_obs::Registry;
+    use std::io::BufReader;
+    use std::sync::Arc;
+    use std::time::Instant;
+
+    let big = |n_triples: usize| {
+        let mut b = DatasetBuilder::new();
+        let s = b.source("A");
+        for i in 0..n_triples {
+            let t = b.triple(format!("x{i}"), "p", "1");
+            b.observe(s, t);
+            if i % 7 == 0 {
+                b.label(t, i % 2 == 0);
+            }
+        }
+        b.build().unwrap()
+    };
+    let sizes = [5000usize, 4000];
+    let router = ShardRouter::new(
+        FuserConfig::new(Method::PrecRec),
+        RouterConfig::new(1),
+        sizes
+            .iter()
+            .enumerate()
+            .map(|(t, &n)| (TenantId(t as u32), big(n)))
+            .collect(),
+    )
+    .unwrap();
+    let registry = Arc::new(Registry::new());
+    let server = Server::bind(
+        "127.0.0.1:0",
+        router,
+        ServerConfig::new().with_metrics(Arc::clone(&registry)),
+    )
+    .unwrap();
+    let expected: Vec<Vec<f64>> = (0..sizes.len() as u32)
+        .map(|t| server.router().scores(TenantId(t)).unwrap())
+        .collect();
+    for (scores, &n) in expected.iter().zip(&sizes) {
+        assert_eq!(scores.len(), n);
+    }
+    let largest_response = expected
+        .iter()
+        .map(|s| {
+            Response::ScoresOk { scores: s.clone() }
+                .to_frame()
+                .encode()
+                .len()
+        })
+        .max()
+        .unwrap();
+    let addr = server.local_addr().unwrap();
+    let (handle, join) = spawn(server).unwrap();
+
+    let n_requests = 3000;
+    let tenant_of = |i: usize| (i % sizes.len()) as u32;
+    let mut stream = TcpStream::connect(addr).unwrap();
+    assert!(matches!(
+        raw_hello(&mut stream, None),
+        Response::HelloOk { .. }
+    ));
+    let mut pipeline = Vec::new();
+    for i in 0..n_requests {
+        pipeline.extend(
+            Request::Scores {
+                tenant: TenantId(tenant_of(i)),
+                min_epoch: None,
+            }
+            .to_frame()
+            .encode(),
         );
     }
+    stream.write_all(&pipeline).unwrap();
+    stream.flush().unwrap();
+
+    // Let the server answer all it will while nothing is read: wait
+    // until the handled count is non-zero and holds still for half a
+    // second.
+    let handled = registry.histogram("net_handle_ns_scores");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let (mut last, mut still) = (0, 0);
+    while still < 5 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(100));
+        let now = handled.count();
+        if now == last && now > 0 {
+            still += 1;
+        } else {
+            (last, still) = (now, 0);
+        }
+    }
+    let answered = handled.count();
+    eprintln!("{answered} of {n_requests} answered while the client did not read");
+    assert!(
+        answered > 0,
+        "the reactor must answer up to its high-water mark"
+    );
+    assert!(
+        answered as usize * largest_response <= 16 << 20,
+        "{answered} of {n_requests} responses (~{} MiB) answered for a client \
+         that never reads",
+        (answered as usize * largest_response) >> 20
+    );
+
+    // The client drains: every response arrives, in order, bitwise.
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    for i in 0..n_requests {
+        let frame = Frame::read_from(&mut reader).unwrap().expect("peer closed");
+        match Response::from_frame(&frame).unwrap() {
+            Response::ScoresOk { scores } => {
+                let want = &expected[tenant_of(i) as usize];
+                assert_eq!(scores.len(), want.len(), "response {i} out of order");
+                for (a, b) in scores.iter().zip(want) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "response {i} diverged");
+                }
+            }
+            other => panic!("response {i}: unexpected {other:?}"),
+        }
+    }
+    assert_eq!(handled.count(), n_requests as u64);
+    drop(reader);
+    drop(stream);
+
+    handle.stop();
+    join.join().unwrap().unwrap();
 }

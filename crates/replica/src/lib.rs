@@ -31,8 +31,11 @@
 //! * [`follower`] — the [`Follower`]: per-shard replication links,
 //!   epoch-sequenced apply, catch-up gating, optional follower-side
 //!   journals for cold restart.
-//! * [`server`] — the read-only [`FollowerServer`] speaking the same
-//!   wire protocol (writes answer `FORBIDDEN`).
+//! * [`server`] — the read-only [`FollowerServer`]: the leader's one
+//!   server loop ([`corrfuse_net::Endpoint::serve`]) with the
+//!   [`Follower`] as its [`corrfuse_net::Service`], so followers get the
+//!   leader's session machine, ACLs and `net_*` wire metrics (writes
+//!   answer `FORBIDDEN`).
 //! * [`config`] — [`FollowerConfig`].
 //! * [`error`] — [`ReplicaError`].
 //!
@@ -50,4 +53,4 @@ pub mod server;
 pub use config::FollowerConfig;
 pub use error::{ReplicaError, Result};
 pub use follower::{Follower, FollowerShardStats, FollowerStats, BOOTSTRAP_EPOCH};
-pub use server::{spawn, FollowerServer, FollowerServerConfig, FollowerServerHandle};
+pub use server::{spawn, FollowerServer, FollowerServerHandle};

@@ -1,84 +1,41 @@
-//! The read-only TCP front door of a [`Follower`]: the same
-//! `corrfuse-net v1` protocol as the leader's server, restricted to
-//! queries. `SCORES`/`DECISIONS`/`STATS` honour the `min_epoch`
-//! bounded-staleness field (a shard still behind answers the retryable
-//! `STALE` error); every mutating request (`INGEST`, `FLUSH`,
-//! `SHUTDOWN`, `SUBSCRIBE`) is refused with `FORBIDDEN` — followers are
-//! read-only, and chained replication is out of scope.
+//! The read-only TCP front door of a [`Follower`]: the leader's server
+//! loop ([`corrfuse_net::Endpoint::serve`]) with the follower as its
+//! [`Service`], so followers share the leader's session machine — HELLO
+//! negotiation, chunking-blind framing, per-tenant ACLs
+//! ([`ServerConfig::with_acl`]) and the `net_*` wire metrics
+//! ([`ServerConfig::with_metrics`]). `SCORES`/`DECISIONS`/`STATS`
+//! honour the `min_epoch` bounded-staleness field (a shard still behind
+//! answers the retryable `STALE` error); `INGEST`, `FLUSH` and
+//! `SUBSCRIBE` are refused with `FORBIDDEN` — followers are read-only,
+//! and chained replication is out of scope. `SHUTDOWN` is refused
+//! unless the config opts in, exactly as on the leader.
 
-use std::io::Write as _;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::convert::Infallible;
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use corrfuse_net::error::code_of;
-use corrfuse_net::frame::VERSION;
-use corrfuse_net::sync::Semaphore;
 use corrfuse_net::wire::{WireMetric, WireShardStats, WireStats};
-use corrfuse_net::{ErrorCode, Frame, NetError, Request, Response};
+use corrfuse_net::{
+    Conn, Endpoint, ErrorCode, NetError, Reply, Request, Response, ServerConfig, ServerHandle,
+    Service,
+};
 use corrfuse_obs::{MetricSample, MetricValue};
 
 use crate::error::{ReplicaError, Result};
-use crate::follower::Follower;
+use crate::follower::{Follower, FollowerStats};
 
-/// Follower server configuration.
-#[derive(Debug, Clone)]
-pub struct FollowerServerConfig {
-    /// Maximum concurrently served connections.
-    pub max_connections: usize,
-}
-
-impl Default for FollowerServerConfig {
-    fn default() -> Self {
-        FollowerServerConfig {
-            max_connections: 64,
-        }
-    }
-}
-
-impl FollowerServerConfig {
-    /// The defaults: 64 connections.
-    pub fn new() -> FollowerServerConfig {
-        FollowerServerConfig::default()
-    }
-
-    /// Set the connection bound.
-    pub fn with_max_connections(mut self, n: usize) -> FollowerServerConfig {
-        self.max_connections = n;
-        self
-    }
-}
-
-/// A handle that can stop a running [`FollowerServer`].
-#[derive(Debug, Clone)]
-pub struct FollowerServerHandle {
-    stop: Arc<AtomicBool>,
-    addr: SocketAddr,
-}
-
-impl FollowerServerHandle {
-    /// Ask the server to stop; live connections close once their
-    /// in-flight request finishes.
-    pub fn stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect_timeout(&wake_addr(self.addr), Duration::from_millis(250));
-    }
-
-    /// The server's bound address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-}
+/// A handle that can stop a running [`FollowerServer`] (the leader's
+/// [`ServerHandle`]).
+pub type FollowerServerHandle = ServerHandle;
 
 /// The follower's read-only network front door; see the module docs.
 #[derive(Debug)]
 pub struct FollowerServer {
-    listener: TcpListener,
+    endpoint: Endpoint,
     follower: Arc<Follower>,
-    config: FollowerServerConfig,
-    stop: Arc<AtomicBool>,
+    config: ServerConfig,
 }
 
 impl FollowerServer {
@@ -88,156 +45,61 @@ impl FollowerServer {
     pub fn bind(
         addr: impl ToSocketAddrs,
         follower: Arc<Follower>,
-        config: FollowerServerConfig,
+        config: ServerConfig,
     ) -> Result<FollowerServer> {
-        let listener = TcpListener::bind(addr)?;
         Ok(FollowerServer {
-            listener,
+            endpoint: Endpoint::bind(addr)?,
             follower,
             config,
-            stop: Arc::new(AtomicBool::new(false)),
         })
     }
 
     /// The bound address (resolves the ephemeral port).
     pub fn local_addr(&self) -> Result<SocketAddr> {
-        Ok(self.listener.local_addr().map_err(NetError::from)?)
+        Ok(self.endpoint.local_addr()?)
     }
 
     /// A stop handle, safe to move to another thread.
     pub fn handle(&self) -> Result<FollowerServerHandle> {
-        Ok(FollowerServerHandle {
-            stop: Arc::clone(&self.stop),
-            addr: self.local_addr()?,
-        })
+        Ok(self.endpoint.handle()?)
     }
 
-    /// Serve until stopped (same accept-semaphore scheme as the
-    /// leader's [`corrfuse_net::Server`]).
+    /// Serve until stopped (the leader's loop; see
+    /// [`corrfuse_net::server`]).
     pub fn serve(self) -> Result<()> {
-        let sem = Arc::new(Semaphore::new(self.config.max_connections));
-        let mut handlers: Vec<(JoinHandle<()>, TcpStream)> = Vec::new();
-        loop {
-            let permit = loop {
-                if self.stop.load(Ordering::SeqCst) {
-                    break None;
-                }
-                if let Some(p) = sem.acquire_timeout(Duration::from_millis(50)) {
-                    break Some(p);
-                }
-            };
-            let Some(permit) = permit else { break };
-            if self.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let (stream, _peer) = match self.listener.accept() {
-                Ok(pair) => pair,
-                Err(_) if self.stop.load(Ordering::SeqCst) => break,
-                Err(_) => {
-                    std::thread::sleep(Duration::from_millis(50));
-                    continue;
-                }
-            };
-            if self.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            handlers.retain(|(h, _)| !h.is_finished());
-            let Ok(socket) = stream.try_clone() else {
-                continue;
-            };
-            let follower = Arc::clone(&self.follower);
-            let spawned = std::thread::Builder::new()
-                .name("corrfuse-replica-conn".to_string())
-                .spawn(move || {
-                    let _permit = permit;
-                    let _ = handle_connection(stream, &follower);
-                });
-            match spawned {
-                Ok(join) => handlers.push((join, socket)),
-                Err(_) => continue,
-            }
-        }
-        drop(self.listener);
-        for (_, socket) in &handlers {
-            let _ = socket.shutdown(std::net::Shutdown::Both);
-        }
-        for (h, _) in handlers {
-            let _ = h.join();
-        }
-        Ok(())
+        Ok(self.endpoint.serve(&self.follower, &self.config)?)
     }
 }
 
-fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
-    if addr.ip().is_unspecified() {
-        match addr {
-            SocketAddr::V4(_) => addr.set_ip(std::net::Ipv4Addr::LOCALHOST.into()),
-            SocketAddr::V6(_) => addr.set_ip(std::net::Ipv6Addr::LOCALHOST.into()),
-        }
-    }
-    addr
-}
+/// The follower's requests: bounded-staleness reads; every write is
+/// refused.
+impl Service for Follower {
+    type TakeOver = Infallible;
 
-/// Serve one connection: HELLO negotiation, then read-only requests.
-fn handle_connection(mut stream: TcpStream, follower: &Follower) -> Result<()> {
-    stream.set_nodelay(true).ok();
-    negotiate(&mut stream)?;
-    let mut stats = (0u64, 0u64); // (frames, read queries)
-    loop {
-        let frame = match Frame::read_from(&mut stream) {
-            Ok(Some(f)) => f,
-            Ok(None) => return Ok(()),
-            Err(NetError::Frame(e)) => {
-                let resp = Response::Error {
-                    code: ErrorCode::Malformed,
-                    message: e.to_string(),
-                };
-                resp.to_frame().write_to(&mut stream).ok();
-                stream.flush().ok();
-                return Err(NetError::Frame(e).into());
-            }
-            Err(e) => return Err(e.into()),
-        };
-        stats.0 += 1;
-        let request = match Request::from_frame(&frame) {
-            Ok(r) => r,
-            Err(e) => {
-                let resp = Response::Error {
-                    code: ErrorCode::Malformed,
-                    message: e.to_string(),
-                };
-                resp.to_frame().write_to(&mut stream)?;
-                continue;
-            }
-        };
+    fn handle(&self, request: Request, conn: &mut Conn) -> Reply<Infallible> {
         let response = match request {
-            Request::Hello { .. } => Response::Error {
-                code: ErrorCode::Malformed,
-                message: "HELLO is only valid as the first frame".to_string(),
-            },
             Request::Scores { tenant, min_epoch } => {
-                stats.1 += 1;
-                match follower.scores_at(tenant, min_epoch.unwrap_or(0)) {
+                conn.batches += 1;
+                match self.scores_at(tenant, min_epoch.unwrap_or(0)) {
                     Ok(scores) => Response::ScoresOk { scores },
                     Err(e) => error_response(&e),
                 }
             }
             Request::Decisions { tenant, min_epoch } => {
-                stats.1 += 1;
-                match follower.decisions_at(tenant, min_epoch.unwrap_or(0)) {
+                conn.batches += 1;
+                match self.decisions_at(tenant, min_epoch.unwrap_or(0)) {
                     Ok(decisions) => Response::DecisionsOk { decisions },
                     Err(e) => error_response(&e),
                 }
             }
-            Request::Stats { min_epoch } => match follower.stats_at(min_epoch.unwrap_or(0)) {
+            Request::Stats { min_epoch } => match self.stats_at(min_epoch.unwrap_or(0)) {
                 Ok(fs) => Response::StatsOk {
-                    stats: wire_stats(&fs, stats.0, stats.1),
+                    stats: wire_stats(&fs, conn),
                 },
                 Err(e) => error_response(&e),
             },
-            Request::Ping => Response::Pong,
-            Request::Metrics => metrics_response(follower),
-            Request::Ingest { .. } | Request::Flush | Request::Shutdown => Response::Error {
+            Request::Metrics => metrics_response(self, conn),
+            Request::Ingest { .. } | Request::Flush => Response::Error {
                 code: ErrorCode::Forbidden,
                 message: "followers are read-only; write to the leader".to_string(),
             },
@@ -246,21 +108,13 @@ fn handle_connection(mut stream: TcpStream, follower: &Follower) -> Result<()> {
                 message: "chained replication is not supported; subscribe to the leader"
                     .to_string(),
             },
-            Request::EpochAck { .. } => Response::Error {
-                code: ErrorCode::Malformed,
-                message: "EPOCH_ACK is only valid in replication mode".to_string(),
-            },
+            other => return Reply::not_routed(&other),
         };
-        let mut frame = response.to_frame();
-        if !frame.fits() {
-            frame = Response::Error {
-                code: ErrorCode::Internal,
-                message: frame.oversize_error().to_string(),
-            }
-            .to_frame();
-        }
-        frame.write_to(&mut stream)?;
-        stream.flush()?;
+        Reply::Respond(response)
+    }
+
+    fn take_over(&self, _stream: TcpStream, _leftover: Vec<u8>, never: Infallible) {
+        match never {}
     }
 }
 
@@ -281,11 +135,12 @@ fn error_response(e: &ReplicaError) -> Response {
 /// batches/events applied through replication stand in for the leader's
 /// processed/ingested counters, queues are always empty (links apply
 /// synchronously), and a follower shard is never poisoned — an apply
-/// failure discards it for re-bootstrap instead.
-fn wire_stats(fs: &crate::follower::FollowerStats, frames: u64, queries: u64) -> WireStats {
+/// failure discards it for re-bootstrap instead. `conn_batches` counts
+/// the reads answered on this connection.
+fn wire_stats(fs: &FollowerStats, conn: &Conn) -> WireStats {
     WireStats {
-        conn_frames: frames,
-        conn_batches: queries,
+        conn_frames: conn.frames,
+        conn_batches: conn.batches,
         conn_events: 0,
         shards: fs
             .shards
@@ -303,17 +158,23 @@ fn wire_stats(fs: &crate::follower::FollowerStats, frames: u64, queries: u64) ->
     }
 }
 
-/// The follower's `METRICS` reply: the registry snapshot (when the
-/// follower records metrics) plus always-present applied-epoch gauges,
-/// mirroring the leader's `serve_epoch_shard_<i>` under the
+/// The follower's `METRICS` reply: the server registry's snapshot (its
+/// `net_*` wire series), the follower's own registry when it is a
+/// different one, and always-present applied-epoch gauges mirroring the
+/// leader's `serve_epoch_shard_<i>` under the
 /// `replica_applied_epoch_shard_<i>` names.
-fn metrics_response(follower: &Follower) -> Response {
-    let mut samples = follower
-        .metrics_registry()
+fn metrics_response(follower: &Follower, conn: &Conn) -> Response {
+    let mut samples = conn
+        .registry
+        .as_ref()
         .map(|r| r.snapshot())
         .unwrap_or_default();
-    let stats = follower.stats();
-    for s in &stats.shards {
+    if let Some(own) = follower.metrics_registry() {
+        if !conn.registry.as_ref().is_some_and(|r| Arc::ptr_eq(r, own)) {
+            samples.extend(own.snapshot());
+        }
+    }
+    for s in &follower.stats().shards {
         samples.push(MetricSample {
             name: format!("replica_applied_epoch_shard_{}", s.shard),
             value: MetricValue::Gauge(s.applied_epoch as i64),
@@ -326,50 +187,6 @@ fn metrics_response(follower: &Follower) -> Response {
     samples.sort_by(|a, b| a.name.cmp(&b.name));
     Response::MetricsOk {
         metrics: WireMetric::from_samples(&samples),
-    }
-}
-
-/// The HELLO handshake, follower-server side (identical to the
-/// leader's).
-fn negotiate(stream: &mut TcpStream) -> Result<()> {
-    let frame = match Frame::read_from(stream)? {
-        Some(f) => f,
-        None => return Ok(()),
-    };
-    match Request::from_frame(&frame) {
-        Ok(Request::Hello {
-            min_version,
-            max_version,
-            ..
-        }) => {
-            if min_version <= VERSION && VERSION <= max_version {
-                Response::HelloOk { version: VERSION }
-                    .to_frame()
-                    .write_to(stream)?;
-                Ok(())
-            } else {
-                let resp = Response::Error {
-                    code: ErrorCode::UnsupportedVersion,
-                    message: format!(
-                        "server speaks version {VERSION}, client offered {min_version}..={max_version}"
-                    ),
-                };
-                resp.to_frame().write_to(stream)?;
-                Err(ReplicaError::Protocol(
-                    "version negotiation failed".to_string(),
-                ))
-            }
-        }
-        _ => {
-            let resp = Response::Error {
-                code: ErrorCode::Malformed,
-                message: "the first frame on a connection must be HELLO".to_string(),
-            };
-            resp.to_frame().write_to(stream).ok();
-            Err(ReplicaError::Protocol(
-                "connection did not start with HELLO".to_string(),
-            ))
-        }
     }
 }
 

@@ -1,8 +1,7 @@
-//! Reactor front-door walkthrough: run the same workload through both
-//! server back ends — thread-per-connection and the readiness reactor
-//! (`ServerConfig::reactor(true)`) — on loopback, hold a fleet of idle
-//! connections on the reactor's single thread, and show the scores
-//! coming back bitwise identical.
+//! Reactor front-door walkthrough: run the same workload through the
+//! server on loopback twice — once alone, once while the reactor's
+//! single thread also holds a fleet of idle connections — and show the
+//! scores coming back bitwise identical.
 //!
 //! ```sh
 //! cargo run --release --example net_reactor            # 500 idle conns
@@ -44,7 +43,7 @@ fn main() {
     );
 
     let mut results: Vec<Vec<(u32, Vec<f64>)>> = Vec::new();
-    for reactor in [false, true] {
+    for fleet in [0, n_idle] {
         let registry = Arc::new(Registry::new());
         let router = ShardRouter::new(
             FuserConfig::new(Method::Exact),
@@ -60,24 +59,19 @@ fn main() {
             "127.0.0.1:0",
             router,
             ServerConfig::new()
-                .reactor(reactor)
-                .with_max_connections(n_idle + 32)
+                .with_max_connections(fleet + 32)
                 .with_metrics(Arc::clone(&registry)),
         )
         .expect("server binds");
         let addr = server.local_addr().expect("bound address");
         let (handle, join) = corrfuse::net::server::spawn(server).expect("server spawns");
-        let mode = if reactor {
-            "reactor (1 thread, fds)"
-        } else {
-            "thread-per-connection"
-        };
+        let mode = format!("{fleet} idle");
         println!("\n[{mode}] listening on {addr}");
 
-        // Idle fleet (reactor only): handshake, then just sit there.
+        // Idle fleet: handshake, then just sit there.
         let mut idle = Vec::new();
-        if reactor {
-            for _ in 0..n_idle {
+        if fleet > 0 {
+            for _ in 0..fleet {
                 let mut s = TcpStream::connect(addr).expect("idle connect");
                 Request::Hello {
                     min_version: 1,
@@ -95,7 +89,7 @@ fn main() {
                 ));
                 idle.push(s);
             }
-            println!("[{mode}] holding {n_idle} idle connections");
+            println!("[{mode}] holding {fleet} idle connections on one thread");
         }
 
         std::thread::scope(|scope| {
@@ -135,24 +129,22 @@ fn main() {
             stats.aggregate().ingested_events,
             stats.aggregate().ingest_errors
         );
-        if reactor {
-            for sample in registry.snapshot() {
-                if sample.name.starts_with("net_reactor_") {
-                    println!("[{mode}] {sample:?}");
-                }
+        for sample in registry.snapshot() {
+            if sample.name.starts_with("net_reactor_") {
+                println!("[{mode}] {sample:?}");
             }
         }
         results.push(scores);
     }
 
-    // The point of the shared session machine: identical wire results.
-    let (threads, reactor) = (&results[0], &results[1]);
-    assert_eq!(threads.len(), reactor.len());
-    for ((t_a, a), (_, b)) in threads.iter().zip(reactor) {
+    // Registered-but-silent peers cost a poll(2) scan, never a result.
+    let (alone, loaded) = (&results[0], &results[1]);
+    assert_eq!(alone.len(), loaded.len());
+    for ((t_a, a), (_, b)) in alone.iter().zip(loaded) {
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(b) {
             assert_eq!(x.to_bits(), y.to_bits(), "tenant {t_a} diverged");
         }
     }
-    println!("\nboth back ends returned bitwise-identical scores ✓");
+    println!("\nscores with and without the idle fleet are bitwise identical ✓");
 }

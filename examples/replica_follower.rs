@@ -20,9 +20,7 @@ use corrfuse::net::server::spawn;
 use corrfuse::net::wire::WireMetricValue;
 use corrfuse::net::{Client, Server, ServerConfig};
 use corrfuse::obs::Registry;
-use corrfuse::replica::{
-    spawn as spawn_follower, Follower, FollowerConfig, FollowerServer, FollowerServerConfig,
-};
+use corrfuse::replica::{spawn as spawn_follower, Follower, FollowerConfig, FollowerServer};
 use corrfuse::serve::{ReplicationConfig, RouterConfig, ShardRouter, TenantId};
 use corrfuse::synth::{multi_tenant_events, MultiTenantSpec};
 
@@ -114,10 +112,12 @@ fn main() {
     println!("all reads caught up in {:?}", t0.elapsed());
 
     // == The same reads over the wire, through the follower server ==
+    // (the leader's server loop; sharing the follower's registry puts
+    // the wire series next to its replication series)
     let fserver = FollowerServer::bind(
         "127.0.0.1:0",
         Arc::clone(&followers[0]),
-        FollowerServerConfig::new(),
+        ServerConfig::new().with_metrics(Arc::clone(&registries[0])),
     )
     .expect("follower server binds");
     let faddr = fserver.local_addr().expect("follower address").to_string();
@@ -132,6 +132,18 @@ fn main() {
         "follower server at {faddr}: tenant {tenant} read {} scores over the wire",
         wire_scores.len()
     );
+    let wire_series = reader
+        .metrics()
+        .expect("follower metrics")
+        .into_iter()
+        .filter(|m| m.name.starts_with("net_"))
+        .map(|m| m.name)
+        .collect::<Vec<_>>();
+    assert!(
+        wire_series.iter().any(|n| n == "net_handle_ns_scores"),
+        "the follower endpoint records wire latency: {wire_series:?}"
+    );
+    println!("follower server METRICS: {wire_series:?}");
     drop(reader);
 
     // == Observability: leader lag gauge, follower replication counters ==

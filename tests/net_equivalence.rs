@@ -8,16 +8,13 @@
 //! tenant-scoped scores read back *over the wire* are bitwise identical
 //! to that same fit.
 //!
-//! Every property runs against **both server back ends** — the random
-//! workload alternates between thread-per-connection and the readiness
-//! reactor (`ServerConfig::reactor(true)`), and the idle-scale test
-//! holds 10⁴ idle connections on the reactor while producers ingest —
-//! so the equivalence chain (reactor == threads == from-scratch fit)
-//! is pinned bitwise at the wire.
+//! The server is one readiness reactor; the idle-scale test holds 10⁴
+//! idle connections on it while producers ingest, so the equivalence
+//! (reactor == from-scratch fit) is pinned bitwise at the wire under
+//! idle load too.
 
 use std::io::Write as _;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use corrfuse::core::fuser::{Fuser, FuserConfig, Method};
@@ -65,18 +62,12 @@ fn tcp_loopback_ingestion_equals_batch_fit() {
             },
         };
         let workload = remote_producer_scripts(&spec).expect("workload generates");
-        // Alternate the server back end so every property in this suite
-        // pins both; deterministic (not g-drawn) so neither back end
-        // can dodge coverage on a small case count.
-        static CASE: AtomicUsize = AtomicUsize::new(0);
-        let reactor = CASE.fetch_add(1, Ordering::Relaxed) % 2 == 1;
         eprintln!(
-            "case: {} tenants, {} producers, {} events, reconnect_every {:?}, reactor {}",
+            "case: {} tenants, {} producers, {} events, reconnect_every {:?}",
             n_tenants,
             spec.n_producers,
             workload.n_events(),
             spec.reconnect_every,
-            reactor,
         );
         let config = FuserConfig::new(random_method(g));
         let n_shards = g.usize_in(1, n_tenants);
@@ -115,8 +106,8 @@ fn tcp_loopback_ingestion_equals_batch_fit() {
             .collect();
         let router =
             ShardRouter::new(config.clone(), router_cfg, seeds).expect("router constructs");
-        let server = Server::bind("127.0.0.1:0", router, ServerConfig::new().reactor(reactor))
-            .expect("server binds");
+        let server =
+            Server::bind("127.0.0.1:0", router, ServerConfig::new()).expect("server binds");
         let addr = server.local_addr().expect("bound addr").to_string();
         let (handle, join) = spawn(server).expect("server spawns");
 
@@ -235,13 +226,12 @@ fn raw_handshake(stream: &mut TcpStream) {
 
 /// Idle scale: one reactor thread holds 10⁴ idle connections (file
 /// descriptors, not threads) while 8 producers ingest; the scores read
-/// over the wire are bitwise identical to the thread-per-connection
-/// back end fed the same workload and to a from-scratch
+/// over the wire are bitwise identical to a from-scratch
 /// `Fuser::fit + score_all` on the accumulated (journal-replayed)
 /// dataset — and the idle connections are still being served
 /// afterwards. `CORRFUSE_QUICK` shrinks the fleet for smoke tiers.
 #[test]
-fn reactor_idle_scale_matches_thread_backend_and_batch_fit() {
+fn reactor_idle_scale_matches_batch_fit() {
     let quick = std::env::var("CORRFUSE_QUICK").is_ok();
     let target_idle: usize = if quick { 2_000 } else { 10_000 };
     // Each loopback connection costs two fds (client + server end);
@@ -269,14 +259,12 @@ fn reactor_idle_scale_matches_thread_backend_and_batch_fit() {
     let dir = std::env::temp_dir().join(format!("corrfuse-idle-scale-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
 
-    let run = |reactor: bool, n_idle: usize, journal_dir: Option<&std::path::Path>| {
-        let mut router_cfg = RouterConfig::new(n_shards)
+    let run = |n_idle: usize, journal_dir: &std::path::Path| {
+        std::fs::create_dir_all(journal_dir).unwrap();
+        let router_cfg = RouterConfig::new(n_shards)
             .with_threshold(0.5)
-            .with_batching(64, Duration::from_millis(1));
-        if let Some(d) = journal_dir {
-            std::fs::create_dir_all(d).unwrap();
-            router_cfg = router_cfg.with_journal(JournalConfig::new(d));
-        }
+            .with_batching(64, Duration::from_millis(1))
+            .with_journal(JournalConfig::new(journal_dir));
         let seeds = workload
             .seeds
             .iter()
@@ -286,9 +274,7 @@ fn reactor_idle_scale_matches_thread_backend_and_batch_fit() {
         let server = Server::bind(
             "127.0.0.1:0",
             router,
-            ServerConfig::new()
-                .reactor(reactor)
-                .with_max_connections(n_idle + 64),
+            ServerConfig::new().with_max_connections(n_idle + 64),
         )
         .expect("server binds");
         let addr = server.local_addr().expect("addr");
@@ -367,24 +353,9 @@ fn reactor_idle_scale_matches_thread_backend_and_batch_fit() {
     };
 
     let journal_dir = dir.join("reactor");
-    let reactor_scores = run(true, n_idle, Some(&journal_dir));
-    let thread_scores = run(false, 0, None);
+    let reactor_scores = run(n_idle, &journal_dir);
 
-    // Axis 1: the two back ends are bitwise identical at the wire.
-    assert_eq!(reactor_scores.len(), thread_scores.len());
-    for ((t_a, a), (t_b, b)) in reactor_scores.iter().zip(&thread_scores) {
-        assert_eq!(t_a, t_b);
-        assert_eq!(a.len(), b.len(), "tenant {t_a} score count");
-        for (i, (x, y)) in a.iter().zip(b).enumerate() {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "tenant {t_a}, triple {i}: reactor {x} vs threads {y}"
-            );
-        }
-    }
-
-    // Axis 2: the reactor-served state equals a from-scratch
+    // The reactor-served state equals a from-scratch
     // `Fuser::fit + score_all` on the accumulated dataset.
     for shard in 0..n_shards {
         let journal = JournalConfig::new(&journal_dir).shard_path(shard);

@@ -18,8 +18,7 @@ use corrfuse::net::error::ErrorCode;
 use corrfuse::net::server::spawn;
 use corrfuse::net::{Client, NetError, Server, ServerConfig};
 use corrfuse::replica::{
-    spawn as spawn_follower, Follower, FollowerConfig, FollowerServer, FollowerServerConfig,
-    ReplicaError,
+    spawn as spawn_follower, Follower, FollowerConfig, FollowerServer, ReplicaError,
 };
 use corrfuse::serve::tenant::NAMESPACE_SEP;
 use corrfuse::serve::{
@@ -200,12 +199,9 @@ fn follower_reads_equal_leader_fit() {
         // In-process reads: every tenant's scores and decisions must be
         // bitwise the reference fit, filtered to the tenant's namespace.
         let follower = Arc::new(follower);
-        let fserver = FollowerServer::bind(
-            "127.0.0.1:0",
-            Arc::clone(&follower),
-            FollowerServerConfig::new(),
-        )
-        .expect("follower server binds");
+        let fserver =
+            FollowerServer::bind("127.0.0.1:0", Arc::clone(&follower), ServerConfig::new())
+                .expect("follower server binds");
         let faddr = fserver.local_addr().expect("follower addr").to_string();
         let (fhandle, fjoin) = spawn_follower(fserver).expect("follower server spawns");
         let mut reader = Client::connect(&faddr).expect("wire reader connects");
