@@ -15,8 +15,6 @@
 //! factor of `direct` (see BENCH_PR4.json for recorded numbers), and
 //! multi-client TCP must not be slower than single-client TCP.
 
-use std::time::Duration;
-
 use corrfuse_bench::harness::Criterion;
 use corrfuse_bench::{criterion_group, criterion_main};
 use corrfuse_core::fuser::{FuserConfig, Method};
@@ -44,7 +42,7 @@ fn workload() -> MultiTenantStream {
 fn build_router(stream: &MultiTenantStream) -> ShardRouter {
     ShardRouter::new(
         FuserConfig::new(Method::Exact),
-        RouterConfig::new(N_SHARDS).with_batching(128, Duration::from_millis(1)),
+        RouterConfig::new(N_SHARDS).with_batching(128),
         stream
             .seeds
             .iter()

@@ -15,7 +15,6 @@
 //! the comparison.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use corrfuse_bench::harness::{black_box, Criterion};
 use corrfuse_bench::{criterion_group, criterion_main};
@@ -150,7 +149,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
     ] {
         group.bench_function(id, |b| {
             b.iter(|| {
-                let mut config = RouterConfig::new(2).with_batching(128, Duration::from_millis(1));
+                let mut config = RouterConfig::new(2).with_batching(128);
                 if metrics {
                     config = config.with_metrics(Arc::new(Registry::new()));
                 }

@@ -15,7 +15,6 @@
 
 use std::io::Write as _;
 use std::net::TcpStream;
-use std::time::Duration;
 
 use corrfuse_bench::harness::Criterion;
 use corrfuse_bench::{criterion_group, criterion_main};
@@ -47,7 +46,7 @@ fn workload() -> MultiTenantStream {
 fn build_router(stream: &MultiTenantStream) -> ShardRouter {
     ShardRouter::new(
         FuserConfig::new(Method::Exact),
-        RouterConfig::new(N_SHARDS).with_batching(128, Duration::from_millis(1)),
+        RouterConfig::new(N_SHARDS).with_batching(128),
         stream
             .seeds
             .iter()

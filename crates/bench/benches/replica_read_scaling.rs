@@ -89,7 +89,7 @@ fn build_topology(stream: &MultiTenantStream, n_followers: usize) -> Topology {
     let router = ShardRouter::new(
         config.clone(),
         RouterConfig::new(N_SHARDS)
-            .with_batching(128, Duration::from_millis(1))
+            .with_batching(128)
             .with_replication(ReplicationConfig::new()),
         stream
             .seeds

@@ -19,8 +19,6 @@
 //! regression from routing) with visible improvement on this workload;
 //! see BENCH_PR3.json for the recorded numbers.
 
-use std::time::Duration;
-
 use corrfuse_bench::harness::Criterion;
 use corrfuse_bench::{criterion_group, criterion_main};
 use corrfuse_core::fuser::{FuserConfig, Method};
@@ -45,7 +43,7 @@ fn workload() -> MultiTenantStream {
 fn run_pipeline(stream: &MultiTenantStream, n_shards: usize) -> u64 {
     let router = ShardRouter::new(
         FuserConfig::new(Method::Exact),
-        RouterConfig::new(n_shards).with_batching(128, Duration::from_millis(1)),
+        RouterConfig::new(n_shards).with_batching(128),
         stream
             .seeds
             .iter()

@@ -31,11 +31,13 @@
 //!   per connection per turn — a flooding or dribbling connection costs
 //!   one chunk a turn, never the whole turn.
 //! * The cost of a single I/O thread: a request that blocks holds the
-//!   turn for every connection. `FLUSH` waits for the shard queues to
-//!   drain; under [`corrfuse_serve::Backpressure::Block`] an `INGEST`
-//!   into a full shard queue waits for room (prefer `Reject`/`Timeout`
-//!   or generous queues); a follower read carrying `min_epoch` waits up
-//!   to the follower's catch-up timeout.
+//!   turn for every connection. `FLUSH` waits while the shards apply
+//!   what is queued (a shard worker batches only what already queued
+//!   and never waits on a clock, so this is the apply time); under
+//!   [`corrfuse_serve::Backpressure::Block`] an `INGEST` into a full
+//!   shard queue waits for room (prefer `Reject`/`Timeout` or generous
+//!   queues); a follower read carrying `min_epoch` waits up to the
+//!   follower's catch-up timeout.
 //! * Slow *readers* never stall the loop: responses queue in a
 //!   partial-write buffer ([`crate::transport::WriteBuf`]), and past a
 //!   high-water mark the connection is neither read nor answered until

@@ -160,7 +160,7 @@ fn busy_surfaces_then_retries_recover() {
     let config = RouterConfig::new(1)
         .with_queue_capacity(1)
         .with_backpressure(Backpressure::Reject)
-        .with_batching(1, Duration::ZERO);
+        .with_batching(1);
     let server = Server::bind("127.0.0.1:0", router(1, &[0], config), ServerConfig::new()).unwrap();
     let addr = server.local_addr().unwrap().to_string();
     let (handle, join) = spawn(server).unwrap();
@@ -340,10 +340,11 @@ fn query_path_discards_dead_streams_and_redials() {
 
 #[test]
 fn stop_lands_with_idle_connections_at_capacity() {
-    // Regression: with every accept-semaphore permit held by an idle
-    // connection, `stop()` must still bring `serve()` down — the accept
-    // loop re-checks the stop flag while waiting for a permit, and the
-    // parked handlers are unblocked by the socket shutdown.
+    // Regression: with `max_connections` held by an idle connection the
+    // reactor parks its listener, so the wake-up connection `stop()`
+    // dials only sits in the backlog. `stop()` must still bring
+    // `serve()` down: the loop re-checks the stop flag every poll slice
+    // and closes the idle connection on its way out.
     let server = Server::bind(
         "127.0.0.1:0",
         router(1, &[0], RouterConfig::new(1)),

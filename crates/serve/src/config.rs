@@ -1,4 +1,4 @@
-//! Router configuration: sharding, backpressure, micro-batching,
+//! Router configuration: sharding, backpressure, micro-batch size,
 //! journaling and rotation knobs.
 
 use std::path::PathBuf;
@@ -134,11 +134,10 @@ pub struct RouterConfig {
     pub queue_capacity: usize,
     /// Producer-side policy when a queue is full.
     pub backpressure: Backpressure,
-    /// A worker flushes its micro-batch once it has buffered at least
-    /// this many events...
+    /// A worker stops adding already-queued messages to its micro-batch
+    /// once the batch holds at least this many events; it never waits
+    /// for more to arrive.
     pub max_batch_events: usize,
-    /// ...or once the oldest buffered message has waited this long.
-    pub max_batch_delay: Duration,
     /// Optional per-shard journaling (with rotation and fsync policy).
     pub journal: Option<JournalConfig>,
     /// In-memory delta-log retention per shard session.
@@ -172,7 +171,7 @@ pub struct RouterConfig {
 
 impl RouterConfig {
     /// Defaults: bounded queue of 1024 messages, blocking backpressure,
-    /// 256-event / 2 ms micro-batches, no journaling, full delta-log
+    /// micro-batches of up to 256 events, no journaling, full delta-log
     /// retention, threshold 0.5, serial per-shard scoring.
     pub fn new(n_shards: usize) -> RouterConfig {
         RouterConfig {
@@ -180,7 +179,6 @@ impl RouterConfig {
             queue_capacity: 1024,
             backpressure: Backpressure::Block,
             max_batch_events: 256,
-            max_batch_delay: Duration::from_millis(2),
             journal: None,
             retention: LogRetention::KeepAll,
             threshold: 0.5,
@@ -203,10 +201,9 @@ impl RouterConfig {
         self
     }
 
-    /// Set the micro-batching knobs.
-    pub fn with_batching(mut self, max_events: usize, max_delay: Duration) -> RouterConfig {
+    /// Set the micro-batch size bound, in events.
+    pub fn with_batching(mut self, max_events: usize) -> RouterConfig {
         self.max_batch_events = max_events;
-        self.max_batch_delay = max_delay;
         self
     }
 
@@ -295,10 +292,7 @@ mod tests {
             .with_queue_capacity(0)
             .validate()
             .is_err());
-        assert!(RouterConfig::new(1)
-            .with_batching(0, Duration::ZERO)
-            .validate()
-            .is_err());
+        assert!(RouterConfig::new(1).with_batching(0).validate().is_err());
         assert!(RouterConfig::new(1).with_threshold(1.5).validate().is_err());
         assert!(RouterConfig::new(1)
             .with_threshold(f64::NAN)

@@ -18,7 +18,7 @@
 //!      bounded queue (shard 0)       bounded queue (1)    ...   queue (N-1)
 //!       block / reject / timeout          │                       │
 //!              ▼                           ▼                       ▼
-//!       micro-batcher (size/delay)   micro-batcher            micro-batcher
+//!       micro-batcher (no timer)     micro-batcher            micro-batcher
 //!              ▼                           ▼                       ▼
 //!       tenant-id translation        translation              translation
 //!              ▼                           ▼                       ▼
@@ -29,7 +29,7 @@
 //!
 //! * [`router::ShardRouter`] — the front door: route, enqueue, return.
 //!   Backpressure is configurable ([`config::Backpressure`]: block /
-//!   reject / timeout), as are micro-batch size/latency bounds.
+//!   reject / timeout), as is the micro-batch size bound.
 //! * [`tenant`] — tenants speak tenant-local ids; shards namespace them
 //!   so co-tenants never collide. Translation is deterministic.
 //! * [`shard`] (internal) — the worker loop: batch, translate, ingest,

@@ -182,7 +182,6 @@ impl ShardRouter {
                 core: Arc::clone(&core),
                 progress: Arc::clone(&progress),
                 max_batch_events: config.max_batch_events,
-                max_batch_delay: config.max_batch_delay,
                 journal: config.journal.clone(),
                 spans: config
                     .metrics
@@ -1102,7 +1101,7 @@ impl Drop for ShardRouter {
 
 /// Merge one shard's seeded tenants into a single namespaced dataset,
 /// building each tenant's id map along the way.
-fn merge_seeds(
+pub(crate) fn merge_seeds(
     seeds: &[(TenantId, Dataset)],
 ) -> CoreResult<(Dataset, HashMap<TenantId, TenantMap>, u32)> {
     let mut b = DatasetBuilder::new();

@@ -1,4 +1,4 @@
-//! Per-shard state and the worker loop: bounded queue → time/size
+//! Per-shard state and the worker loop: bounded queue → work-conserving
 //! micro-batcher → tenant-id translation → [`StreamSession::ingest`] →
 //! journal rotation.
 //!
@@ -6,7 +6,9 @@
 //! tenant routed to it, all behind one mutex ([`ShardCore`]). The worker
 //! thread applies a whole micro-batch under that lock, which is what
 //! makes router reads snapshot-consistent: a query never observes a
-//! half-applied batch.
+//! half-applied batch. A micro-batch is the popped message plus what
+//! already queued behind it: the worker never waits on a clock, so
+//! batches merge only under backlog (group commit without a timer).
 //!
 //! # Failure containment
 //!
@@ -67,7 +69,7 @@ pub(crate) struct ShardSpans {
     pub label: String,
     /// Front-door enqueue → worker pop, per message.
     pub queue_wait: Arc<Histogram>,
-    /// First pop → micro-batch sealed, per batch.
+    /// First pop → already-queued messages drained, per batch.
     pub assembly: Arc<Histogram>,
     /// Whole `StreamSession::ingest` call, per batch.
     pub ingest: Arc<Histogram>,
@@ -198,16 +200,15 @@ pub(crate) struct WorkerParams {
     pub core: Arc<Mutex<ShardCore>>,
     pub progress: Arc<Progress>,
     pub max_batch_events: usize,
-    pub max_batch_delay: Duration,
     pub journal: Option<JournalConfig>,
     /// Metric handles; `Some` only when the router records metrics.
     pub spans: Option<Arc<ShardSpans>>,
 }
 
-/// The shard worker loop. Blocks on the queue, micro-batches messages
-/// until `max_batch_events` are buffered or the first message has waited
-/// `max_batch_delay`, applies the batch under the core lock, and seals
-/// the journal on exit (queue closed and drained).
+/// The shard worker loop. Blocks for one message, adds the messages
+/// already queued behind it until the batch holds `max_batch_events`
+/// events, applies the batch under the core lock, and seals the journal
+/// on exit (queue closed and drained).
 pub(crate) fn run_worker(p: WorkerParams) {
     let spans = p.spans.as_deref();
     loop {
@@ -220,21 +221,16 @@ pub(crate) fn run_worker(p: WorkerParams) {
         record_queue_wait(spans, &first);
         let mut n_events = first.events.len();
         let mut msgs = vec![first];
-        let deadline = Instant::now() + p.max_batch_delay;
-        let mut closed = false;
+        // A deadline that has already passed never waits: an empty queue
+        // ends the drain (and a closed one ends the loop at the next pop).
+        let now = Instant::now();
         while n_events < p.max_batch_events {
-            match p.queue.pop_deadline(Some(deadline)) {
-                Pop::Item(m) => {
-                    record_queue_wait(spans, &m);
-                    n_events += m.events.len();
-                    msgs.push(m);
-                }
-                Pop::TimedOut => break,
-                Pop::Closed => {
-                    closed = true;
-                    break;
-                }
-            }
+            let Pop::Item(m) = p.queue.pop_deadline(Some(now)) else {
+                break;
+            };
+            record_queue_wait(spans, &m);
+            n_events += m.events.len();
+            msgs.push(m);
         }
         if let Some(sp) = spans {
             assembly.record(&sp.assembly);
@@ -245,9 +241,6 @@ pub(crate) fn run_worker(p: WorkerParams) {
             core.stats.processed_messages += msgs.len() as u64;
         }
         p.progress.add(msgs.len() as u64);
-        if closed {
-            break;
-        }
     }
     let mut core = p.core.lock().expect("shard core lock");
     if let Err(e) = core.session.seal_journal() {
@@ -611,4 +604,109 @@ fn domain_of(
     *next_domain += 1;
     pend.domains.insert(local, d);
     d
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::Backpressure;
+    use crate::router::merge_seeds;
+    use corrfuse_core::dataset::DatasetBuilder;
+    use corrfuse_core::engine::ScoringEngine;
+    use corrfuse_core::fuser::{FuserConfig, Method};
+
+    /// A tenant seed: source 0 claims one true and one false triple.
+    fn seed() -> Dataset {
+        let mut b = DatasetBuilder::new();
+        let (s, t1) = b.observe_named("A", "x", "p", "1");
+        b.label(t1, true);
+        let t2 = b.triple("y", "p", "2");
+        b.observe(s, t2);
+        b.label(t2, false);
+        b.build().unwrap()
+    }
+
+    /// Two events: tenant-local triple `local` (2 onwards) claimed by
+    /// source 0.
+    fn grow(tenant: u32, local: u32) -> Msg {
+        let events = vec![
+            Event::add_triple("z", "p", local.to_string()),
+            Event::claim(SourceId(0), TripleId(local)),
+        ];
+        msg(tenant, events)
+    }
+
+    fn msg(tenant: u32, events: Vec<Event>) -> Msg {
+        Msg {
+            tenant: TenantId(tenant),
+            events,
+            enqueued_at: None,
+        }
+    }
+
+    /// Run a worker over a two-tenant shard whose queue was filled with
+    /// `msgs` and closed before the worker started, so every message is
+    /// already queued at its first pop; returns the core it left.
+    fn run_queued(msgs: Vec<Msg>, max_batch_events: usize) -> ShardCore {
+        let (ds, tenants, next_domain) =
+            merge_seeds(&[(TenantId(0), seed()), (TenantId(1), seed())]).unwrap();
+        let config = FuserConfig::new(Method::PrecRec).with_alpha(0.5);
+        let core = Arc::new(Mutex::new(ShardCore {
+            session: StreamSession::with_engine(config, ds, ScoringEngine::serial()).unwrap(),
+            tenants,
+            next_domain,
+            stats: ShardStats::default(),
+            batches_since_rotation: 0,
+            poison: Arc::default(),
+            tap: None,
+        }));
+        let queue = Arc::new(Queue::new(msgs.len()));
+        for m in msgs {
+            queue.push(m, Backpressure::Reject).unwrap();
+        }
+        queue.close();
+        run_worker(WorkerParams {
+            queue,
+            core: Arc::clone(&core),
+            progress: Arc::default(),
+            max_batch_events,
+            journal: None,
+            spans: None,
+        });
+        Arc::try_unwrap(core).unwrap().into_inner().unwrap()
+    }
+
+    #[test]
+    fn queued_messages_apply_as_one_batch() {
+        let core = run_queued(vec![grow(0, 2), grow(1, 2), grow(0, 3)], 256);
+        assert_eq!(core.stats.batches, 1);
+        assert_eq!(core.stats.merged_batches, 1);
+        assert_eq!(core.stats.processed_messages, 3);
+        assert_eq!(core.session.dataset().n_triples(), 4 + 3);
+    }
+
+    #[test]
+    fn max_batch_events_splits_a_backlog() {
+        // Two events per message: a batch stops after its second message.
+        let msgs = (2..7).map(|local| grow(0, local)).collect();
+        let core = run_queued(msgs, 4);
+        assert_eq!(core.stats.batches, 3);
+        assert_eq!(core.stats.merged_batches, 2);
+        assert_eq!(core.stats.max_batch_events, 4);
+        assert_eq!(core.stats.processed_messages, 5);
+    }
+
+    #[test]
+    fn merged_failure_retries_and_drops_only_the_bad_message() {
+        let bad = msg(0, vec![Event::claim(SourceId(0), TripleId(9_999_999))]);
+        let core = run_queued(vec![bad, grow(1, 2)], 256);
+        assert_eq!(core.stats.ingest_errors, 1);
+        let err = core.stats.last_error.as_deref().unwrap_or_default();
+        assert!(err.contains("tenant-0"), "unexpected error: {err}");
+        assert_eq!(core.stats.batches, 1);
+        assert_eq!(core.stats.processed_messages, 2);
+        assert_eq!(core.tenants[&TenantId(0)].triples.len(), 2);
+        assert_eq!(core.tenants[&TenantId(1)].triples.len(), 3);
+        assert!(core.poison.get().is_none());
+    }
 }

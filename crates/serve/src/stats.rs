@@ -27,7 +27,7 @@ pub struct ShardStats {
     pub batches: u64,
     /// Micro-batches that coalesced more than one queued message.
     pub merged_batches: u64,
-    /// Messages dropped because translation or ingest failed.
+    /// Messages dropped: failed translation or ingest, or a poisoned shard.
     pub ingest_errors: u64,
     /// Human-readable description of the most recent error.
     pub last_error: Option<String>,

@@ -32,7 +32,7 @@ fn journaled_shards(dir: &Path, config: &FuserConfig) -> Vec<Vec<u8>> {
     let router = ShardRouter::new(
         config.clone(),
         RouterConfig::new(2)
-            .with_batching(1, std::time::Duration::from_millis(1))
+            .with_batching(1)
             .with_journal(JournalConfig::new(dir).with_fsync(FsyncPolicy::EveryBatch)),
         seeds,
     )
@@ -191,7 +191,7 @@ fn in_flight_migration_recovery_never_splits_the_route() {
     let router = ShardRouter::new(
         config.clone(),
         RouterConfig::new(2)
-            .with_batching(1, std::time::Duration::from_millis(1))
+            .with_batching(1)
             .with_journal(JournalConfig::new(&dir).with_fsync(FsyncPolicy::EveryBatch)),
         seeds,
     )

@@ -5,8 +5,6 @@
 //! claims, same labels, and therefore (under a pinned prior) bitwise
 //! identical scores.
 
-use std::time::Duration;
-
 use corrfuse_core::dataset::{Dataset, DatasetBuilder};
 use corrfuse_core::fuser::{Fuser, FuserConfig, Method};
 use corrfuse_core::testkit::run_cases;
@@ -45,7 +43,7 @@ fn slice_replays_standalone_to_the_served_scores() {
         let config = FuserConfig::new(Method::PrecRec).with_alpha(0.5);
         let router = ShardRouter::new(
             config.clone(),
-            RouterConfig::new(n_shards).with_batching(32, Duration::from_millis(1)),
+            RouterConfig::new(n_shards).with_batching(32),
             seeds_of(&s),
         )
         .unwrap();
@@ -85,7 +83,7 @@ fn slice_extraction_survives_migration() {
         let config = FuserConfig::new(Method::PrecRec).with_alpha(0.5);
         let router = ShardRouter::new(
             config.clone(),
-            RouterConfig::new(2).with_batching(32, Duration::from_millis(1)),
+            RouterConfig::new(2).with_batching(32),
             seeds_of(&s),
         )
         .unwrap();

@@ -4,8 +4,6 @@
 //!
 //! Run with: `cargo run --example serve_router`
 
-use std::time::Duration;
-
 use corrfuse::core::fuser::{FuserConfig, Method};
 use corrfuse::serve::{JournalConfig, RouterConfig, ShardRouter, TenantId};
 use corrfuse::stream::{FsyncPolicy, LogRetention, StreamSession};
@@ -35,7 +33,7 @@ fn main() {
     let router = ShardRouter::new(
         config.clone(),
         RouterConfig::new(2)
-            .with_batching(64, Duration::from_millis(1))
+            .with_batching(64)
             .with_journal(
                 JournalConfig::new(&dir)
                     .with_fsync(FsyncPolicy::EveryBatch)

@@ -5,8 +5,6 @@
 //!
 //! Run with: `cargo run --example tenant_migration`
 
-use std::time::Duration;
-
 use corrfuse::core::fuser::{FuserConfig, Method};
 use corrfuse::serve::{
     load_routes, JournalConfig, MigrationStage, RebalancePolicy, RouterConfig, ShardRouter,
@@ -24,7 +22,7 @@ fn main() {
     let router = ShardRouter::new(
         config,
         RouterConfig::new(2)
-            .with_batching(32, Duration::from_millis(1))
+            .with_batching(32)
             .with_journal(JournalConfig::new(&dir).with_rotate_max_batches(8)),
         stream
             .seeds

@@ -13,7 +13,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use corrfuse::core::engine::ScoringEngine;
 use corrfuse::core::fuser::{FuserConfig, Method};
@@ -80,8 +79,7 @@ fn migrated_tenant_equals_never_migrated_twin() {
         // hot tenant always has somewhere to go.
         let n_shards = g.usize_in(2, n_tenants.min(4) + 1);
         let journaling = g.bool(0.6);
-        let mut router_cfg =
-            RouterConfig::new(n_shards).with_batching(g.usize_in(1, 64), Duration::from_millis(1));
+        let mut router_cfg = RouterConfig::new(n_shards).with_batching(g.usize_in(1, 64));
         if journaling {
             std::fs::create_dir_all(&case_dir).unwrap();
             // Aggressive rotation so journal compaction keeps landing

@@ -8,8 +8,6 @@
 //!
 //! Set `CORRFUSE_QUICK=1` to run a shortened schedule (CI smoke tier).
 
-use std::time::Duration;
-
 use corrfuse::core::engine::ScoringEngine;
 use corrfuse::core::fuser::{FuserConfig, Method};
 use corrfuse::serve::{RouterConfig, ShardRouter, TenantId};
@@ -29,7 +27,7 @@ fn repeated_migrations_stay_bitwise_stable() {
         .collect();
     let router = ShardRouter::new(
         config.clone(),
-        RouterConfig::new(2).with_batching(16, Duration::from_millis(1)),
+        RouterConfig::new(2).with_batching(16),
         seeds,
     )
     .unwrap();

@@ -95,7 +95,7 @@ fn tcp_loopback_ingestion_equals_batch_fit() {
         let router_cfg = RouterConfig::new(n_shards)
             .with_queue_capacity(g.usize_in(1, 64))
             .with_backpressure(backpressure)
-            .with_batching(g.usize_in(1, 256), Duration::from_millis(1))
+            .with_batching(g.usize_in(1, 256))
             .with_journal(
                 JournalConfig::new(&case_dir).with_rotate_max_batches(g.usize_in(1, 4) as u64),
             );
@@ -263,7 +263,7 @@ fn reactor_idle_scale_matches_batch_fit() {
         std::fs::create_dir_all(journal_dir).unwrap();
         let router_cfg = RouterConfig::new(n_shards)
             .with_threshold(0.5)
-            .with_batching(64, Duration::from_millis(1))
+            .with_batching(64)
             .with_journal(JournalConfig::new(journal_dir));
         let seeds = workload
             .seeds

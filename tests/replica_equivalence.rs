@@ -94,7 +94,7 @@ fn follower_reads_equal_leader_fit() {
         };
         let router_cfg = RouterConfig::new(n_shards)
             .with_backpressure(Backpressure::Block)
-            .with_batching(g.usize_in(1, 128), Duration::from_millis(1))
+            .with_batching(g.usize_in(1, 128))
             .with_threshold(threshold)
             .with_journal(
                 JournalConfig::new(&leader_dir).with_rotate_max_batches(g.usize_in(1, 3) as u64),

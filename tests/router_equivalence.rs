@@ -75,7 +75,7 @@ fn routed_shards_equal_batch_fit_on_random_multi_tenant_streams() {
         let router_cfg = RouterConfig::new(n_shards)
             .with_queue_capacity(g.usize_in(1, 64))
             .with_backpressure(random_backpressure(g))
-            .with_batching(batch_events, Duration::from_millis(1))
+            .with_batching(batch_events)
             .with_journal(
                 JournalConfig::new(&case_dir)
                     .with_fsync(random_fsync(g))
