@@ -9,8 +9,8 @@
 //!   unlabelled triples with 3 claims each (no model refresh, only the
 //!   new triples re-score);
 //! * `ingest_labels_4` — the model path: 4 label events per batch (the
-//!   quality model refreshes from maintained counters and every distinct
-//!   observation pattern re-scores once through the score cache).
+//!   quality model refreshes from maintained counters and every live
+//!   observation pattern re-scores once).
 //!
 //! The acceptance bar for the subsystem is `naive_refit_score_all /
 //! ingest_claims_8x3 >= 5` on this workload; in practice the gap is
@@ -103,7 +103,7 @@ fn bench_stream(c: &mut Criterion) {
         })
     });
     eprintln!(
-        "  ingest_claims_8x3: session grew to {} triples, score cache {:.1}% hits",
+        "  ingest_claims_8x3: session grew to {} triples, patterns {:.1}% hits",
         claims_session.dataset().n_triples(),
         100.0 * claims_session.score_cache_stats().hit_rate(),
     );
@@ -127,7 +127,7 @@ fn bench_stream(c: &mut Criterion) {
         })
     });
     eprintln!(
-        "  ingest_labels_4: score cache {:.1}% hits, joint memo {:.1}% hits",
+        "  ingest_labels_4: patterns {:.1}% hits, joint memo {:.1}% hits",
         100.0 * label_session.score_cache_stats().hit_rate(),
         100.0 * label_session.joint_cache_stats().hit_rate(),
     );

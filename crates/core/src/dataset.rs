@@ -228,9 +228,15 @@ impl Dataset {
 
     /// Sources whose scope covers `t`, as a bitset.
     pub fn scope_mask(&self, t: TripleId) -> BitSet {
+        self.domain_scope_mask(self.domains[t.index()])
+    }
+
+    /// Sources whose scope covers domain `d`, as a bitset: the scope mask
+    /// every triple of `d` shares.
+    pub fn domain_scope_mask(&self, d: Domain) -> BitSet {
         let mut bs = BitSet::new(self.n_sources());
         for s in 0..self.n_sources() {
-            if self.scopes[s].contains(&self.domains[t.index()]) {
+            if self.scopes[s].contains(&d) {
                 bs.set(s, true);
             }
         }

@@ -71,8 +71,7 @@ impl ElasticSolver {
         let complement = active.minus(providers);
 
         // Lines 1–2: level-0 base.
-        let r_st = joint.joint_recall(providers);
-        let q_st = joint.joint_fpr(providers);
+        let (r_st, q_st) = joint.joint_rates(providers);
         let mut r_base = r_st;
         let mut q_base = q_st;
         for k in complement.iter() {
@@ -90,15 +89,15 @@ impl ElasticSolver {
             let sign = if l % 2 == 0 { 1.0 } else { -1.0 };
             for sub in submasks_of_size(complement.0, l) {
                 let sub = SourceSet(sub);
-                let set = providers.union(sub);
                 let mut approx_r = r_st;
                 let mut approx_q = q_st;
                 for k in sub.iter() {
                     approx_r *= self.cr[k];
                     approx_q *= self.cq[k];
                 }
-                r.add(sign * (joint.joint_recall(set) - approx_r));
-                q.add(sign * (joint.joint_fpr(set) - approx_q));
+                let (r_set, q_set) = joint.joint_rates(providers.union(sub));
+                r.add(sign * (r_set - approx_r));
+                q.add(sign * (q_set - approx_q));
             }
         }
         Likelihoods {

@@ -102,9 +102,9 @@ impl ExactSolver {
             } else {
                 -1.0
             };
-            let set = providers.union(SourceSet(sub));
-            r.add(sign * joint.joint_recall(set));
-            q.add(sign * joint.joint_fpr(set));
+            let (r_set, q_set) = joint.joint_rates(providers.union(SourceSet(sub)));
+            r.add(sign * r_set);
+            q.add(sign * q_set);
         }
         Ok(Likelihoods {
             r: r.value(),

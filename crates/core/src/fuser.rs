@@ -13,9 +13,11 @@
 //!    likelihood ratios multiply);
 //! 4. return `Pr(t | O_t)` per Theorem 3.1 / 4.2.
 
+use std::collections::HashMap;
+
 use crate::bits::BitSet;
 use crate::cluster::{cluster_sources, ClusterConfig, Clustering};
-use crate::dataset::{Dataset, GoldLabels, SourceId};
+use crate::dataset::{Dataset, Domain, GoldLabels, SourceId};
 use crate::elastic::ElasticSolver;
 use crate::engine::ScoringEngine;
 use crate::error::{FusionError, Result};
@@ -181,6 +183,53 @@ impl ClusterUnit {
         match &self.joint {
             Some(joint) => self.solver.mu(joint, providers, active),
             None => self.solver.mu(&NoJoint, providers, active),
+        }
+    }
+
+    /// The members in `scope`: a factor's `act_c`.
+    fn active(&self, scope: &BitSet) -> SourceSet {
+        SourceSet(scope.project(&self.positions))
+    }
+
+    /// The members of `active` that provide: a factor's `prov_c`.
+    fn providing(&self, providers: &BitSet, active: SourceSet) -> SourceSet {
+        SourceSet(providers.project(&self.positions)).intersect(active)
+    }
+}
+
+/// The running `ln mu` of one observation pattern: the fold that
+/// [`Fuser::log_mu`] and [`Fuser::score_patterns`] share. It starts at
+/// the PrecRec part and takes one cluster factor at a time, in cluster
+/// order. A factor of 0 or ∞ settles it at `-inf` / `+inf`, so later
+/// factors are not needed. `NaN` never escapes: it is clamped to `-inf`.
+#[derive(Debug, Clone, Copy)]
+enum LogMu {
+    /// Still taking factors: the running sum.
+    Open(f64),
+    /// Settled by a 0 or ∞ factor.
+    Settled(f64),
+}
+
+impl LogMu {
+    /// Fold in one cluster's factor `mu`.
+    fn times(self, mu: f64) -> LogMu {
+        match self {
+            LogMu::Open(_) if mu == 0.0 => LogMu::Settled(f64::NEG_INFINITY),
+            LogMu::Open(_) if mu.is_infinite() => LogMu::Settled(f64::INFINITY),
+            LogMu::Open(acc) => LogMu::Open(acc + mu.ln()),
+            settled => settled,
+        }
+    }
+
+    fn is_open(self) -> bool {
+        matches!(self, LogMu::Open(_))
+    }
+
+    /// The folded `ln mu`.
+    fn value(self) -> f64 {
+        match self {
+            LogMu::Open(acc) if acc.is_nan() => f64::NEG_INFINITY,
+            LogMu::Open(acc) | LogMu::Settled(acc) => acc,
         }
     }
 }
@@ -504,7 +553,7 @@ impl Fuser {
             rebuilt: 0,
         };
         // Index the old units by membership for O(1) reuse lookups.
-        let old_index: std::collections::HashMap<&[usize], usize> = self
+        let old_index: HashMap<&[usize], usize> = self
             .clusters
             .iter()
             .enumerate()
@@ -617,35 +666,98 @@ impl Fuser {
     pub fn log_mu(&self, ds: &Dataset, t: TripleId) -> Result<f64> {
         let providers = ds.providers(t);
         let scope = ds.scope_mask(t);
-
-        // Independent (singleton) sources: scope ∩ independent_mask.
-        let mut indep_scope = scope.clone();
-        indep_scope.intersect_with(&self.independent_mask);
-        let mut log_mu = self.precrec.log_mu(providers, &indep_scope);
-
+        let indep_scope = self.independent_scope(&scope);
+        let mut log_mu = LogMu::Open(self.precrec.log_mu(providers, &indep_scope));
         // Correlated clusters multiply in.
         for unit in &self.clusters {
-            let prov = SourceSet(providers.project(&unit.positions));
-            let act = SourceSet(scope.project(&unit.positions));
-            let prov = prov.intersect(act);
-            let mu = unit.mu(prov, act)?;
-            if mu == 0.0 {
-                return Ok(f64::NEG_INFINITY);
+            if !log_mu.is_open() {
+                break;
             }
-            if mu.is_infinite() {
-                return Ok(f64::INFINITY);
-            }
-            log_mu += mu.ln();
+            let act = unit.active(&scope);
+            log_mu = log_mu.times(unit.mu(unit.providing(providers, act), act)?);
         }
-        if log_mu.is_nan() {
-            return Ok(f64::NEG_INFINITY);
-        }
-        Ok(log_mu)
+        Ok(log_mu.value())
+    }
+
+    /// The independent (singleton) sources in `scope`: what the PrecRec
+    /// part of `ln mu` reads.
+    fn independent_scope(&self, scope: &BitSet) -> BitSet {
+        let mut indep_scope = scope.clone();
+        indep_scope.intersect_with(&self.independent_mask);
+        indep_scope
     }
 
     /// `Pr(t | O_t)` for one triple.
     pub fn score_triple(&self, ds: &Dataset, t: TripleId) -> Result<f64> {
         Ok(posterior_from_log_mu(self.log_mu(ds, t)?, self.alpha))
+    }
+
+    /// `Pr(t | O_t)` for each observation pattern `(domain, providers)`:
+    /// bitwise what [`Fuser::score_triple`] returns for every triple of
+    /// that domain with exactly that provider set.
+    ///
+    /// A posterior depends on its triple only through the pattern, and a
+    /// cluster factor only through its projection `(prov_c, act_c)`
+    /// (paper §4: clusters are independent, so `Pr(O_t | t)` factorises
+    /// over them). So the call builds one scope mask per domain, and it
+    /// solves each distinct factor once through `engine`. It works
+    /// cluster by cluster over the patterns whose fold is still open. As
+    /// in [`Fuser::log_mu`], a factor after a 0 or ∞ one is never solved,
+    /// so its error cannot surface.
+    pub fn score_patterns(
+        &self,
+        ds: &Dataset,
+        patterns: &[(Domain, &BitSet)],
+        engine: &ScoringEngine,
+    ) -> Result<Vec<f64>> {
+        let mut domain_index: HashMap<Domain, usize> = HashMap::new();
+        let mut scopes: Vec<BitSet> = Vec::new();
+        let scope_of: Vec<usize> = patterns
+            .iter()
+            .map(|&(d, _)| {
+                *domain_index.entry(d).or_insert_with(|| {
+                    scopes.push(ds.domain_scope_mask(d));
+                    scopes.len() - 1
+                })
+            })
+            .collect();
+        let indep_scopes: Vec<BitSet> = scopes.iter().map(|s| self.independent_scope(s)).collect();
+        let mut log_mu: Vec<LogMu> = patterns
+            .iter()
+            .zip(&scope_of)
+            .map(|(&(_, providers), &s)| {
+                LogMu::Open(self.precrec.log_mu(providers, &indep_scopes[s]))
+            })
+            .collect();
+        let mut open: Vec<usize> = (0..patterns.len()).collect();
+        for unit in &self.clusters {
+            open.retain(|&i| log_mu[i].is_open());
+            if open.is_empty() {
+                break;
+            }
+            let active: Vec<SourceSet> = scopes.iter().map(|s| unit.active(s)).collect();
+            let mut factor_index: HashMap<(SourceSet, SourceSet), usize> = HashMap::new();
+            let mut factors: Vec<(SourceSet, SourceSet)> = Vec::new();
+            let factor_of: Vec<usize> = open
+                .iter()
+                .map(|&i| {
+                    let act = active[scope_of[i]];
+                    let key = (unit.providing(patterns[i].1, act), act);
+                    *factor_index.entry(key).or_insert_with(|| {
+                        factors.push(key);
+                        factors.len() - 1
+                    })
+                })
+                .collect();
+            let mus = engine.map(factors.len(), |f| unit.mu(factors[f].0, factors[f].1))?;
+            for (&i, &f) in open.iter().zip(&factor_of) {
+                log_mu[i] = log_mu[i].times(mus[f]);
+            }
+        }
+        Ok(log_mu
+            .into_iter()
+            .map(|l| posterior_from_log_mu(l.value(), self.alpha))
+            .collect())
     }
 
     /// `Pr(t | O_t)` for every triple, in [`TripleId`] order.
@@ -957,6 +1069,74 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "{method:?} {t}");
             }
         }
+    }
+
+    #[test]
+    fn score_patterns_matches_score_triple() {
+        // Figure 1 plus an unlabelled t11 provided by {S1,S4} alone: the
+        // fit is unchanged, and under Exact t11's first factor is 0 (S5
+        // provides every true triple that S1 and S4 both provide).
+        let mut ds = figure1();
+        let t11 = ds.add_triple(
+            crate::triple::Triple::new("Obama", "fact", "t11"),
+            Domain(0),
+        );
+        ds.observe(SourceId(0), t11).unwrap();
+        ds.observe(SourceId(3), t11).unwrap();
+        let gold = ds.gold().unwrap().clone();
+        let two = Clustering::from_assignment(vec![0, 1, 1, 0, 0]); // {S1,S4,S5} + {S2,S3}
+        let pattern = |t: TripleId| (ds.domain(t), ds.providers(t));
+        for method in [
+            Method::PrecRec,
+            Method::Exact,
+            Method::Aggressive,
+            Method::Elastic(2),
+        ] {
+            let config =
+                FuserConfig::new(method).with_strategy(ClusterStrategy::Explicit(two.clone()));
+            let fuser = Fuser::fit(&config, &ds, &gold).unwrap();
+            assert_eq!(fuser.cluster_unit_positions(0), &[0, 3, 4]);
+            // Every pattern twice, so factors collapse within the call
+            // (t1, t8 and t9 already share one pattern).
+            let patterns: Vec<_> = ds.triples().chain(ds.triples()).map(pattern).collect();
+            for engine in [ScoringEngine::serial(), ScoringEngine::with_threads(4)] {
+                let scores = fuser.score_patterns(&ds, &patterns, &engine).unwrap();
+                for (t, got) in ds.triples().chain(ds.triples()).zip(scores) {
+                    let want = fuser.score_triple(&ds, t).unwrap();
+                    assert_eq!(got.to_bits(), want.to_bits(), "{method:?} {t}");
+                }
+            }
+            if method == Method::Exact {
+                let unit = &fuser.clusters[0];
+                let act = unit.active(&ds.scope_mask(t11));
+                let first = unit
+                    .mu(unit.providing(ds.providers(t11), act), act)
+                    .unwrap();
+                assert_eq!(first, 0.0, "t11 settles on its first factor");
+                assert_eq!(fuser.score_triple(&ds, t11).unwrap(), 0.0);
+            }
+        }
+
+        // A factor after a settling one is never solved, so its error
+        // cannot surface: with the complement capped at 1, t11's {S2,S3}
+        // factor (complement 2) would fail, but its first factor is 0.
+        // t3's first factor (complement 3) fails in both paths.
+        let mut config =
+            FuserConfig::new(Method::Exact).with_strategy(ClusterStrategy::Explicit(two));
+        config.max_exact_complement = 1;
+        let fuser = Fuser::fit(&config, &ds, &gold).unwrap();
+        let engine = ScoringEngine::serial();
+        assert_eq!(fuser.score_triple(&ds, t11).unwrap(), 0.0);
+        let ok = fuser
+            .score_patterns(&ds, &[pattern(t11), pattern(TripleId(0))], &engine)
+            .unwrap();
+        assert_eq!(ok[0], 0.0);
+        let t1 = fuser.score_triple(&ds, TripleId(0)).unwrap();
+        assert_eq!(ok[1].to_bits(), t1.to_bits());
+        assert!(fuser.score_triple(&ds, TripleId(2)).is_err());
+        assert!(fuser
+            .score_patterns(&ds, &[pattern(t11), pattern(TripleId(2))], &engine)
+            .is_err());
     }
 
     #[test]

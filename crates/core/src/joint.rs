@@ -443,6 +443,14 @@ pub trait JointQuality {
     /// `q_{S*} = Pr(S* |= t | ¬t)`.
     fn joint_fpr(&self, set: SourceSet) -> f64;
 
+    /// `(r_{S*}, q_{S*})` in one call — what each inclusion–exclusion
+    /// term reads. Must return exactly the two single reads; an
+    /// implementation that stores both rates together answers with one
+    /// lookup.
+    fn joint_rates(&self, set: SourceSet) -> (f64, f64) {
+        (self.joint_recall(set), self.joint_fpr(set))
+    }
+
     /// Single-source recall `r_k`.
     fn member_recall(&self, k: usize) -> f64 {
         self.joint_recall(SourceSet::singleton(k))
@@ -811,6 +819,16 @@ impl JointQuality for EmpiricalJoint {
         // Theorem 3.5 in count form: q = alpha/(1-alpha) * FP / N_true
         // (see `quality::fpr_from_counts`). Stays defined when TP = 0.
         self.entry(set).fpr
+    }
+
+    /// Both rates from one memo entry: one lookup (and one hit/miss
+    /// count) where the two single reads take two.
+    fn joint_rates(&self, set: SourceSet) -> (f64, f64) {
+        if set.is_empty() {
+            return (1.0, 1.0);
+        }
+        let e = self.entry(set);
+        (e.recall, e.fpr)
     }
 }
 
@@ -1289,6 +1307,21 @@ mod tests {
         j.invalidate_caches();
         assert_eq!(j.joint_recall(s), first);
         assert_eq!(j.cache_stats().misses, 2);
+    }
+
+    #[test]
+    fn joint_rates_reads_both_rates_in_one_lookup() {
+        let j = fig1_joint();
+        for mask in 0..32u64 {
+            let s = SourceSet(mask);
+            let (r, q) = j.joint_rates(s);
+            assert_eq!(r.to_bits(), j.joint_recall(s).to_bits(), "{mask:b}");
+            assert_eq!(q.to_bits(), j.joint_fpr(s).to_bits(), "{mask:b}");
+        }
+        let fresh = fig1_joint();
+        let _ = fresh.joint_rates(set(&[1, 4, 5])); // miss
+        let _ = fresh.joint_rates(set(&[1, 4, 5])); // hit
+        assert_eq!(fresh.cache_stats(), CacheStats { hits: 1, misses: 1 });
     }
 
     #[test]

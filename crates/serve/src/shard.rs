@@ -79,7 +79,7 @@ pub(crate) struct ShardSpans {
     pub refit_cluster: Arc<Histogram>,
     /// Refit stage on `RefitLevel::Full` batches.
     pub refit_full: Arc<Histogram>,
-    /// Re-scoring stage (score-cache lookups + engine scoring).
+    /// Re-scoring stage (observation patterns solved through the engine).
     pub rescore: Arc<Histogram>,
     /// Lift-sketch admission / candidate-rescan stage.
     pub sketch: Arc<Histogram>,

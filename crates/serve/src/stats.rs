@@ -98,7 +98,8 @@ pub struct ShardStats {
     pub rotations: u64,
     /// Current journal size in bytes, if journaling.
     pub journal_bytes: Option<u64>,
-    /// Cumulative score-cache counters of the shard session.
+    /// Cumulative observation-pattern hit/miss counters of the shard
+    /// session.
     pub score_cache: CacheStats,
     /// Triples accumulated in the shard session.
     pub n_triples: usize,

@@ -16,8 +16,7 @@
 //!    estimator's counts are maintained incrementally, so the refresh is
 //!    O(sources) for the PrecRec model plus O(changed rows) for the
 //!    joints — their memo caches are invalidated per cluster, not
-//!    rebuilt — and every triple is re-scored *through the pattern
-//!    cache* (each distinct `(domain, providers)` pattern once).
+//!    rebuilt — and every live observation pattern is re-scored once.
 //! 3. **Clustering** — under data-driven clustering (`Auto` over more
 //!    sources than the cluster cap) a label or scope change can move the
 //!    pairwise lifts enough to re-partition the sources. The lift-graph
@@ -29,6 +28,19 @@
 //! 4. **Everything** — a new source changes model dimensionality (and
 //!    the pair universe of the lift graph), so the incremental path
 //!    falls back to a full [`Fuser::fit`].
+//!
+//! # Observation patterns
+//!
+//! Under one fitted model a triple's posterior is a pure function of its
+//! observation pattern `(domain, providers)`, and streams hold far fewer
+//! patterns than triples. So each triple carries a pattern id into a
+//! table of the live patterns, each with its live count and current
+//! score. A claim moves its triple to another pattern (an emptied pattern
+//! leaves the table and its id is reused). A scope expansion marks its
+//! domain's patterns stale, a model or cluster refit marks them all, and
+//! a full refit (wider provider sets) rebuilds the table. A rescore
+//! solves each stale pattern of the dirtied triples once
+//! ([`Fuser::score_patterns`]), then gathers per-triple scores.
 //!
 //! # Equivalence invariant
 //!
@@ -48,8 +60,10 @@
 //! source claiming into a brand-new domain still joins that domain's
 //! scope — there is no override event.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 
+use corrfuse_core::bits::BitSet;
 use corrfuse_core::cluster::{Clustering, LiftGraph, LiftGraphStats};
 use corrfuse_core::dataset::{Dataset, Domain, SourceId};
 use corrfuse_core::engine::ScoringEngine;
@@ -60,7 +74,6 @@ use corrfuse_core::quality::{quality_from_counts, SourceQuality};
 use corrfuse_core::triple::TripleId;
 use corrfuse_obs::Span;
 
-use crate::cache::{ScoreCache, ScoreKey};
 use crate::event::Event;
 
 /// How much of the fitted model one batch forced to be rebuilt.
@@ -70,15 +83,14 @@ pub enum RefitLevel {
     /// the touched triples (plus any re-scoped domain) were re-scored.
     None,
     /// Per-source counts or joint rows changed: quality model and solvers
-    /// were refreshed from maintained counters and all triples re-scored
-    /// through the pattern cache.
+    /// were refreshed from maintained counters and every live pattern
+    /// re-scored once.
     Model,
     /// The pairwise lifts moved enough to change the data-driven
     /// clustering: the partition was re-derived from the maintained
     /// lift-graph counts and only clusters whose membership changed were
     /// refitted (the rest keep their incrementally-maintained joints);
-    /// quality model refreshed and all triples re-scored through the
-    /// pattern cache.
+    /// quality model refreshed and every live pattern re-scored once.
     Cluster,
     /// The source set changed: full `Fuser::fit` fallback.
     Full,
@@ -116,7 +128,9 @@ pub struct IngestOutcome {
     pub refit: RefitLevel,
     /// Every triple whose score was recomputed, with before/after values.
     pub rescored: Vec<ScoredTriple>,
-    /// Score-cache hits/misses attributable to this batch.
+    /// Pattern hits/misses of this batch: each distinct dirtied pattern
+    /// counts once, a hit if its score was current, a miss if it was
+    /// solved.
     pub cache: CacheStats,
     /// On a [`RefitLevel::Cluster`] batch, how many cluster units were
     /// reused vs. refitted by the re-clustering.
@@ -135,14 +149,85 @@ pub struct IngestOutcome {
 struct Dirt {
     /// Triples whose own observation pattern changed.
     touched: BTreeSet<TripleId>,
-    /// Domains whose scope mask changed (a source's scope expanded).
-    rescoped: BTreeSet<Domain>,
     /// Quality counts or joint rows changed.
     model: bool,
     /// Source set changed.
     full: bool,
     /// Triples introduced by this batch (must end it with >= 1 claim).
     new_triples: Vec<TripleId>,
+}
+
+/// One live observation pattern.
+#[derive(Debug)]
+struct Pattern {
+    key: (Domain, BitSet),
+    /// Triples carrying this pattern.
+    live: usize,
+    /// Posterior under the current model; `None` while stale.
+    score: Option<f64>,
+}
+
+/// The live observation patterns and each triple's place among them
+/// (see the module docs).
+#[derive(Debug, Default)]
+struct PatternTable {
+    /// Pattern id of each triple, in [`TripleId`] order; `None` until
+    /// the triple is first placed.
+    of: Vec<Option<u32>>,
+    /// Patterns by id. A slot with `live == 0` is free and in `free`.
+    slots: Vec<Pattern>,
+    index: HashMap<(Domain, BitSet), u32>,
+    free: Vec<u32>,
+    /// Cumulative hits/misses (see [`IngestOutcome::cache`]).
+    stats: CacheStats,
+}
+
+impl PatternTable {
+    /// Put `t` under the pattern it has in `ds`, moving it there if its
+    /// providers changed, and return that pattern's id.
+    fn place(&mut self, ds: &Dataset, t: TripleId) -> u32 {
+        let (domain, providers) = (ds.domain(t), ds.providers(t));
+        if let Some(old) = self.of[t.index()] {
+            let pattern = &mut self.slots[old as usize];
+            if pattern.key.0 == domain && pattern.key.1 == *providers {
+                return old;
+            }
+            pattern.live -= 1;
+            if pattern.live == 0 {
+                self.index.remove(&self.slots[old as usize].key);
+                self.free.push(old);
+            }
+        }
+        let id = match self.index.entry((domain, providers.clone())) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let id = self.free.pop().unwrap_or(self.slots.len() as u32);
+                let pattern = Pattern {
+                    key: e.key().clone(),
+                    live: 0,
+                    score: None,
+                };
+                match self.slots.get_mut(id as usize) {
+                    Some(slot) => *slot = pattern,
+                    None => self.slots.push(pattern),
+                }
+                *e.insert(id)
+            }
+        };
+        self.slots[id as usize].live += 1;
+        self.of[t.index()] = Some(id);
+        id
+    }
+
+    /// Mark the live patterns of `domain` (of every domain when `None`)
+    /// stale.
+    fn mark_stale(&mut self, domain: Option<Domain>) {
+        for pattern in &mut self.slots {
+            if pattern.live > 0 && domain.is_none_or(|d| d == pattern.key.0) {
+                pattern.score = None;
+            }
+        }
+    }
 }
 
 /// A [`Fuser`] that stays fitted under ingest deltas. See module docs.
@@ -176,7 +261,7 @@ pub struct IncrementalFuser {
     true_by_domain: HashMap<Domain, usize>,
     /// Current posterior per triple.
     scores: Vec<f64>,
-    cache: ScoreCache,
+    patterns: PatternTable,
 }
 
 impl IncrementalFuser {
@@ -201,7 +286,7 @@ impl IncrementalFuser {
             triples_by_domain: HashMap::new(),
             labelled_by_domain: HashMap::new(),
             true_by_domain: HashMap::new(),
-            cache: ScoreCache::new(),
+            patterns: PatternTable::default(),
         };
         inc.rebuild_index_state();
         let all: Vec<TripleId> = inc.ds.triples().collect();
@@ -229,9 +314,9 @@ impl IncrementalFuser {
         &self.scores
     }
 
-    /// Cumulative score-cache counters.
+    /// Cumulative pattern hit/miss counters (see [`IngestOutcome::cache`]).
     pub fn score_cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.patterns.stats
     }
 
     /// Cumulative joint-rate memo counters, aggregated over all cluster
@@ -278,7 +363,7 @@ impl IncrementalFuser {
         let spans = self.config.spans;
         let total_span = Span::start(true);
         self.validate_batch(batch)?;
-        let stats_before = self.cache.stats();
+        let stats_before = self.patterns.stats;
         let dirt = self.apply(batch)?;
         // Under data-driven clustering, re-derive the partition from the
         // maintained lift counts — but only when a count actually moved,
@@ -315,7 +400,6 @@ impl IncrementalFuser {
                 let gold = self.ds.require_gold()?.clone();
                 self.fuser = Fuser::fit(&self.config, &self.ds, &gold)?;
                 self.rebuild_index_state();
-                self.cache.flush();
             }
             RefitLevel::Cluster => {
                 self.refresh_quality()?;
@@ -328,18 +412,14 @@ impl IncrementalFuser {
                     &self.labelled_order,
                 )?);
                 self.fuser.rebuild_cluster_solvers();
-                self.cache.flush();
+                self.patterns.mark_stale(None);
             }
             RefitLevel::Model => {
                 self.refresh_quality()?;
                 self.fuser.rebuild_cluster_solvers();
-                self.cache.flush();
+                self.patterns.mark_stale(None);
             }
-            RefitLevel::None => {
-                for &d in &dirt.rescoped {
-                    self.cache.invalidate_domain(d);
-                }
-            }
+            RefitLevel::None => {}
         }
         let refit_ns = refit_span.elapsed_ns();
         let rescore_span = Span::start(spans);
@@ -354,7 +434,7 @@ impl IncrementalFuser {
             }
         };
         let rescore_ns = rescore_span.elapsed_ns();
-        let stats_after = self.cache.stats();
+        let stats_after = self.patterns.stats;
         Ok(IngestOutcome {
             refit,
             rescored,
@@ -419,6 +499,12 @@ impl IncrementalFuser {
         self.triples_by_domain.clear();
         self.labelled_by_domain.clear();
         self.true_by_domain.clear();
+        // The pattern counters are cumulative: they survive the rebuild.
+        self.patterns = PatternTable {
+            of: vec![None; self.ds.n_triples()],
+            stats: self.patterns.stats,
+            ..PatternTable::default()
+        };
         let triples: Vec<TripleId> = self.ds.triples().collect();
         for &t in &triples {
             self.triples_by_domain
@@ -531,6 +617,7 @@ impl IncrementalFuser {
                     let t = self.ds.add_triple(triple.clone(), *domain);
                     self.triples_by_domain.entry(*domain).or_default().push(t);
                     self.scores.push(f64::NAN);
+                    self.patterns.of.push(None);
                     dirt.new_triples.push(t);
                     dirt.touched.insert(t);
                 }
@@ -583,7 +670,7 @@ impl IncrementalFuser {
             if let Some(ts) = self.triples_by_domain.get(&d) {
                 dirt.touched.extend(ts.iter().copied());
             }
-            dirt.rescoped.insert(d);
+            self.patterns.mark_stale(Some(d));
             // Newly in-scope labelled-true triples enter the source's
             // recall denominator (the freshly claimed triple included, if
             // labelled true — its tp contribution is counted below).
@@ -731,44 +818,35 @@ impl IncrementalFuser {
         Ok(changed)
     }
 
-    /// Re-score `dirty` triples: deduplicate by `(domain, providers)`
-    /// pattern, score each unique uncached pattern once through the
-    /// engine (deterministically — parallel output is bitwise identical
-    /// to serial), memoise, and assign.
+    /// Re-score `dirty` triples: place each under its pattern, solve each
+    /// distinct stale pattern once through the engine (parallel output is
+    /// bitwise identical to serial), then gather per-triple scores.
     fn rescore(&mut self, dirty: &[TripleId], engine: &ScoringEngine) -> Result<Vec<ScoredTriple>> {
-        enum Slot {
-            Cached(f64),
-            Miss(usize),
+        let table = &mut self.patterns;
+        let ids: Vec<u32> = dirty.iter().map(|&t| table.place(&self.ds, t)).collect();
+        let mut stale = ids.clone();
+        stale.sort_unstable();
+        stale.dedup();
+        let dirtied = stale.len();
+        stale.retain(|&id| table.slots[id as usize].score.is_none());
+        table.stats.hits += (dirtied - stale.len()) as u64;
+        table.stats.misses += stale.len() as u64;
+        let keys: Vec<(Domain, &BitSet)> = stale
+            .iter()
+            .map(|&id| {
+                let (domain, providers) = &table.slots[id as usize].key;
+                (*domain, providers)
+            })
+            .collect();
+        let values = self.fuser.score_patterns(&self.ds, &keys, engine)?;
+        for (&id, value) in stale.iter().zip(values) {
+            table.slots[id as usize].score = Some(value);
         }
-        let mut miss_reps: Vec<TripleId> = Vec::new();
-        let mut miss_index: HashMap<ScoreKey, usize> = HashMap::new();
-        let mut slots: Vec<(TripleId, Slot)> = Vec::with_capacity(dirty.len());
-        for &t in dirty {
-            let key = (self.ds.domain(t), self.ds.providers(t).clone());
-            if let Some(i) = miss_index.get(&key) {
-                // Within-batch duplicate of a pattern already queued.
-                slots.push((t, Slot::Miss(*i)));
-            } else if let Some(v) = self.cache.get(&key) {
-                slots.push((t, Slot::Cached(v)));
-            } else {
-                let i = miss_reps.len();
-                miss_index.insert(key, i);
-                miss_reps.push(t);
-                slots.push((t, Slot::Miss(i)));
-            }
-        }
-        let ds = &self.ds;
-        let fuser = &self.fuser;
-        let values = engine.map(miss_reps.len(), |i| fuser.score_triple(ds, miss_reps[i]))?;
-        for (key, &i) in &miss_index {
-            self.cache.insert(key.clone(), values[i]);
-        }
-        let mut out = Vec::with_capacity(slots.len());
-        for (t, slot) in slots {
-            let after = match slot {
-                Slot::Cached(v) => v,
-                Slot::Miss(i) => values[i],
-            };
+        let mut out = Vec::with_capacity(dirty.len());
+        for (&t, &id) in dirty.iter().zip(&ids) {
+            let after = table.slots[id as usize]
+                .score
+                .expect("dirtied pattern solved");
             let before = self.scores[t.index()];
             out.push(ScoredTriple {
                 triple: t,
@@ -778,5 +856,126 @@ impl IncrementalFuser {
             self.scores[t.index()] = after;
         }
         Ok(out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use corrfuse_core::dataset::DatasetBuilder;
+    use corrfuse_core::fuser::Method;
+
+    const LABELLED: Domain = Domain(0);
+    const OPEN: Domain = Domain(1);
+
+    /// Two domains over sources S0–S2. Domain 0 holds the labels; domain 1
+    /// holds unlabelled triples in patterns {S0,S1} (twice), {S0} and
+    /// {S1}. S2 never provides in domain 1, so it is out of its scope.
+    fn two_domains() -> IncrementalFuser {
+        let mut b = DatasetBuilder::new();
+        let s: Vec<SourceId> = (0..3).map(|i| b.source(format!("S{i}"))).collect();
+        let rows: [(Domain, &[usize], Option<bool>); 8] = [
+            (LABELLED, &[0, 1], Some(true)),
+            (LABELLED, &[0], Some(false)),
+            (LABELLED, &[1, 2], Some(true)),
+            (LABELLED, &[2], Some(false)),
+            (OPEN, &[0, 1], None),
+            (OPEN, &[0, 1], None),
+            (OPEN, &[0], None),
+            (OPEN, &[1], None),
+        ];
+        for (i, (domain, providers, label)) in rows.into_iter().enumerate() {
+            let t = b.triple("x", "p", format!("{i}"));
+            b.set_domain(t, domain);
+            for &p in providers {
+                b.observe(s[p], t);
+            }
+            if let Some(truth) = label {
+                b.label(t, truth);
+            }
+        }
+        let config = FuserConfig::new(Method::Exact);
+        IncrementalFuser::fit(config, b.build().unwrap(), &ScoringEngine::serial()).unwrap()
+    }
+
+    fn pattern_id(inc: &IncrementalFuser, domain: Domain, providers: &[usize]) -> Option<u32> {
+        let key = (domain, BitSet::from_indices(3, providers.iter().copied()));
+        inc.patterns.index.get(&key).copied()
+    }
+
+    fn live_patterns(inc: &IncrementalFuser, domain: Domain) -> usize {
+        let slots = &inc.patterns.slots;
+        slots
+            .iter()
+            .filter(|p| p.live > 0 && p.key.0 == domain)
+            .count()
+    }
+
+    fn assert_fresh(inc: &IncrementalFuser) {
+        let ds = inc.dataset();
+        let fresh = Fuser::fit(inc.config(), ds, ds.gold().unwrap()).unwrap();
+        for (t, want) in fresh.score_all(ds).unwrap().into_iter().enumerate() {
+            assert_eq!(inc.scores()[t].to_bits(), want.to_bits(), "t{t}");
+        }
+    }
+
+    #[test]
+    fn claim_moves_a_triple_and_an_emptied_pattern_leaves() {
+        let mut inc = two_domains();
+        let engine = ScoringEngine::serial();
+        let pair = pattern_id(&inc, OPEN, &[0, 1]).unwrap();
+        let single = pattern_id(&inc, OPEN, &[0]).unwrap();
+        assert_eq!(inc.patterns.slots[pair as usize].live, 2);
+
+        // S1 claims t6 ({S0} alone): t6 joins {S0,S1}, whose score is
+        // current, and {S0}, now empty, leaves the table.
+        let out = inc
+            .ingest(&[Event::claim(SourceId(1), TripleId(6))], &engine)
+            .unwrap();
+        assert_eq!(out.refit, RefitLevel::None);
+        assert_eq!((out.cache.hits, out.cache.misses), (1, 0));
+        assert_eq!(inc.patterns.of[6], Some(pair));
+        assert_eq!(inc.patterns.slots[pair as usize].live, 3);
+        assert_eq!(pattern_id(&inc, OPEN, &[0]), None);
+        assert_eq!(live_patterns(&inc, OPEN), 2);
+        assert_fresh(&inc);
+
+        // A new triple in the freed pattern is solved anew and takes the
+        // freed id.
+        let out = inc
+            .ingest(
+                &[
+                    Event::add_triple_in("x", "p", "new", OPEN),
+                    Event::claim(SourceId(0), TripleId(8)),
+                ],
+                &engine,
+            )
+            .unwrap();
+        assert_eq!((out.cache.hits, out.cache.misses), (0, 1));
+        assert_eq!(pattern_id(&inc, OPEN, &[0]), Some(single));
+        assert_fresh(&inc);
+    }
+
+    #[test]
+    fn scope_expansion_resolves_only_its_domain() {
+        let mut inc = two_domains();
+        let engine = ScoringEngine::serial();
+        let labelled: Vec<u32> = inc.patterns.of[..4].iter().flatten().copied().collect();
+
+        // S2 claims t6 in domain 1: S2's scope grows into domain 1, and
+        // no labelled triple lives there, so the model stays put.
+        let out = inc
+            .ingest(&[Event::claim(SourceId(2), TripleId(6))], &engine)
+            .unwrap();
+        assert_eq!(out.refit, RefitLevel::None);
+        let rescored: Vec<TripleId> = out.rescored.iter().map(|r| r.triple).collect();
+        assert_eq!(rescored, (4..8).map(TripleId).collect::<Vec<_>>());
+        assert_eq!(live_patterns(&inc, OPEN), 3);
+        assert_eq!((out.cache.hits, out.cache.misses), (0, 3));
+        // Domain 0's patterns were neither marked stale nor re-solved.
+        for id in labelled {
+            assert!(inc.patterns.slots[id as usize].score.is_some());
+        }
+        assert_fresh(&inc);
     }
 }

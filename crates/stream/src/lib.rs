@@ -23,10 +23,9 @@
 //!   the pairwise-lift graph under data-driven clustering so a label
 //!   that re-partitions the sources refits only the changed clusters
 //!   ([`RefitLevel::Cluster`]), and falls back to a full refit only when
-//!   the source set changes;
-//! * [`cache::ScoreCache`] — memoises per-triple posteriors keyed by
-//!   `(domain, provider set)` fingerprint, so even a model-level refit
-//!   re-scores each distinct observation pattern once;
+//!   the source set changes. It keeps each triple's observation pattern
+//!   `(domain, provider set)` as state, so a rescore solves each distinct
+//!   stale pattern once, and each distinct cluster factor once;
 //! * [`session::StreamSession`] — the micro-batching front end:
 //!   `ingest(batch) -> ScoredDelta` reports which triples were re-scored
 //!   and which flipped decision;
@@ -89,7 +88,6 @@
 #![warn(rust_2018_idioms)]
 #![deny(missing_docs)]
 
-pub mod cache;
 pub mod codec;
 pub mod event;
 pub mod incremental;
@@ -97,7 +95,6 @@ pub mod journal;
 pub mod replay;
 pub mod session;
 
-pub use cache::ScoreCache;
 pub use event::{DeltaLog, Event, LogRetention};
 pub use incremental::{IncrementalFuser, IngestOutcome, RefitLevel, ScoredTriple, StageTimings};
 pub use journal::{FsyncPolicy, JournalWriter};

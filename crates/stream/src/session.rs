@@ -26,7 +26,8 @@ pub struct ScoredDelta {
     /// the session threshold (new triples have no prior decision and are
     /// never flips).
     pub flips: Vec<ScoredTriple>,
-    /// Score-cache hits/misses attributable to this batch.
+    /// Observation-pattern hits/misses of this batch (see
+    /// [`crate::IngestOutcome::cache`]).
     pub cache: CacheStats,
     /// On a [`RefitLevel::Cluster`] batch, how many cluster units the
     /// re-clustering reused vs. refitted.
@@ -436,7 +437,8 @@ impl StreamSession {
         self.retention
     }
 
-    /// Cumulative score-cache counters.
+    /// Cumulative observation-pattern hit/miss counters (see
+    /// [`IncrementalFuser::score_cache_stats`]).
     pub fn score_cache_stats(&self) -> CacheStats {
         self.inc.score_cache_stats()
     }

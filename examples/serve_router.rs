@@ -70,7 +70,7 @@ fn main() {
         println!(
             "shard {}: {} tenants, {} msgs -> {} batches (mean {:.1} ev/batch), \
              {} rescored, {} flips, {} rotations, journal {} B, \
-             score-cache {:.0}% hits, max queue depth {}",
+             pattern {:.0}% hits, max queue depth {}",
             s.shard,
             s.tenants,
             s.processed_messages,

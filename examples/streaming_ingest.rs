@@ -18,7 +18,7 @@ fn describe(session: &StreamSession, tag: &str, delta: &ScoredDelta) {
     };
     println!("refit level : {refit}");
     println!(
-        "re-scored   : {} triple(s), score cache {} hit(s) / {} miss(es)",
+        "re-scored   : {} triple(s), patterns {} hit(s) / {} miss(es)",
         delta.rescored.len(),
         delta.cache.hits,
         delta.cache.misses
@@ -134,7 +134,7 @@ fn main() {
     describe(&session, "3: new source joins (full refit)", &delta);
 
     println!(
-        "\nfinal       : {} | score-cache hit rate {:.0}%, joint-memo hit rate {:.0}%",
+        "\nfinal       : {} | pattern hit rate {:.0}%, joint-memo hit rate {:.0}%",
         session.dataset().stats(),
         100.0 * session.score_cache_stats().hit_rate(),
         100.0 * session.joint_cache_stats().hit_rate(),

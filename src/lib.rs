@@ -11,8 +11,8 @@
 //!   PrecRec and PrecRecCorr fusion models (exact / aggressive / elastic),
 //!   and source clustering.
 //! * [`stream`] (`corrfuse-stream`) — incremental ingestion: delta log,
-//!   incremental fuser, score cache, micro-batching sessions, and the
-//!   append-only journal.
+//!   incremental fuser, observation-pattern table, micro-batching
+//!   sessions, and the append-only journal.
 //! * [`serve`] (`corrfuse-serve`) — the serving layer: a sharded
 //!   multi-tenant session router with an async ingestion front door,
 //!   backpressure, and per-shard journal rotation.

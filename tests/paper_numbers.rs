@@ -76,6 +76,27 @@ fn example_3_3_probabilities() {
 }
 
 #[test]
+fn t8_under_the_correlated_model() {
+    // Example 4.4 works t8 from hand-given joint rates (≈ 0.37). Fitted on
+    // Figure 1's own labels, `Auto` puts all five sources in one cluster,
+    // and the exact inclusion–exclusion over S3 gives exactly 1/3: t8 is
+    // rejected where independence accepts it.
+    let ds = figure1();
+    let gold = ds.gold().unwrap();
+    let exact = Fuser::fit(&FuserConfig::new(Method::Exact), &ds, gold).unwrap();
+    let p = exact.score_triple(&ds, TripleId(7)).unwrap();
+    assert_eq!(p.to_bits(), (1.0f64 / 3.0).to_bits(), "Pr(t8) = {p}");
+    assert_eq!(p.to_bits(), 0x3fd5_5555_5555_5555);
+    let precrec = Fuser::fit(&FuserConfig::new(Method::PrecRec), &ds, gold).unwrap();
+    approx(
+        precrec.score_triple(&ds, TripleId(7)).unwrap(),
+        0.6154,
+        1e-4,
+        "Pr(t8) under independence",
+    );
+}
+
+#[test]
 fn section_2_3_overview_claims() {
     let ds = figure1();
     let precrec = evaluate_method(&ds, &MethodSpec::PrecRec).unwrap();
