@@ -16,6 +16,7 @@
 //! model broad correlations, which is precisely the gap the core crate's
 //! PrecRecCorr fills.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -21,6 +21,8 @@
 //!
 //! Set `CORRFUSE_QUICK=1` to shrink repetition counts (CI smoke runs).
 
+#![forbid(unsafe_code)]
+
 use corrfuse_core::dataset::Dataset;
 use corrfuse_core::error::Result;
 

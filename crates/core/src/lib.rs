@@ -57,6 +57,7 @@
 //! assert!(scores[t1.index()] > scores[t2.index()]);
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -11,6 +11,7 @@
 //!   any fusion method or baseline on any dataset with timing;
 //! * [`experiments`] — one runner per paper figure/table (see DESIGN.md).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -99,6 +99,7 @@
 
 #![warn(rust_2018_idioms)]
 #![deny(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod acl;
 pub mod client;

@@ -131,7 +131,8 @@ pub enum Output {
     App {
         /// The decoded request.
         request: Request,
-        /// Payload-decode nanoseconds (0 under [`NoClock`]).
+        /// Decode nanoseconds: the frame's CRC check and payload copy
+        /// plus the request decode (0 under [`NoClock`]).
         decode_ns: u64,
     },
     /// Flush pending writes, then close the connection.
@@ -303,11 +304,14 @@ impl SessionStateMachine {
             if avail.is_empty() {
                 break;
             }
+            // Decode time starts before the frame's CRC check and
+            // payload copy, as encode time ends after the reply's.
+            let t0 = self.clock.now_ns();
             match Frame::decode(avail) {
                 Ok((frame, used)) => {
                     self.cursor += used;
                     self.frames += 1;
-                    self.on_frame(&frame);
+                    self.on_frame(&frame, t0);
                 }
                 Err(FrameError::Truncated { .. }) => break,
                 Err(e) => {
@@ -324,8 +328,9 @@ impl SessionStateMachine {
         self.compact();
     }
 
-    fn on_frame(&mut self, frame: &Frame) {
-        let t0 = self.clock.now_ns();
+    /// Handle one complete frame; `t0` is the clock reading taken
+    /// before [`Frame::decode`].
+    fn on_frame(&mut self, frame: &Frame, t0: u64) {
         let decoded = Request::from_frame(frame);
         let decode_ns = self.clock.now_ns().saturating_sub(t0);
         match self.phase {

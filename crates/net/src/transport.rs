@@ -28,7 +28,10 @@
 //!
 //! Unix-only (the workspace targets Linux); `poll(2)` and
 //! `get/setrlimit(2)` are declared directly — Rust already links libc
-//! on every Unix target, so no external crate is needed.
+//! on every Unix target, so no external crate is needed. Their four
+//! calls are the workspace's only `unsafe` blocks; each states its
+//! contract in a `// SAFETY:` comment, which the crate's
+//! `clippy::undocumented_unsafe_blocks` denial enforces.
 
 use std::io::{self, Write};
 use std::os::fd::RawFd;
@@ -247,6 +250,11 @@ impl Poller {
                 .clamp(u128::from(d.as_nanos() > 0), c_int::MAX as u128)
                 as c_int,
         };
+        // SAFETY: `pollfds` is a live, exclusively borrowed buffer of
+        // `#[repr(C)]` `struct pollfd`s and `nfds` is its length, so the
+        // kernel reads and writes (`revents` only) inside it, and only
+        // until the call returns. A closed or stale fd is not undefined
+        // behaviour: poll(2) reports it as `POLLNVAL`.
         let n = unsafe {
             poll(
                 self.pollfds.as_mut_ptr(),
@@ -393,6 +401,11 @@ pub fn raise_nofile_limit(want: u64) -> u64 {
         rlim_cur: 0,
         rlim_max: 0,
     };
+    // SAFETY: `lim` is a live, writable `RLimit`, and getrlimit(2)
+    // writes that one struct and nothing else. `RLimit` and
+    // `RLIMIT_NOFILE` match Linux's `struct rlimit` and resource number
+    // on the 64-bit targets this workspace builds for. Failure comes
+    // back as a non-zero return, never as a partial write we read.
     if unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) } != 0 {
         return 1024; // the POSIX floor; nothing better to report
     }
@@ -405,6 +418,9 @@ pub fn raise_nofile_limit(want: u64) -> u64 {
             rlim_cur: want,
             rlim_max: want,
         };
+        // SAFETY: `raised` is a live `RLimit` that setrlimit(2) only
+        // reads; layout as for getrlimit above. An unprivileged raise is
+        // refused with a non-zero return, which falls through.
         if unsafe { setrlimit(RLIMIT_NOFILE, &raised) } == 0 {
             return want;
         }
@@ -413,6 +429,8 @@ pub fn raise_nofile_limit(want: u64) -> u64 {
         rlim_cur: want.min(lim.rlim_max),
         rlim_max: lim.rlim_max,
     };
+    // SAFETY: as above; `capped` is a live `RLimit` that setrlimit(2)
+    // only reads, and a refusal is a non-zero return.
     if unsafe { setrlimit(RLIMIT_NOFILE, &capped) } == 0 {
         capped.rlim_cur
     } else {

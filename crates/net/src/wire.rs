@@ -379,7 +379,7 @@ impl<'a> Reader<'a> {
             }
             None => Err(FrameError::BadPayload(format!(
                 "payload ends inside {what} ({} of {} bytes left)",
-                self.buf.len() - self.pos,
+                self.remaining(),
                 n
             ))),
         }
@@ -407,6 +407,12 @@ impl<'a> Reader<'a> {
         ))
     }
 
+    /// Bytes not yet consumed: the most any declared count can cover,
+    /// so decoders size their allocations by it, not by the count.
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn rest(self) -> &'a [u8] {
         &self.buf[self.pos..]
     }
@@ -423,7 +429,7 @@ impl<'a> Reader<'a> {
         } else {
             Err(FrameError::BadPayload(format!(
                 "{} trailing bytes after {what}",
-                self.buf.len() - self.pos
+                self.remaining()
             )))
         }
     }
@@ -637,10 +643,11 @@ impl Response {
                 Frame::new(FrameType::IngestOk, seq.to_le_bytes().to_vec())
             }
             Response::ScoresOk { scores } => {
-                let mut payload = (scores.len() as u32).to_le_bytes().to_vec();
-                for s in scores {
-                    payload.extend_from_slice(&s.to_bits().to_le_bytes());
-                }
+                // One exact allocation, filled in one pass: a reply
+                // carries a whole tenant's scores.
+                let mut payload = Vec::with_capacity(4 + 8 * scores.len());
+                payload.extend_from_slice(&(scores.len() as u32).to_le_bytes());
+                payload.extend(scores.iter().flat_map(|s| s.to_bits().to_le_bytes()));
                 Frame::new(FrameType::ScoresOk, payload)
             }
             Response::DecisionsOk { decisions } => {
@@ -721,10 +728,13 @@ impl Response {
             }
             FrameType::ScoresOk => {
                 let n = r.u32("score count")? as usize;
-                let mut scores = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    scores.push(f64::from_bits(r.u64("score")?));
-                }
+                // Take the declared bytes first, so a count the payload
+                // cannot hold fails before anything is allocated.
+                let bytes = r.take(n.saturating_mul(8), "scores")?;
+                let scores = bytes
+                    .chunks_exact(8)
+                    .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().expect("8 bytes"))))
+                    .collect();
                 r.finish("SCORES_OK")?;
                 Ok(Response::ScoresOk { scores })
             }
@@ -755,7 +765,7 @@ impl Response {
                 let conn_batches = r.u64("conn_batches")?;
                 let conn_events = r.u64("conn_events")?;
                 let n = r.u32("shard count")? as usize;
-                let mut shards = Vec::with_capacity(n.min(1 << 16));
+                let mut shards = Vec::with_capacity(n.min(r.remaining() / STATS_RECORD_LEN));
                 for _ in 0..n {
                     shards.push(WireShardStats {
                         shard: r.u32("shard")?,
@@ -841,6 +851,9 @@ impl Response {
         }
     }
 }
+
+/// Bytes of one `STATS_OK` shard record (`docs/PROTOCOL.md` §5.6).
+const STATS_RECORD_LEN: usize = 37;
 
 /// Wire tags for [`WireSubscriptionStart`] in a `SUBSCRIBE_OK` payload.
 const START_RESUME: u8 = 0;
@@ -1104,12 +1117,28 @@ mod tests {
 
     #[test]
     fn scores_travel_bitwise() {
-        let scores = vec![0.1 + 0.2, f64::EPSILON, 1.0 - 1e-16];
+        // A 20-score reply, including values `==` cannot tell apart
+        // (−0.0 from 0.0) or never finds equal (NaN, payload bits
+        // included).
+        let mut scores = vec![
+            0.1 + 0.2,
+            f64::EPSILON,
+            1.0 - 1e-16,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE / 3.0, // subnormal
+            f64::from_bits(0x7FF8_DEAD_BEEF_0001),
+        ];
+        scores.extend((0..12).map(|i| i as f64 / 11.0));
         let resp = Response::ScoresOk {
             scores: scores.clone(),
         };
-        match Response::from_frame(&resp.to_frame()).unwrap() {
+        let frame = resp.to_frame();
+        assert_eq!(frame.payload.len(), 4 + 8 * scores.len());
+        match Response::from_frame(&frame).unwrap() {
             Response::ScoresOk { scores: back } => {
+                assert_eq!(back.len(), scores.len());
                 for (a, b) in back.iter().zip(&scores) {
                     assert_eq!(a.to_bits(), b.to_bits());
                 }
@@ -1230,6 +1259,31 @@ mod tests {
         // Bad decision byte.
         let bad = Frame::new(FrameType::DecisionsOk, vec![1, 0, 0, 0, 7]);
         assert!(Response::from_frame(&bad).is_err());
+        // A score count the payload cannot hold, and a trailing byte
+        // after the declared scores.
+        let mut payload = u32::MAX.to_le_bytes().to_vec();
+        payload.extend_from_slice(&0.5f64.to_bits().to_le_bytes());
+        let bad = Frame::new(FrameType::ScoresOk, payload);
+        assert!(matches!(
+            Response::from_frame(&bad),
+            Err(FrameError::BadPayload(_))
+        ));
+        let mut payload = 1u32.to_le_bytes().to_vec();
+        payload.extend_from_slice(&0.5f64.to_bits().to_le_bytes());
+        payload.push(0);
+        let bad = Frame::new(FrameType::ScoresOk, payload);
+        assert!(matches!(
+            Response::from_frame(&bad),
+            Err(FrameError::BadPayload(_))
+        ));
+        // A shard count the payload cannot hold.
+        let mut payload = vec![0; 24];
+        payload.extend_from_slice(&u32::MAX.to_le_bytes());
+        let bad = Frame::new(FrameType::StatsOk, payload);
+        assert!(matches!(
+            Response::from_frame(&bad),
+            Err(FrameError::BadPayload(_))
+        ));
     }
 
     /// Hand-encode one METRICS_OK entry (the layout under test).

@@ -55,6 +55,7 @@
 //! assert!(text.contains("ingest_ns_count 1"));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 #![deny(missing_docs)]
 

@@ -42,6 +42,7 @@
 //! See `examples/replica_follower.rs` for a leader + two followers over
 //! loopback.
 
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 #![deny(missing_docs)]
 

@@ -108,6 +108,7 @@
 //! router.shutdown().unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 #![deny(missing_docs)]
 

@@ -85,6 +85,7 @@
 //! assert_eq!(delta.rescored.len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 #![deny(missing_docs)]
 

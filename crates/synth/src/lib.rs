@@ -34,6 +34,7 @@
 //!   migrations, journal rotations, duplicate ingest bursts; drives the
 //!   `corrfuse-serve` migration equivalence suite).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -39,6 +39,8 @@
 //!
 //! See `examples/quickstart.rs` for a five-minute tour.
 
+#![forbid(unsafe_code)]
+
 pub use corrfuse_baselines as baselines;
 pub use corrfuse_core as core;
 pub use corrfuse_eval as eval;
