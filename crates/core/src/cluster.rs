@@ -1,9 +1,9 @@
 //! Correlation-based source clustering (§5 "Comparisons", BOOK protocol).
 //!
 //! The exact and elastic solvers pay per-cluster costs that grow with
-//! cluster width, so for datasets with many sources the paper "divide[s]
+//! cluster width, so for datasets with many sources the paper "divide\[s\]
 //! sources into clusters based on their pairwise correlations, and
-//! assume[s] that sources across clusters are independent". We implement
+//! assume\[s\] that sources across clusters are independent". We implement
 //! that with:
 //!
 //! 1. a pairwise correlation *lift* on true triples

@@ -12,8 +12,9 @@
 //!
 //! `label` is `1` (true), `0` (false) or `?` (unlabelled). Providers are
 //! comma-separated indices into the `S` lines, in file order. Triples are
-//! written in [`TripleId`] order so a round-trip preserves ids. Tab and
-//! newline characters inside fields are escaped (`\t`, `\n`, `\\`).
+//! written in [`TripleId`](crate::triple::TripleId) order so a round-trip
+//! preserves ids. Tab and newline characters inside fields are escaped
+//! (`\t`, `\n`, `\\`).
 //!
 //! An `O` record pins a source's scope to an explicit domain set (an
 //! empty set is legal: `O<TAB>3<TAB>` followed by nothing). It is only

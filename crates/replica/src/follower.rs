@@ -591,7 +591,7 @@ fn bootstrap(
         .with_threshold(threshold)
         .with_epoch(epoch);
     if let Some(dir) = &shared.config.journal_dir {
-        session.journal_to_with(journal_path(dir, shard), shared.config.fsync)?;
+        session.journal_to(journal_path(dir, shard), shared.config.fsync)?;
     }
     let maps = derive_tenant_maps(session.dataset());
     let slot = &shared.slots[shard];

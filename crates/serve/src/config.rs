@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use corrfuse_obs::Registry;
-use corrfuse_stream::{FsyncPolicy, LogRetention};
+use corrfuse_stream::FsyncPolicy;
 
 use crate::error::{Result, ServeError};
 
@@ -140,20 +140,12 @@ pub struct RouterConfig {
     pub max_batch_events: usize,
     /// Optional per-shard journaling (with rotation and fsync policy).
     pub journal: Option<JournalConfig>,
-    /// In-memory delta-log retention per shard session.
-    pub retention: LogRetention,
     /// Decision threshold for every shard session.
     pub threshold: f64,
     /// Scoring threads per shard session. Default 1: the shards
     /// themselves are the parallelism; raise it for few-shard deployments
     /// on wide machines.
     pub shard_threads: usize,
-    /// Optional bound on joint-count memo entries per cluster joint in
-    /// every shard session (overrides the fuser config's
-    /// `memo_capacity` when set). Evicted subsets rescan on next touch,
-    /// so scores are unchanged — this caps resident memory in wide or
-    /// long-running deployments.
-    pub memo_capacity: Option<usize>,
     /// Observability registry. When set, shard workers record queue
     /// wait, batch assembly, per-[`corrfuse_stream::RefitLevel`] refit,
     /// rescore, sketch and journal latencies into named histograms (see
@@ -171,8 +163,8 @@ pub struct RouterConfig {
 
 impl RouterConfig {
     /// Defaults: bounded queue of 1024 messages, blocking backpressure,
-    /// micro-batches of up to 256 events, no journaling, full delta-log
-    /// retention, threshold 0.5, serial per-shard scoring.
+    /// micro-batches of up to 256 events, no journaling, threshold 0.5,
+    /// serial per-shard scoring.
     pub fn new(n_shards: usize) -> RouterConfig {
         RouterConfig {
             n_shards,
@@ -180,10 +172,8 @@ impl RouterConfig {
             backpressure: Backpressure::Block,
             max_batch_events: 256,
             journal: None,
-            retention: LogRetention::KeepAll,
             threshold: 0.5,
             shard_threads: 1,
-            memo_capacity: None,
             metrics: None,
             replication: None,
         }
@@ -213,12 +203,6 @@ impl RouterConfig {
         self
     }
 
-    /// Set the per-shard delta-log retention.
-    pub fn with_retention(mut self, retention: LogRetention) -> RouterConfig {
-        self.retention = retention;
-        self
-    }
-
     /// Set the decision threshold.
     pub fn with_threshold(mut self, threshold: f64) -> RouterConfig {
         self.threshold = threshold;
@@ -228,12 +212,6 @@ impl RouterConfig {
     /// Set the per-shard scoring thread count.
     pub fn with_shard_threads(mut self, threads: usize) -> RouterConfig {
         self.shard_threads = threads;
-        self
-    }
-
-    /// Bound joint-count memo entries per cluster joint in every shard.
-    pub fn with_memo_capacity(mut self, max_entries: usize) -> RouterConfig {
-        self.memo_capacity = Some(max_entries);
         self
     }
 
@@ -261,9 +239,6 @@ impl RouterConfig {
         }
         if !(self.threshold.is_finite() && (0.0..=1.0).contains(&self.threshold)) {
             return Err(ServeError::InvalidConfig("threshold must be in [0, 1]"));
-        }
-        if self.memo_capacity == Some(0) {
-            return Err(ServeError::InvalidConfig("memo_capacity must be >= 1"));
         }
         if let Some(r) = &self.replication {
             if r.subscriber_capacity == 0 {
@@ -298,14 +273,6 @@ mod tests {
             .with_threshold(f64::NAN)
             .validate()
             .is_err());
-        assert!(RouterConfig::new(1)
-            .with_memo_capacity(0)
-            .validate()
-            .is_err());
-        assert!(RouterConfig::new(1)
-            .with_memo_capacity(64)
-            .validate()
-            .is_ok());
         assert!(RouterConfig::new(1)
             .with_replication(ReplicationConfig::new().with_subscriber_capacity(0))
             .validate()

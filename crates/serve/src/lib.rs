@@ -32,7 +32,7 @@
 //!   reject / timeout), as is the micro-batch size bound.
 //! * [`tenant`] — tenants speak tenant-local ids; shards namespace them
 //!   so co-tenants never collide. Translation is deterministic.
-//! * [`shard`] (internal) — the worker loop: batch, translate, ingest,
+//! * `shard` (internal) — the worker loop: batch, translate, ingest,
 //!   rotate the journal on size/age triggers, seal on shutdown.
 //! * [`stats`] — per-shard + aggregate queue depths, batch sizes,
 //!   ingest latency, flips, cache hit rates, rotations. With a

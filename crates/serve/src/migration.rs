@@ -59,7 +59,7 @@ use std::path::{Path, PathBuf};
 use corrfuse_core::dataset::{Dataset, Domain, SourceId};
 use corrfuse_core::error::FusionError;
 use corrfuse_core::triple::TripleId;
-use corrfuse_stream::Event;
+use corrfuse_stream::{journal, Event};
 
 use crate::error::{Result, ServeError};
 use crate::shard::Msg;
@@ -265,20 +265,22 @@ pub fn load_routes(dir: &Path) -> Result<Vec<PersistedRoute>> {
 }
 
 /// Atomically persist the committed routes into `dir` (write a
-/// temporary file, fsync, rename over [`ROUTES_FILE`]). The caller
-/// sequences this *after* the target journal is flushed through the
-/// fence, so the file never points at a shard that does not hold the
-/// data.
+/// temporary file, fsync, rename over [`ROUTES_FILE`], fsync `dir`).
+/// The caller sequences this *after* the target journal is flushed
+/// through the fence, so the file never points at a shard that does not
+/// hold the data.
 pub fn store_routes(dir: &Path, routes: &[PersistedRoute]) -> Result<()> {
     let mut text = String::from("#corrfuse-routes v1\n");
     for r in routes {
         text.push_str(&format!("{}\t{}\t{}\n", r.tenant.0, r.shard, r.fence));
     }
     let tmp = dir.join(format!("{ROUTES_FILE}.tmp"));
+    let path = routes_path(dir);
     let write = || -> std::io::Result<()> {
         std::fs::write(&tmp, &text)?;
         std::fs::File::open(&tmp)?.sync_all()?;
-        std::fs::rename(&tmp, routes_path(dir))
+        std::fs::rename(&tmp, &path)?;
+        journal::sync_parent_dir(&path)
     };
     write().map_err(|e| ServeError::Fusion(FusionError::from(e)))
 }

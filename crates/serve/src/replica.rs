@@ -2,7 +2,7 @@
 //! batches to read-replica followers.
 //!
 //! When [`crate::RouterConfig::replication`] is set, every shard keeps a
-//! [`ReplicaTap`] inside its core: a bounded backlog of the most recent
+//! `ReplicaTap` inside its core: a bounded backlog of the most recent
 //! committed batches (one entry per epoch, in the shared
 //! `corrfuse_stream::codec` text encoding) plus the queues of its live
 //! subscribers. The tap is written under the same shard lock that

@@ -106,15 +106,11 @@ impl ShardRouter {
     /// use the builder's provision-inferred scopes, mirroring
     /// `corrfuse_stream::replay`.
     pub fn new(
-        fuser: FuserConfig,
+        mut fuser: FuserConfig,
         config: RouterConfig,
         seeds: Vec<(TenantId, Dataset)>,
     ) -> Result<ShardRouter> {
         config.validate()?;
-        let mut fuser = fuser;
-        if config.memo_capacity.is_some() {
-            fuser.memo_capacity = config.memo_capacity;
-        }
         // A metrics registry implies per-stage timing: the shard
         // sessions collect their stage breakdowns so the worker has
         // something to record. (`spans` alone, without a registry,
@@ -150,11 +146,10 @@ impl ShardRouter {
             };
             let mut session = StreamSession::with_engine(fuser.clone(), ds, engine)
                 .map_err(ServeError::Fusion)?
-                .with_threshold(config.threshold)
-                .with_log_retention(config.retention);
+                .with_threshold(config.threshold);
             if let Some(j) = &config.journal {
                 session
-                    .journal_to_with(j.shard_path(i), j.fsync)
+                    .journal_to(j.shard_path(i), j.fsync)
                     .map_err(ServeError::Fusion)?;
             }
             let stats = ShardStats {
@@ -621,7 +616,6 @@ impl ShardRouter {
                 s.joint_cache = core.session.joint_cache_stats();
                 s.joint_delta = core.session.joint_delta_stats();
                 s.lift = core.session.lift_stats();
-                s.log_dropped_events = core.session.delta_log().dropped_events();
                 s.poisoned = core.poison.get().is_some();
                 s.epoch = core.session.epoch();
                 s.replica_acked_epoch = h.acked_epoch.load(Ordering::SeqCst);

@@ -105,8 +105,6 @@ pub struct ShardStats {
     pub n_triples: usize,
     /// Sources accumulated in the shard session.
     pub n_sources: usize,
-    /// Delta-log events dropped by bounded retention.
-    pub log_dropped_events: usize,
     /// The shard's replication epoch: batches committed into the shard
     /// session since start (one increment per applied micro-batch).
     /// Surfaced over the wire as the `serve_epoch_shard_<i>` METRICS
@@ -299,7 +297,6 @@ impl RouterStats {
             agg.score_cache = agg.score_cache.merged(s.score_cache);
             agg.n_triples += s.n_triples;
             agg.n_sources += s.n_sources;
-            agg.log_dropped_events += s.log_dropped_events;
             agg.epoch = agg.epoch.max(s.epoch);
             agg.replica_acked_epoch = agg.replica_acked_epoch.max(s.replica_acked_epoch);
             agg.replica_subscribers += s.replica_subscribers;

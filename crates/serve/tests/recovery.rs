@@ -61,7 +61,7 @@ fn truncated_journals_recover_to_a_consistent_prefix() {
         .iter()
         .map(|bytes| {
             let text = std::str::from_utf8(bytes).unwrap();
-            let (_, batches) = journal::parse(text).unwrap();
+            let (_, _, batches) = journal::parse(text).unwrap();
             let marker = "#events\n";
             let seed_end = text.find(marker).unwrap() + marker.len();
             (batches.concat(), seed_end)
@@ -86,7 +86,7 @@ fn truncated_journals_recover_to_a_consistent_prefix() {
         let (session, report) = result.expect("recovery succeeds past the seed section");
         // The file was trimmed back to a well-formed prefix: a plain
         // strict read must now succeed and agree with the session.
-        let (_, batches) = journal::read(&path).unwrap();
+        let (_, _, batches) = journal::read(&path).unwrap();
         assert_eq!(batches.len(), report.batches_replayed);
         // Nothing is ever dropped after a clean cut on a newline
         // boundary, unless the surviving partial batch itself was
@@ -148,7 +148,7 @@ fn recovered_journals_accept_new_batches() {
 
     let (mut session, _) = StreamSession::recover(config.clone(), &path, FsyncPolicy::Always)
         .expect("recovery past the seed succeeds");
-    let before_batches = journal::read(&path).unwrap().1.len();
+    let before_batches = journal::read(&path).unwrap().2.len();
     // A fresh claim on an existing pair is always valid input.
     session
         .ingest(&[Event::claim(
@@ -159,8 +159,8 @@ fn recovered_journals_accept_new_batches() {
     session.seal_journal().unwrap();
     let restored = StreamSession::restore(config, &path).unwrap();
     assert_eq!(
-        restored.delta_log().n_batches(),
-        before_batches + 1,
+        restored.epoch(),
+        before_batches as u64 + 1,
         "appended batch is visible to the next restore"
     );
     for (a, b) in restored.scores().iter().zip(session.scores()) {

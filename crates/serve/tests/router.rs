@@ -1,5 +1,5 @@
 //! Integration tests for the shard router: tenant isolation, per-shard
-//! equivalence, journal rotation, retention, backpressure accounting,
+//! equivalence, journal rotation, backpressure accounting,
 //! failure containment, and graceful shutdown.
 
 use std::path::PathBuf;
@@ -10,7 +10,7 @@ use corrfuse_core::fuser::{Fuser, FuserConfig, Method};
 use corrfuse_serve::{
     Backpressure, JournalConfig, RouterConfig, ServeError, ShardRouter, TenantId,
 };
-use corrfuse_stream::{Event, FsyncPolicy, LogRetention, StreamSession};
+use corrfuse_stream::{Event, FsyncPolicy, StreamSession};
 use corrfuse_synth::{multi_tenant_events, MultiTenantSpec, MultiTenantStream};
 
 fn stream(n_tenants: usize, seed: u64) -> MultiTenantStream {
@@ -117,8 +117,7 @@ fn shard_scores_match_fresh_fit_and_journal_restores() {
                 JournalConfig::new(&dir)
                     .with_fsync(FsyncPolicy::EveryBatch)
                     .with_rotate_max_batches(3),
-            )
-            .with_retention(LogRetention::LastBatches(1)),
+            ),
         seeds_of(&s),
     )
     .unwrap();
@@ -144,7 +143,6 @@ fn shard_scores_match_fresh_fit_and_journal_restores() {
     let agg = stats.aggregate();
     assert_eq!(agg.ingest_errors, 0, "{:?}", agg.last_error);
     assert!(agg.rotations > 0, "rotation never triggered");
-    assert!(agg.log_dropped_events > 0, "retention never truncated");
     // Sealed journals restore every shard to its exact final state.
     for snap in snapshots {
         let restored = StreamSession::restore(config.clone(), snap.journal_path.unwrap()).unwrap();

@@ -1,4 +1,5 @@
-//! Ingest events and the append-only [`DeltaLog`].
+//! Ingest events: the deltas a session applies, journals and
+//! replicates in batches.
 
 use corrfuse_core::dataset::{Domain, SourceId};
 use corrfuse_core::triple::{Triple, TripleId};
@@ -80,179 +81,9 @@ impl Event {
     }
 }
 
-/// Retention policy for a session's in-memory [`DeltaLog`].
-///
-/// `KeepAll` preserves the full replayable history in memory; on a
-/// long-running session that is an unbounded leak. Once events are
-/// durably journaled the in-memory copy is redundant, so bounded
-/// retention truncates the oldest batches while the journal remains the
-/// replay source of record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LogRetention {
-    /// Keep every batch (the historical behaviour).
-    #[default]
-    KeepAll,
-    /// Keep only the most recent `n` batches in memory; older batches are
-    /// dropped (their counts remain visible through
-    /// [`DeltaLog::dropped_batches`] / [`DeltaLog::dropped_events`]).
-    LastBatches(usize),
-}
-
-/// In-memory log of the events a session has applied, with batch
-/// boundaries preserved so the stream can be replayed with the same
-/// micro-batching (and therefore the same refit/re-score cadence).
-///
-/// By default the log is append-only; under a bounded [`LogRetention`]
-/// the oldest batches are truncated ([`DeltaLog::retain_last`]), in which
-/// case [`DeltaLog::events`] holds only the retained suffix.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DeltaLog {
-    events: Vec<Event>,
-    /// End index (exclusive) into `events` of each retained batch,
-    /// ascending.
-    batch_ends: Vec<usize>,
-    /// Batches truncated by retention.
-    dropped_batches: usize,
-    /// Events truncated by retention.
-    dropped_events: usize,
-}
-
-impl DeltaLog {
-    /// An empty log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append one batch (empty batches are recorded too — they carry no
-    /// events but keep replay cadence faithful).
-    pub fn push_batch(&mut self, batch: &[Event]) {
-        self.events.extend_from_slice(batch);
-        self.batch_ends.push(self.events.len());
-    }
-
-    /// Total number of events across all batches.
-    pub fn n_events(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Number of batches.
-    pub fn n_batches(&self) -> usize {
-        self.batch_ends.len()
-    }
-
-    /// True when no batch has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.batch_ends.is_empty()
-    }
-
-    /// All events in application order, batch boundaries elided.
-    pub fn events(&self) -> &[Event] {
-        &self.events
-    }
-
-    /// The `i`-th batch.
-    pub fn batch(&self, i: usize) -> &[Event] {
-        let start = if i == 0 { 0 } else { self.batch_ends[i - 1] };
-        &self.events[start..self.batch_ends[i]]
-    }
-
-    /// Iterate batches in order.
-    pub fn batches(&self) -> impl Iterator<Item = &[Event]> {
-        (0..self.n_batches()).map(|i| self.batch(i))
-    }
-
-    /// Drop the `n` oldest retained batches (saturating). Returns the
-    /// number of events dropped.
-    pub fn drop_oldest_batches(&mut self, n: usize) -> usize {
-        let n = n.min(self.batch_ends.len());
-        if n == 0 {
-            return 0;
-        }
-        let cut = self.batch_ends[n - 1];
-        self.events.drain(..cut);
-        self.batch_ends.drain(..n);
-        for end in &mut self.batch_ends {
-            *end -= cut;
-        }
-        self.dropped_batches += n;
-        self.dropped_events += cut;
-        cut
-    }
-
-    /// Apply a retention policy: keep only the most recent `keep`
-    /// batches. Returns the number of events dropped.
-    pub fn retain_last(&mut self, keep: usize) -> usize {
-        self.drop_oldest_batches(self.batch_ends.len().saturating_sub(keep))
-    }
-
-    /// Batches truncated by retention since the log was created.
-    pub fn dropped_batches(&self) -> usize {
-        self.dropped_batches
-    }
-
-    /// Events truncated by retention since the log was created.
-    pub fn dropped_events(&self) -> usize {
-        self.dropped_events
-    }
-
-    /// Total batches ever recorded (retained + dropped).
-    pub fn total_batches(&self) -> usize {
-        self.dropped_batches + self.n_batches()
-    }
-
-    /// Total events ever recorded (retained + dropped).
-    pub fn total_events(&self) -> usize {
-        self.dropped_events + self.n_events()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn log_preserves_batch_boundaries() {
-        let mut log = DeltaLog::new();
-        log.push_batch(&[Event::add_source("A"), Event::add_triple("x", "p", "1")]);
-        log.push_batch(&[]);
-        log.push_batch(&[Event::label(TripleId(0), true)]);
-        assert_eq!(log.n_batches(), 3);
-        assert_eq!(log.n_events(), 3);
-        assert_eq!(log.batch(0).len(), 2);
-        assert_eq!(log.batch(1).len(), 0);
-        assert_eq!(log.batch(2), &[Event::label(TripleId(0), true)]);
-        let sizes: Vec<usize> = log.batches().map(<[Event]>::len).collect();
-        assert_eq!(sizes, vec![2, 0, 1]);
-        assert!(!log.is_empty());
-        assert!(DeltaLog::new().is_empty());
-    }
-
-    #[test]
-    fn retention_truncates_oldest_batches() {
-        let mut log = DeltaLog::new();
-        log.push_batch(&[Event::add_source("A"), Event::add_triple("x", "p", "1")]);
-        log.push_batch(&[Event::label(TripleId(0), true)]);
-        log.push_batch(&[Event::claim(SourceId(0), TripleId(0))]);
-        assert_eq!(log.retain_last(2), 2);
-        assert_eq!(log.n_batches(), 2);
-        assert_eq!(log.n_events(), 2);
-        assert_eq!(log.dropped_batches(), 1);
-        assert_eq!(log.dropped_events(), 2);
-        assert_eq!(log.total_batches(), 3);
-        assert_eq!(log.total_events(), 4);
-        // Retained batches re-index from zero.
-        assert_eq!(log.batch(0), &[Event::label(TripleId(0), true)]);
-        assert_eq!(log.batch(1), &[Event::claim(SourceId(0), TripleId(0))]);
-        // Larger keep is a no-op; keep 0 empties the log.
-        assert_eq!(log.retain_last(5), 0);
-        assert_eq!(log.retain_last(0), 2);
-        assert!(log.is_empty());
-        assert_eq!(log.total_batches(), 3);
-        // Appending after truncation keeps working.
-        log.push_batch(&[Event::label(TripleId(0), false)]);
-        assert_eq!(log.batch(0), &[Event::label(TripleId(0), false)]);
-        assert_eq!(log.drop_oldest_batches(10), 1);
-    }
 
     #[test]
     fn event_constructors() {

@@ -351,7 +351,7 @@ impl IncrementalFuser {
     ///
     /// # Atomicity
     ///
-    /// The batch is validated up front ([`Self::validate_batch`]), so
+    /// The batch is validated up front (`validate_batch`), so
     /// input errors — unknown source/triple ids, a new triple without a
     /// claim — are reported *before* any state mutates: an `Err` from bad
     /// input leaves the session exactly as it was. Errors arising later,

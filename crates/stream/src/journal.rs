@@ -39,6 +39,9 @@
 //! shutdown regardless of policy, and [`JournalWriter::rotate`] compacts
 //! the journal in place (snapshot of the accumulated dataset written to a
 //! temporary sibling, synced, then atomically renamed over the journal).
+//! Unless the policy is [`FsyncPolicy::Never`], creating or rotating a
+//! journal also syncs its directory, so the new entry survives power
+//! loss.
 
 use std::fs;
 use std::io::Write as _;
@@ -104,14 +107,9 @@ pub enum FsyncPolicy {
     Never,
 }
 
-/// The snapshot prefix of a journal: header, optional epoch line, seed
-/// section, events marker.
-fn snapshot_string(seed: &Dataset) -> String {
-    snapshot_string_at(seed, 0)
-}
-
-/// [`snapshot_string`] stamped with a base epoch (omitted when zero).
-fn snapshot_string_at(seed: &Dataset, epoch: u64) -> String {
+/// The snapshot prefix of a journal: header, epoch line (omitted when
+/// `epoch` is zero), seed section, events marker.
+fn snapshot_string(seed: &Dataset, epoch: u64) -> String {
     // `io::to_string` ends with a newline, so the marker lands on its own
     // line.
     if epoch == 0 {
@@ -127,16 +125,15 @@ fn snapshot_string_at(seed: &Dataset, epoch: u64) -> String {
     }
 }
 
-/// Write a snapshot-only journal (a seed and no events yet).
-pub fn write_snapshot(path: impl AsRef<Path>, seed: &Dataset) -> Result<()> {
-    fs::write(path, snapshot_string(seed))?;
-    Ok(())
-}
-
-/// [`write_snapshot`] stamped with a base epoch (see [`read_at`]).
-pub fn write_snapshot_at(path: impl AsRef<Path>, seed: &Dataset, epoch: u64) -> Result<()> {
-    fs::write(path, snapshot_string_at(seed, epoch))?;
-    Ok(())
+/// Sync the directory that holds `path`. A file created or renamed
+/// into place survives power loss only once its directory entry is on
+/// disk too. A bare file name lives in `.`.
+pub fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    fs::File::open(dir)?.sync_all()
 }
 
 /// An open journal file accepting appended batches.
@@ -151,49 +148,32 @@ pub struct JournalWriter {
 
 impl JournalWriter {
     /// Create (or truncate) a journal at `path` with `seed` as its
-    /// snapshot, ready to append batches. No explicit fsyncing
-    /// ([`FsyncPolicy::Never`]).
-    pub fn create(path: impl AsRef<Path>, seed: &Dataset) -> Result<JournalWriter> {
-        Self::create_with(path, seed, FsyncPolicy::Never)
-    }
-
-    /// [`JournalWriter::create`] with an explicit durability policy.
-    pub fn create_with(
-        path: impl AsRef<Path>,
-        seed: &Dataset,
-        fsync: FsyncPolicy,
-    ) -> Result<JournalWriter> {
-        Self::create_at(path, seed, fsync, 0)
-    }
-
-    /// [`JournalWriter::create_with`] whose snapshot is stamped with a
-    /// base epoch: the replication epoch at which `seed` was captured.
-    /// [`read_at`]/[`recover`] report it back so a restored session (or a
-    /// cold-restarting follower) resumes epoch numbering where the
-    /// snapshot left off instead of restarting from zero.
-    pub fn create_at(
+    /// snapshot, ready to append batches under the durability policy
+    /// `fsync`. The snapshot is stamped with `epoch`, the replication
+    /// epoch at which `seed` was captured: [`read`]/[`recover`] report
+    /// it back so a restored session (or a cold-restarting follower)
+    /// resumes epoch numbering where the snapshot left off instead of
+    /// restarting from zero.
+    pub fn create(
         path: impl AsRef<Path>,
         seed: &Dataset,
         fsync: FsyncPolicy,
         epoch: u64,
     ) -> Result<JournalWriter> {
-        write_snapshot_at(path.as_ref(), seed, epoch)?;
-        let w = Self::append_with(path, fsync)?;
+        let path = path.as_ref();
+        fs::write(path, snapshot_string(seed, epoch))?;
+        let w = Self::append(path, fsync)?;
         if w.fsync != FsyncPolicy::Never {
             w.file.sync_all()?;
+            sync_parent_dir(path)?;
         }
         Ok(w)
     }
 
-    /// Open an existing journal for appending, validating its header.
-    /// Only the first line is read — journals can be large and this runs
-    /// on every restore. No explicit fsyncing ([`FsyncPolicy::Never`]).
-    pub fn append(path: impl AsRef<Path>) -> Result<JournalWriter> {
-        Self::append_with(path, FsyncPolicy::Never)
-    }
-
-    /// [`JournalWriter::append`] with an explicit durability policy.
-    pub fn append_with(path: impl AsRef<Path>, fsync: FsyncPolicy) -> Result<JournalWriter> {
+    /// Open an existing journal for appending under the durability
+    /// policy `fsync`, validating its header. Only the first line is
+    /// read — journals can be large and this runs on every restore.
+    pub fn append(path: impl AsRef<Path>, fsync: FsyncPolicy) -> Result<JournalWriter> {
         let path = path.as_ref().to_path_buf();
         let mut first_line = String::new();
         {
@@ -263,20 +243,12 @@ impl JournalWriter {
     /// journal, so a crash mid-rotation leaves either the old or the new
     /// journal — never a torn hybrid. Returns the new size in bytes.
     ///
-    /// Rotation discards any epoch stamp (the compacted snapshot reads
-    /// as epoch 0). A session feeding a replication tap must use
-    /// [`JournalWriter::rotate_at`] instead, or a follower bootstrapping
-    /// from the rotated file would restart its epoch numbering and
-    /// re-request batches the snapshot already contains.
-    pub fn rotate(&mut self, seed: &Dataset) -> Result<u64> {
-        self.rotate_at(seed, 0)
-    }
-
-    /// [`JournalWriter::rotate`] whose compacted snapshot is stamped
-    /// with `epoch` — the number of batches committed into `seed` — so
-    /// epoch numbering survives compaction exactly as it survives a
-    /// plain restart.
-    pub fn rotate_at(&mut self, seed: &Dataset, epoch: u64) -> Result<u64> {
+    /// The snapshot is stamped with `epoch` — the number of batches
+    /// committed into `seed` — so epoch numbering survives compaction
+    /// exactly as it survives a plain restart, and a follower
+    /// bootstrapping from the rotated file does not re-request batches
+    /// the snapshot already contains.
+    pub fn rotate(&mut self, seed: &Dataset, epoch: u64) -> Result<u64> {
         let file_name = self
             .path
             .file_name()
@@ -291,31 +263,29 @@ impl JournalWriter {
         let tmp = self.path.with_file_name(format!("{file_name}.rotate.tmp"));
         {
             let mut f = fs::File::create(&tmp)?;
-            f.write_all(snapshot_string_at(seed, epoch).as_bytes())?;
+            f.write_all(snapshot_string(seed, epoch).as_bytes())?;
             f.flush()?;
             // Always sync the snapshot before the rename: renaming an
             // unsynced file over the journal could lose both copies.
             f.sync_all()?;
         }
         fs::rename(&tmp, &self.path)?;
-        *self = Self::append_with(&self.path, self.fsync)?;
+        if self.fsync != FsyncPolicy::Never {
+            sync_parent_dir(&self.path)?;
+        }
+        *self = Self::append(&self.path, self.fsync)?;
         Ok(self.bytes)
     }
 }
 
-/// Read a journal: the seed snapshot plus the recorded event batches.
-pub fn read(path: impl AsRef<Path>) -> Result<(Dataset, Vec<Vec<Event>>)> {
-    let (_, seed, batches) = read_at(path)?;
-    Ok((seed, batches))
-}
-
-/// [`read`] that also reports the snapshot's base epoch: the replication
-/// epoch at which the seed was captured (0 for journals without an
-/// `#epoch` line). The session's epoch after replay is
+/// Read a journal: the snapshot's base epoch, the seed snapshot and the
+/// recorded event batches. The base epoch is the replication epoch at
+/// which the seed was captured (0 for journals without an `#epoch`
+/// line); the session's epoch after replay is
 /// `base_epoch + batches.len()`.
-pub fn read_at(path: impl AsRef<Path>) -> Result<(u64, Dataset, Vec<Vec<Event>>)> {
+pub fn read(path: impl AsRef<Path>) -> Result<(u64, Dataset, Vec<Vec<Event>>)> {
     let text = fs::read_to_string(path)?;
-    parse_at(&text)
+    parse(&text)
 }
 
 /// Outcome of a crash-tolerant journal read ([`recover`]).
@@ -355,7 +325,7 @@ pub fn recover(text: &str) -> Result<Recovered> {
             None => ("", true),
         }
     };
-    let (base_epoch, seed, batches) = parse_at(prefix)?;
+    let (base_epoch, seed, batches) = parse(prefix)?;
     Ok(Recovered {
         base_epoch,
         seed,
@@ -365,21 +335,9 @@ pub fn recover(text: &str) -> Result<Recovered> {
     })
 }
 
-/// [`recover`] over a file on disk.
-pub fn read_recover(path: impl AsRef<Path>) -> Result<Recovered> {
-    let text = fs::read_to_string(path)?;
-    recover(&text)
-}
-
-/// Parse journal text. See the module docs for the format.
-pub fn parse(text: &str) -> Result<(Dataset, Vec<Vec<Event>>)> {
-    let (_, seed, batches) = parse_at(text)?;
-    Ok((seed, batches))
-}
-
-/// [`parse`] that also reports the snapshot's base epoch (see
-/// [`read_at`]).
-pub fn parse_at(text: &str) -> Result<(u64, Dataset, Vec<Vec<Event>>)> {
+/// Parse journal text into `(base_epoch, seed, batches)` (see
+/// [`read`]). See the module docs for the format.
+pub fn parse(text: &str) -> Result<(u64, Dataset, Vec<Vec<Event>>)> {
     let mut lines = text.lines().enumerate();
     match lines.next() {
         Some((_, l)) if l.trim_end() == HEADER => {}
@@ -483,11 +441,11 @@ mod tests {
         let dir = std::env::temp_dir().join("corrfuse-journal-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("roundtrip.journal");
-        let mut w = JournalWriter::create(&path, &seed()).unwrap();
+        let mut w = JournalWriter::create(&path, &seed(), FsyncPolicy::Never, 0).unwrap();
         for b in batches() {
             w.append_batch(&b).unwrap();
         }
-        let (back_seed, back_batches) = read(&path).unwrap();
+        let (_, back_seed, back_batches) = read(&path).unwrap();
         assert_eq!(back_seed.n_triples(), 2);
         assert_eq!(back_seed.n_sources(), 2);
         assert_eq!(
@@ -505,7 +463,7 @@ mod tests {
             "{HEADER}\n{SEED_MARK}\n{}{EVENTS_MARK}\n+C\t0\t0\n+B\n+C\t1\t0\n",
             corrfuse_core::io::to_string(&seed())
         );
-        let (_, batches) = parse(&text).unwrap();
+        let (_, _, batches) = parse(&text).unwrap();
         assert_eq!(batches.len(), 2);
         assert_eq!(batches[1], vec![Event::claim(SourceId(1), TripleId(0))]);
     }
@@ -515,7 +473,7 @@ mod tests {
         // Corrupt the label field of the seed's first T record. The seed
         // section starts at line 3; its header is line 3, S lines 4-5, so
         // the broken T record sits on line 6 of the journal file.
-        let good = snapshot_string(&seed());
+        let good = snapshot_string(&seed(), 0);
         let bad = good.replace("\t1\t0,1\n", "\t9\t0,1\n");
         assert_ne!(good, bad);
         match parse(&bad).unwrap_err() {
@@ -556,7 +514,7 @@ mod tests {
             FusionError::Parse { msg, .. } => assert!(msg.contains("#events")),
             other => panic!("unexpected error {other:?}"),
         }
-        assert!(JournalWriter::append("/nonexistent/nope.journal").is_err());
+        assert!(JournalWriter::append("/nonexistent/nope.journal", FsyncPolicy::Never).is_err());
     }
 
     #[test]
@@ -564,7 +522,7 @@ mod tests {
         let dir = std::env::temp_dir().join("corrfuse-journal-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("rotate.journal");
-        let mut w = JournalWriter::create_with(&path, &seed(), FsyncPolicy::EveryBatch).unwrap();
+        let mut w = JournalWriter::create(&path, &seed(), FsyncPolicy::EveryBatch, 0).unwrap();
         for b in batches() {
             w.append_batch(&b).unwrap();
         }
@@ -572,14 +530,14 @@ mod tests {
         assert_eq!(before, std::fs::metadata(&path).unwrap().len());
         // Rotate onto the *original* seed here (a real caller passes the
         // accumulated dataset): the events must be gone afterwards.
-        let after = w.rotate(&seed()).unwrap();
+        let after = w.rotate(&seed(), 0).unwrap();
         assert!(after < before, "rotation shrank the journal");
-        let (_, back) = read(&path).unwrap();
+        let (_, _, back) = read(&path).unwrap();
         assert!(back.is_empty(), "rotation dropped the replayed events");
         // Appending keeps working post-rotation, and the tmp file is gone.
         w.append_batch(&batches()[0]).unwrap();
         w.seal().unwrap();
-        let (_, back) = read(&path).unwrap();
+        let (_, _, back) = read(&path).unwrap();
         assert_eq!(back, vec![batches()[0].clone()]);
         assert!(!dir.join("rotate.journal.rotate.tmp").exists());
         std::fs::remove_file(&path).ok();
@@ -618,15 +576,24 @@ mod tests {
         let dir = std::env::temp_dir().join("corrfuse-journal-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bytes.journal");
-        let mut w = JournalWriter::create_with(&path, &seed(), FsyncPolicy::Always).unwrap();
+        let mut w = JournalWriter::create(&path, &seed(), FsyncPolicy::Always, 0).unwrap();
         w.append_batch(&batches()[0]).unwrap();
         let bytes = w.bytes();
         drop(w);
-        let w2 = JournalWriter::append_with(&path, FsyncPolicy::Never).unwrap();
+        let w2 = JournalWriter::append(&path, FsyncPolicy::Never).unwrap();
         assert_eq!(w2.bytes(), bytes);
         assert_eq!(w2.fsync_policy(), FsyncPolicy::Never);
         assert_eq!(w2.path(), path.as_path());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn parent_dir_sync_accepts_bare_file_names() {
+        // A bare name has an empty parent, which cannot be opened: it
+        // must resolve to the working directory instead.
+        sync_parent_dir(Path::new("bare.journal")).unwrap();
+        sync_parent_dir(&std::env::temp_dir().join("any.journal")).unwrap();
+        assert!(sync_parent_dir(Path::new("/nonexistent/dir/x.journal")).is_err());
     }
 
     #[test]
@@ -637,37 +604,35 @@ mod tests {
 
         // Epoch 0 omits the line entirely: byte-identical to the
         // pre-epoch format.
-        assert_eq!(snapshot_string_at(&seed(), 0), snapshot_string(&seed()));
+        assert_eq!(
+            snapshot_string(&seed(), 0),
+            format!(
+                "{HEADER}\n{SEED_MARK}\n{}{EVENTS_MARK}\n",
+                corrfuse_core::io::to_string(&seed())
+            )
+        );
 
-        let mut w = JournalWriter::create_at(&path, &seed(), FsyncPolicy::Never, 7).unwrap();
+        let mut w = JournalWriter::create(&path, &seed(), FsyncPolicy::Never, 7).unwrap();
         for b in batches() {
             w.append_batch(&b).unwrap();
         }
-        let (base, _, back) = read_at(&path).unwrap();
+        let (base, _, back) = read(&path).unwrap();
         assert_eq!(base, 7);
-        assert_eq!(back, batches());
-        // The epoch-blind readers still work on stamped journals.
-        let (_, back) = read(&path).unwrap();
         assert_eq!(back, batches());
 
         // Rotation re-stamps: the compacted snapshot carries the epoch
         // of the accumulated state.
-        w.rotate_at(&seed(), 9).unwrap();
-        let (base, _, back) = read_at(&path).unwrap();
+        w.rotate(&seed(), 9).unwrap();
+        let (base, _, back) = read(&path).unwrap();
         assert_eq!(base, 9);
         assert!(back.is_empty());
 
         // `recover` reports the base epoch too.
         w.append_batch(&batches()[0]).unwrap();
         w.seal().unwrap();
-        let rec = read_recover(&path).unwrap();
+        let rec = recover(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(rec.base_epoch, 9);
         assert_eq!(rec.batches.len(), 1);
-
-        // Epoch-less rotate drops the stamp (documented hazard).
-        w.rotate(&seed()).unwrap();
-        let (base, _, _) = read_at(&path).unwrap();
-        assert_eq!(base, 0);
         std::fs::remove_file(&path).ok();
     }
 
@@ -675,7 +640,7 @@ mod tests {
     fn epoch_line_shifts_seed_error_offsets() {
         // With the `#epoch` line the seed section starts one line later,
         // so the broken T record sits on line 7 instead of 6.
-        let good = snapshot_string_at(&seed(), 3);
+        let good = snapshot_string(&seed(), 3);
         let bad = good.replace("\t1\t0,1\n", "\t9\t0,1\n");
         assert_ne!(good, bad);
         match parse(&bad).unwrap_err() {

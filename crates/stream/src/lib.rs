@@ -10,9 +10,8 @@
 //! model per update is O(dataset) when a delta touches a handful of
 //! triples. This crate wraps the core with an online lifecycle:
 //!
-//! * [`event::Event`] / [`event::DeltaLog`] — an append-only log of
-//!   ingest events: new sources, new triples, new claim/provider edges,
-//!   new gold labels;
+//! * [`event::Event`] — one ingest event: a new source, a new triple,
+//!   a new claim/provider edge, or a new gold label;
 //! * [`codec`] — the line-oriented event encoding shared by journal
 //!   files and `corrfuse-net` wire frames, so a captured wire stream is
 //!   replayable as a journal;
@@ -36,12 +35,11 @@
 //!   place (atomic snapshot compaction, [`StreamSession::rotate_journal`])
 //!   so they do not grow without bound, and recover from arbitrary-byte
 //!   truncation ([`StreamSession::recover`] trims the torn tail). The
-//!   in-memory [`event::DeltaLog`] is bounded by an
-//!   [`event::LogRetention`] policy once the journal is the durable
-//!   history. Snapshots may carry an `#epoch <n>` stamp so a session's
-//!   replication epoch ([`StreamSession::epoch`], one increment per
-//!   committed batch) survives restore, recovery and rotation — the
-//!   ordering backbone of `corrfuse-replica` followers.
+//!   journal is a session's only record of its history. Snapshots may
+//!   carry an `#epoch <n>` stamp so a session's replication epoch
+//!   ([`StreamSession::epoch`], one increment per committed batch)
+//!   survives restore, recovery and rotation — the ordering backbone of
+//!   `corrfuse-replica` followers.
 //!
 //! The subsystem inherits the workspace trust anchor (stated once in
 //! `docs/ARCHITECTURE.md`), enforced here by unit and property tests:
@@ -96,7 +94,7 @@ pub mod journal;
 pub mod replay;
 pub mod session;
 
-pub use event::{DeltaLog, Event, LogRetention};
+pub use event::Event;
 pub use incremental::{IncrementalFuser, IngestOutcome, RefitLevel, ScoredTriple, StageTimings};
 pub use journal::{FsyncPolicy, JournalWriter};
 pub use session::{RecoveryReport, ScoredDelta, StreamSession};

@@ -11,7 +11,7 @@ use corrfuse_core::fuser::{ClusterReconcile, Fuser, FuserConfig};
 use corrfuse_core::joint::{CacheStats, JointDeltaStats};
 use corrfuse_obs::Span;
 
-use crate::event::{DeltaLog, Event, LogRetention};
+use crate::event::Event;
 use crate::incremental::{IncrementalFuser, RefitLevel, ScoredTriple, StageTimings};
 use crate::journal::{FsyncPolicy, JournalWriter};
 
@@ -67,10 +67,8 @@ pub struct ScoredDelta {
 pub struct StreamSession {
     inc: IncrementalFuser,
     engine: ScoringEngine,
-    log: DeltaLog,
     journal: Option<JournalWriter>,
     threshold: f64,
-    retention: LogRetention,
     /// Replication epoch: the number of batches committed into this
     /// session since epoch 0, counting batches replayed from a journal
     /// (restore/recover resume at `base_epoch + replayed`). Two sessions
@@ -109,10 +107,8 @@ impl StreamSession {
         Ok(StreamSession {
             inc,
             engine,
-            log: DeltaLog::new(),
             journal: None,
             threshold: 0.5,
-            retention: LogRetention::KeepAll,
             epoch: 0,
         })
     }
@@ -132,36 +128,17 @@ impl StreamSession {
         self
     }
 
-    /// Override the in-memory delta-log retention (default
-    /// [`LogRetention::KeepAll`]). Bounded retention applies immediately
-    /// and after every subsequent ingest, so a long-running journaled
-    /// session does not accumulate its whole history in memory.
-    pub fn with_log_retention(mut self, retention: LogRetention) -> StreamSession {
-        self.set_log_retention(retention);
-        self
-    }
-
-    /// See [`StreamSession::with_log_retention`].
-    pub fn set_log_retention(&mut self, retention: LogRetention) {
-        self.retention = retention;
-        self.apply_retention();
-    }
-
-    fn apply_retention(&mut self) {
-        if let LogRetention::LastBatches(k) = self.retention {
-            self.log.retain_last(k);
-        }
-    }
-
     /// Restore a session from a `#corrfuse-journal v1` file: rebuild the
     /// seed, replay every recorded batch through the incremental path,
-    /// and keep appending new batches to the same file.
+    /// and keep appending new batches to the same file (no explicit
+    /// fsyncing). After a crash, use [`StreamSession::recover`], which
+    /// trims a torn tail.
     pub fn restore(config: FuserConfig, path: impl AsRef<Path>) -> Result<StreamSession> {
         let path = path.as_ref();
-        let (base_epoch, seed, batches) = crate::journal::read_at(path)?;
+        let (base_epoch, seed, batches) = crate::journal::read(path)?;
         let mut session = Self::replayed(config, seed, &batches)?;
         session.epoch = base_epoch + batches.len() as u64;
-        session.journal = Some(JournalWriter::append(path)?);
+        session.journal = Some(JournalWriter::append(path, FsyncPolicy::Never)?);
         Ok(session)
     }
 
@@ -208,7 +185,7 @@ impl StreamSession {
             f.set_len(good_len as u64)?;
             f.sync_all()?;
         }
-        let mut writer = JournalWriter::append_with(path, fsync)?;
+        let mut writer = JournalWriter::append(path, fsync)?;
         if open_tail && !dropped_partial {
             // Close the surviving partial batch exactly as it was
             // replayed (an empty append writes just the `+B` boundary).
@@ -233,25 +210,18 @@ impl StreamSession {
         let mut session = StreamSession::new(config, seed)?;
         for batch in batches {
             session.inc.ingest(batch, &session.engine)?;
-            session.log.push_batch(batch);
         }
         Ok(session)
     }
 
-    /// Start journaling to `path`. Writes a snapshot of the *current*
-    /// accumulated dataset as the journal's seed (compacting any batches
-    /// ingested so far) and appends every subsequent batch. No explicit
-    /// fsyncing; see [`StreamSession::journal_to_with`].
-    pub fn journal_to(&mut self, path: impl AsRef<Path>) -> Result<()> {
-        self.journal_to_with(path, FsyncPolicy::Never)
-    }
-
-    /// [`StreamSession::journal_to`] with an explicit durability policy
-    /// for the snapshot and every appended batch. The snapshot is
-    /// stamped with the session's current epoch, so a restore resumes
-    /// epoch numbering where this session stands now.
-    pub fn journal_to_with(&mut self, path: impl AsRef<Path>, fsync: FsyncPolicy) -> Result<()> {
-        self.journal = Some(JournalWriter::create_at(
+    /// Start journaling to `path` under the durability policy `fsync`.
+    /// Writes a snapshot of the *current* accumulated dataset as the
+    /// journal's seed (compacting any batches ingested so far) and
+    /// appends every subsequent batch. The snapshot is stamped with the
+    /// session's current epoch, so a restore resumes epoch numbering
+    /// where this session stands now.
+    pub fn journal_to(&mut self, path: impl AsRef<Path>, fsync: FsyncPolicy) -> Result<()> {
+        self.journal = Some(JournalWriter::create(
             path,
             self.inc.dataset(),
             fsync,
@@ -275,7 +245,7 @@ impl StreamSession {
                 "rotate_journal called with no active journal".to_string(),
             ));
         };
-        journal.rotate_at(self.inc.dataset(), self.epoch)
+        journal.rotate(self.inc.dataset(), self.epoch)
     }
 
     /// Size in bytes of the active journal, if journaling.
@@ -340,8 +310,6 @@ impl StreamSession {
     pub fn ingest(&mut self, batch: &[Event]) -> Result<ScoredDelta> {
         let outcome = self.inc.ingest(batch, &self.engine)?;
         self.epoch += 1;
-        self.log.push_batch(batch);
-        self.apply_retention();
         let mut journal_ns = 0;
         if let Some(journal) = &mut self.journal {
             let journal_span = Span::start(true);
@@ -422,19 +390,6 @@ impl StreamSession {
     /// Increments once per successful [`StreamSession::ingest`].
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// The batches ingested by this session (post-restore batches only
-    /// count once: replayed history lives here too). Under a bounded
-    /// [`LogRetention`] only the most recent batches are retained; the
-    /// journal is then the replay source of record.
-    pub fn delta_log(&self) -> &DeltaLog {
-        &self.log
-    }
-
-    /// The session's delta-log retention policy.
-    pub fn log_retention(&self) -> LogRetention {
-        self.retention
     }
 
     /// Cumulative observation-pattern hit/miss counters (see

@@ -6,7 +6,7 @@ use corrfuse_core::dataset::{Dataset, DatasetBuilder, Domain, SourceId};
 use corrfuse_core::engine::ScoringEngine;
 use corrfuse_core::fuser::{ClusterStrategy, Fuser, FuserConfig, Method};
 use corrfuse_core::triple::TripleId;
-use corrfuse_stream::{replay, Event, RefitLevel, StreamSession};
+use corrfuse_stream::{replay, Event, FsyncPolicy, RefitLevel, ScoredDelta, StreamSession};
 
 /// The paper's Figure 1 seed (5 sources, 10 labelled triples).
 fn figure1() -> Dataset {
@@ -34,10 +34,19 @@ fn figure1() -> Dataset {
     b.build().unwrap()
 }
 
+/// Ingest `batch` and record it in `fed`, the test's own copy of every
+/// event the session applied.
+fn ingest(session: &mut StreamSession, fed: &mut Vec<Event>, batch: &[Event]) -> ScoredDelta {
+    let delta = session.ingest(batch).unwrap();
+    fed.extend_from_slice(batch);
+    delta
+}
+
 /// Assert the equivalence invariant: the session's scores are bitwise
-/// identical to a from-scratch fit on the accumulated dataset.
-fn assert_equivalent(session: &StreamSession, seed: &Dataset) {
-    let accumulated = replay::accumulate(seed, session.delta_log().events()).unwrap();
+/// identical to a from-scratch fit on `seed` plus the events the test
+/// fed it.
+fn assert_equivalent(session: &StreamSession, seed: &Dataset, fed: &[Event]) {
+    let accumulated = replay::accumulate(seed, fed).unwrap();
     let fresh = Fuser::fit(session.config(), &accumulated, accumulated.gold().unwrap()).unwrap();
     let batch_scores = fresh.score_all(&accumulated).unwrap();
     let inc_scores = session.scores();
@@ -55,20 +64,23 @@ fn assert_equivalent(session: &StreamSession, seed: &Dataset) {
 fn claims_on_unlabelled_triples_take_the_fast_path() {
     let seed = figure1();
     let mut session = StreamSession::new(FuserConfig::new(Method::Exact), seed.clone()).unwrap();
-    let delta = session
-        .ingest(&[
+    let mut fed = Vec::new();
+    let delta = ingest(
+        &mut session,
+        &mut fed,
+        &[
             Event::add_triple("Obama", "fact", "t11"),
             Event::claim(SourceId(0), TripleId(10)),
             Event::claim(SourceId(3), TripleId(10)),
             Event::claim(SourceId(4), TripleId(10)),
-        ])
-        .unwrap();
+        ],
+    );
     assert_eq!(delta.refit, RefitLevel::None);
     assert_eq!(delta.rescored.len(), 1);
     assert_eq!(delta.rescored[0].triple, TripleId(10));
     assert_eq!(delta.rescored[0].before, None);
     assert!(delta.flips.is_empty(), "new triples are not flips");
-    assert_equivalent(&session, &seed);
+    assert_equivalent(&session, &seed, &fed);
 }
 
 #[test]
@@ -81,32 +93,35 @@ fn labels_force_a_model_refit_and_stay_equivalent() {
         Method::PrecRec,
     ] {
         let mut session = StreamSession::new(FuserConfig::new(method), seed.clone()).unwrap();
+        let mut fed = Vec::new();
         // A labelled triple arrives: claims + a label in one batch.
-        let delta = session
-            .ingest(&[
+        let delta = ingest(
+            &mut session,
+            &mut fed,
+            &[
                 Event::add_triple("Obama", "fact", "t11"),
                 Event::claim(SourceId(1), TripleId(10)),
                 Event::claim(SourceId(2), TripleId(10)),
                 Event::label(TripleId(10), true),
-            ])
-            .unwrap();
+            ],
+        );
         assert_eq!(delta.refit, RefitLevel::Model, "{method:?}");
         assert_eq!(delta.rescored.len(), 11, "{method:?}: all triples rescored");
-        assert_equivalent(&session, &seed);
+        assert_equivalent(&session, &seed, &fed);
 
         // A claim touching an already-labelled triple also refits.
-        let delta = session
-            .ingest(&[Event::claim(SourceId(3), TripleId(1))])
-            .unwrap();
+        let delta = ingest(
+            &mut session,
+            &mut fed,
+            &[Event::claim(SourceId(3), TripleId(1))],
+        );
         assert_eq!(delta.refit, RefitLevel::Model, "{method:?}");
-        assert_equivalent(&session, &seed);
+        assert_equivalent(&session, &seed, &fed);
 
         // A relabel (flip) is absorbed incrementally too.
-        let delta = session
-            .ingest(&[Event::label(TripleId(10), false)])
-            .unwrap();
+        let delta = ingest(&mut session, &mut fed, &[Event::label(TripleId(10), false)]);
         assert_eq!(delta.refit, RefitLevel::Model, "{method:?}");
-        assert_equivalent(&session, &seed);
+        assert_equivalent(&session, &seed, &fed);
     }
 }
 
@@ -114,42 +129,50 @@ fn labels_force_a_model_refit_and_stay_equivalent() {
 fn new_sources_fall_back_to_a_full_refit() {
     let seed = figure1();
     let mut session = StreamSession::new(FuserConfig::new(Method::Exact), seed.clone()).unwrap();
-    let delta = session
-        .ingest(&[
+    let mut fed = Vec::new();
+    let delta = ingest(
+        &mut session,
+        &mut fed,
+        &[
             Event::add_source("S6"),
             Event::add_triple("Obama", "fact", "t11"),
             Event::claim(SourceId(5), TripleId(10)),
             Event::label(TripleId(10), true),
-        ])
-        .unwrap();
+        ],
+    );
     assert_eq!(delta.refit, RefitLevel::Full);
-    assert_equivalent(&session, &seed);
+    assert_equivalent(&session, &seed, &fed);
     // The new source participates in later batches incrementally.
-    let delta = session
-        .ingest(&[
+    let delta = ingest(
+        &mut session,
+        &mut fed,
+        &[
             Event::add_triple("Obama", "fact", "t12"),
             Event::claim(SourceId(5), TripleId(11)),
-        ])
-        .unwrap();
+        ],
+    );
     assert_eq!(delta.refit, RefitLevel::None);
-    assert_equivalent(&session, &seed);
+    assert_equivalent(&session, &seed, &fed);
 }
 
 #[test]
 fn duplicate_events_are_no_ops() {
     let seed = figure1();
     let mut session = StreamSession::new(FuserConfig::new(Method::Exact), seed.clone()).unwrap();
-    let delta = session
-        .ingest(&[
+    let mut fed = Vec::new();
+    let delta = ingest(
+        &mut session,
+        &mut fed,
+        &[
             Event::add_source("S1"),                  // existing name
             Event::add_triple("Obama", "fact", "t1"), // existing triple
             Event::claim(SourceId(0), TripleId(0)),   // existing claim
             Event::label(TripleId(0), true),          // same label
-        ])
-        .unwrap();
+        ],
+    );
     assert_eq!(delta.refit, RefitLevel::None);
     assert!(delta.rescored.is_empty());
-    assert_equivalent(&session, &seed);
+    assert_equivalent(&session, &seed, &fed);
 }
 
 #[test]
@@ -178,16 +201,19 @@ fn cross_domain_claims_rescore_the_rescoped_domain() {
         seed.clone(),
     )
     .unwrap();
+    let mut fed = Vec::new();
     // New domain-2 triple claimed by `books`: scope expansion → labelled
     // domain-2 triples enter its recall denominator → model refit.
-    let delta = session
-        .ingest(&[
+    let delta = ingest(
+        &mut session,
+        &mut fed,
+        &[
             Event::add_triple_in("p3", "born", "1980", Domain(2)),
             Event::claim(SourceId(0), TripleId(3)),
-        ])
-        .unwrap();
+        ],
+    );
     assert_eq!(delta.refit, RefitLevel::Model);
-    assert_equivalent(&session, &seed);
+    assert_equivalent(&session, &seed, &fed);
 }
 
 #[test]
@@ -211,19 +237,22 @@ fn scope_expansion_without_labels_stays_on_the_fast_path() {
     let seed = b.build().unwrap();
 
     let mut session = StreamSession::new(FuserConfig::new(Method::PrecRec), seed.clone()).unwrap();
-    let delta = session
-        .ingest(&[
+    let mut fed = Vec::new();
+    let delta = ingest(
+        &mut session,
+        &mut fed,
+        &[
             Event::add_triple_in("w", "q", "4", Domain(3)),
             Event::claim(SourceId(1), TripleId(3)),
-        ])
-        .unwrap();
+        ],
+    );
     assert_eq!(delta.refit, RefitLevel::None);
     // Both domain-3 triples re-score: t3 is new, t2 gained an in-scope
     // non-provider.
     let rescored: Vec<TripleId> = delta.rescored.iter().map(|st| st.triple).collect();
     assert!(rescored.contains(&TripleId(2)));
     assert!(rescored.contains(&TripleId(3)));
-    assert_equivalent(&session, &seed);
+    assert_equivalent(&session, &seed, &fed);
 }
 
 #[test]
@@ -231,6 +260,7 @@ fn flips_are_reported_with_before_and_after() {
     let seed = figure1();
     // Under PrecRec, t8 (= TripleId(7)) starts accepted (Example 3.3).
     let mut session = StreamSession::new(FuserConfig::new(Method::PrecRec), seed.clone()).unwrap();
+    let mut fed = Vec::new();
     assert!(session.scores()[7] > 0.5);
     // Label enough of the providers' output false that their estimated
     // quality drops and t8 is rejected: add false labelled triples
@@ -244,7 +274,7 @@ fn flips_are_reported_with_before_and_after() {
         }
         events.push(Event::label(t, false));
     }
-    let delta = session.ingest(&events).unwrap();
+    let delta = ingest(&mut session, &mut fed, &events);
     assert_eq!(delta.refit, RefitLevel::Model);
     assert!(
         delta
@@ -254,7 +284,7 @@ fn flips_are_reported_with_before_and_after() {
         "t8 should flip to rejected; flips: {:?}",
         delta.flips
     );
-    assert_equivalent(&session, &seed);
+    assert_equivalent(&session, &seed, &fed);
 }
 
 #[test]
@@ -286,7 +316,7 @@ fn bad_batches_are_rejected_without_mutating_the_session() {
     // Atomicity: nothing leaked into the session from any failed batch.
     assert_eq!(session.dataset().n_triples(), 10);
     assert_eq!(session.dataset().n_sources(), 5);
-    assert!(session.delta_log().is_empty());
+    assert_eq!(session.epoch(), 0);
     let after_scores: Vec<u64> = session.scores().iter().map(|s| s.to_bits()).collect();
     assert_eq!(before_scores, after_scores);
 
@@ -305,30 +335,35 @@ fn bad_batches_are_rejected_without_mutating_the_session() {
 fn score_cache_serves_repeated_patterns() {
     let seed = figure1();
     let mut session = StreamSession::new(FuserConfig::new(Method::Exact), seed.clone()).unwrap();
+    let mut fed = Vec::new();
     // Two new triples with the *same* provider pattern: one engine
     // computation, one cache hit.
-    let delta = session
-        .ingest(&[
+    let delta = ingest(
+        &mut session,
+        &mut fed,
+        &[
             Event::add_triple("Obama", "fact", "t11"),
             Event::claim(SourceId(0), TripleId(10)),
             Event::claim(SourceId(3), TripleId(10)),
-        ])
-        .unwrap();
+        ],
+    );
     assert_eq!(delta.cache.misses, 1);
-    let delta = session
-        .ingest(&[
+    let delta = ingest(
+        &mut session,
+        &mut fed,
+        &[
             Event::add_triple("Obama", "fact", "t12"),
             Event::claim(SourceId(0), TripleId(11)),
             Event::claim(SourceId(3), TripleId(11)),
-        ])
-        .unwrap();
+        ],
+    );
     assert_eq!((delta.cache.hits, delta.cache.misses), (1, 0));
     // Both triples carry the identical score.
     assert_eq!(
         session.scores()[10].to_bits(),
         session.scores()[11].to_bits()
     );
-    assert_equivalent(&session, &seed);
+    assert_equivalent(&session, &seed, &fed);
 }
 
 #[test]
@@ -341,7 +376,7 @@ fn journal_roundtrip_restores_an_equivalent_session() {
     let config = FuserConfig::new(Method::Exact);
     let mut session =
         StreamSession::with_engine(config.clone(), seed.clone(), ScoringEngine::serial()).unwrap();
-    session.journal_to(&path).unwrap();
+    session.journal_to(&path, FsyncPolicy::Never).unwrap();
     session
         .ingest(&[
             Event::add_triple("Obama", "fact", "t11"),
@@ -366,7 +401,7 @@ fn journal_roundtrip_restores_an_equivalent_session() {
         restored.dataset().n_sources(),
         session.dataset().n_sources()
     );
-    assert_eq!(restored.delta_log().n_batches(), 2);
+    assert_eq!(restored.epoch(), 2);
     for (a, b) in restored.scores().iter().zip(session.scores()) {
         assert_eq!(a.to_bits(), b.to_bits());
     }

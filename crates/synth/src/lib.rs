@@ -22,7 +22,7 @@
 //! * [`remote`] — per-producer connection scripts (sends + forced
 //!   reconnects) over a multi-tenant stream (drives the `corrfuse-net`
 //!   loopback tests and the `net_throughput` bench);
-//! * [`wide_world`] — many sources partitioned into narrow domains with
+//! * [`wide_world`](mod@wide_world) — many sources partitioned into narrow domains with
 //!   one planted correlation clique per domain (drives the sparse
 //!   lift-graph / sketch-tier scaling tests and the `wide_world` bench);
 //! * [`follower`] — a multi-tenant workload plus a deterministic

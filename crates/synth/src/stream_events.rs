@@ -217,7 +217,7 @@ mod tests {
         for batch in &batches {
             session.ingest(batch).unwrap();
         }
-        let accumulated = replay::accumulate(&seed, session.delta_log().events()).unwrap();
+        let accumulated = replay::accumulate(&seed, &batches.concat()).unwrap();
         let fresh = Fuser::fit(&config, &accumulated, accumulated.gold().unwrap()).unwrap();
         let scores = fresh.score_all(&accumulated).unwrap();
         for (a, b) in session.scores().iter().zip(&scores) {

@@ -6,7 +6,7 @@
 
 use corrfuse::core::fuser::{FuserConfig, Method};
 use corrfuse::serve::{JournalConfig, RouterConfig, ShardRouter, TenantId};
-use corrfuse::stream::{FsyncPolicy, LogRetention, StreamSession};
+use corrfuse::stream::{FsyncPolicy, StreamSession};
 use corrfuse::synth::{multi_tenant_events, MultiTenantSpec};
 
 fn main() {
@@ -26,20 +26,16 @@ fn main() {
     std::fs::remove_dir_all(&dir).ok();
 
     // Two shards: tenants 0 and 2 share shard 0, tenant 1 gets shard 1.
-    // Journals rotate (compact to a fresh snapshot) every 4 batches, and
-    // the in-memory delta log keeps only the last 2 batches — the
-    // journal is the durable history.
+    // Journals rotate (compact to a fresh snapshot) every 4 batches; the
+    // journal is each shard's durable history.
     let config = FuserConfig::new(Method::Exact);
     let router = ShardRouter::new(
         config.clone(),
-        RouterConfig::new(2)
-            .with_batching(64)
-            .with_journal(
-                JournalConfig::new(&dir)
-                    .with_fsync(FsyncPolicy::EveryBatch)
-                    .with_rotate_max_batches(4),
-            )
-            .with_retention(LogRetention::LastBatches(2)),
+        RouterConfig::new(2).with_batching(64).with_journal(
+            JournalConfig::new(&dir)
+                .with_fsync(FsyncPolicy::EveryBatch)
+                .with_rotate_max_batches(4),
+        ),
         stream
             .seeds
             .iter()
@@ -86,11 +82,10 @@ fn main() {
     }
     let agg = stats.aggregate();
     println!(
-        "aggregate: {} events in {} batches, mean ingest {:.1} µs/batch, {} log events trimmed",
+        "aggregate: {} events in {} batches, mean ingest {:.1} µs/batch",
         agg.ingested_events,
         agg.batches,
         agg.mean_ingest_ns() / 1_000.0,
-        agg.log_dropped_events,
     );
 
     // Per-tenant reads come back in tenant-local id order.

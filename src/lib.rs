@@ -10,7 +10,7 @@
 //! * [`core`] (`corrfuse-core`) — data model, quality estimation, the
 //!   PrecRec and PrecRecCorr fusion models (exact / aggressive / elastic),
 //!   and source clustering.
-//! * [`stream`] (`corrfuse-stream`) — incremental ingestion: delta log,
+//! * [`stream`] (`corrfuse-stream`) — incremental ingestion: events,
 //!   incremental fuser, observation-pattern table, micro-batching
 //!   sessions, and the append-only journal.
 //! * [`serve`] (`corrfuse-serve`) — the serving layer: a sharded

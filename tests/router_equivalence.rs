@@ -13,7 +13,7 @@ use corrfuse::core::testkit::{run_cases, Gen};
 use corrfuse::serve::{
     Backpressure, JournalConfig, RouterConfig, ServeError, ShardRouter, TenantId,
 };
-use corrfuse::stream::{FsyncPolicy, LogRetention, StreamSession};
+use corrfuse::stream::{FsyncPolicy, StreamSession};
 use corrfuse::synth::{multi_tenant_events, MultiTenantSpec};
 
 fn random_method(g: &mut Gen) -> Method {
@@ -81,11 +81,6 @@ fn routed_shards_equal_batch_fit_on_random_multi_tenant_streams() {
                     .with_fsync(random_fsync(g))
                     .with_rotate_max_batches(rotate_batches),
             )
-            .with_retention(if g.bool(0.5) {
-                LogRetention::KeepAll
-            } else {
-                LogRetention::LastBatches(g.usize_in(1, 3))
-            })
             .with_shard_threads(if g.bool(0.3) { 3 } else { 1 });
         let seeds = s
             .seeds
