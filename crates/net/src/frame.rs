@@ -34,12 +34,13 @@ pub const HEADER_LEN: usize = 14;
 
 /// Hard cap on payload length; larger declared lengths are rejected
 /// up front, and the streaming reader additionally grows its buffer
-/// only with bytes actually received, so a corrupt or hostile length
-/// prefix cannot force a huge buffer.
+/// one chunk ahead of the bytes actually received, so a corrupt or
+/// hostile length prefix cannot force a huge buffer.
 pub const MAX_PAYLOAD: u32 = 1 << 26; // 64 MiB
 
-/// Chunk size for the streaming payload read (the allocation unit that
-/// bounds memory on declared-but-unsent payloads).
+/// Chunk size for the streaming payload read: the most the payload
+/// buffer runs ahead of the bytes received, which bounds memory on
+/// declared-but-unsent payloads.
 const PAYLOAD_CHUNK: usize = 64 * 1024;
 
 /// Frame type codes. Requests use `0x01..=0x7F`, responses set the high
@@ -345,24 +346,28 @@ impl Frame {
             }
         }
         // Validate the header fields before committing to the payload
-        // read. The payload buffer grows only with bytes actually
-        // received (bounded chunks), so a hostile length prefix on a
-        // stalled connection pins no more memory than it has sent.
+        // read. The payload is read in place: before each read it grows
+        // by at most one chunk (zeroing only those bytes), and after it
+        // shrinks back to what arrived. It never runs more than one
+        // chunk past the bytes received, so a hostile length prefix on a
+        // stalled connection pins memory only in proportion to what it
+        // has sent.
         let (version, kind, len, declared) = parse_header(&header)?;
-        let mut payload = Vec::with_capacity((len as usize).min(PAYLOAD_CHUNK));
-        let mut chunk = [0u8; PAYLOAD_CHUNK];
-        while payload.len() < len as usize {
-            let want = (len as usize - payload.len()).min(PAYLOAD_CHUNK);
-            match r.read(&mut chunk[..want]) {
+        let len = len as usize;
+        let mut payload = Vec::with_capacity(len.min(PAYLOAD_CHUNK));
+        while payload.len() < len {
+            let got = payload.len();
+            payload.resize(got + (len - got).min(PAYLOAD_CHUNK), 0);
+            match r.read(&mut payload[got..]) {
                 Ok(0) => {
                     return Err(FrameError::Truncated {
-                        needed: HEADER_LEN + len as usize,
-                        got: HEADER_LEN + payload.len(),
+                        needed: HEADER_LEN + len,
+                        got: HEADER_LEN + got,
                     }
                     .into())
                 }
-                Ok(n) => payload.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Ok(n) => payload.truncate(got + n),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => payload.truncate(got),
                 Err(e) => return Err(e.into()),
             }
         }
@@ -495,6 +500,57 @@ mod tests {
         assert!(
             Frame::read_from(&mut cursor).unwrap().is_none(),
             "clean EOF"
+        );
+    }
+
+    /// A frame declaring the maximum payload, then 10 payload bytes, an
+    /// interrupted read and EOF: the reader reports exactly the bytes
+    /// that arrived and never offers a read more than one chunk.
+    #[test]
+    fn declared_but_unsent_payload_reads_one_chunk_at_a_time() {
+        struct Stalling {
+            bytes: Vec<u8>,
+            pos: usize,
+            interrupted: bool,
+            widest: usize,
+        }
+        impl Read for Stalling {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                self.widest = self.widest.max(buf.len());
+                if self.pos == self.bytes.len() && !self.interrupted {
+                    self.interrupted = true;
+                    return Err(std::io::ErrorKind::Interrupted.into());
+                }
+                let n = buf.len().min(self.bytes.len() - self.pos);
+                buf[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
+                self.pos += n;
+                Ok(n)
+            }
+        }
+
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&[VERSION, FrameType::Ingest as u8]);
+        bytes.extend_from_slice(&MAX_PAYLOAD.to_le_bytes());
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        bytes.extend_from_slice(&[7; 10]);
+        let mut r = Stalling {
+            bytes,
+            pos: 0,
+            interrupted: false,
+            widest: 0,
+        };
+        match Frame::read_from(&mut r) {
+            Err(crate::error::NetError::Frame(FrameError::Truncated { needed, got })) => {
+                assert_eq!(got, HEADER_LEN + 10);
+                assert_eq!(needed, HEADER_LEN + MAX_PAYLOAD as usize);
+            }
+            other => panic!("expected a truncated frame, got {other:?}"),
+        }
+        assert!(r.interrupted, "the interrupted read was retried");
+        assert!(
+            r.widest <= PAYLOAD_CHUNK,
+            "a read was offered {} bytes",
+            r.widest
         );
     }
 }

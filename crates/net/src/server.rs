@@ -38,6 +38,9 @@
 //!   shard queue waits for room (prefer `Reject`/`Timeout` or generous
 //!   queues); a follower read carrying `min_epoch` waits up to the
 //!   follower's catch-up timeout.
+//! * A panic in [`Service::handle`] stays in its request: the loop
+//!   answers it with [`ErrorCode::Internal`] and keeps serving that
+//!   connection and every other.
 //! * Slow *readers* never stall the loop: responses queue in a
 //!   partial-write buffer ([`crate::transport::WriteBuf`]), and past a
 //!   high-water mark the connection is neither read nor answered until
@@ -60,6 +63,7 @@ use std::collections::HashMap;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -186,7 +190,8 @@ fn new_session(config: &ServerConfig) -> SessionStateMachine {
 /// only sees `INGEST`, `SCORES`, `DECISIONS`, `FLUSH`, `STATS`,
 /// `METRICS` and `SUBSCRIBE`. Requests run on the loop's one thread, in
 /// order per connection; see the module docs for what blocking here
-/// costs.
+/// costs. A panic in [`Service::handle`] is caught: that request is
+/// answered with [`ErrorCode::Internal`] and the loop serves on.
 pub trait Service: Send + Sync + 'static {
     /// What [`Reply::TakeOver`] hands to [`Service::take_over`]: the
     /// leader's replication subscription, or
@@ -607,7 +612,7 @@ fn drive_conn<S: Service>(
             break;
         };
         match out {
-            Output::Write(bytes) => conn.wbuf.push(&bytes),
+            Output::Write(bytes) => conn.wbuf.push(bytes),
             Output::Close => conn.closing = true,
             Output::App { request, decode_ns } => {
                 match conn
@@ -799,7 +804,17 @@ impl ConnDriver {
             request => {
                 self.conn.frames = sm.frames();
                 self.conn.stopping = stop.load(Ordering::SeqCst);
-                service.handle(request, &mut self.conn)
+                // The loop is every connection's only thread: a panic in
+                // the service is answered as INTERNAL on this request,
+                // and this and every other connection keep being served.
+                let conn = &mut self.conn;
+                let handled = catch_unwind(AssertUnwindSafe(|| service.handle(request, conn)));
+                handled.unwrap_or_else(|_| {
+                    Reply::Respond(Response::Error {
+                        code: ErrorCode::Internal,
+                        message: format!("the {} handler panicked", req_kind.label()),
+                    })
+                })
             }
         };
         if let Some(sp) = self.spans.as_mut() {

@@ -29,9 +29,11 @@
 //! Unix-only (the workspace targets Linux); `poll(2)` and
 //! `get/setrlimit(2)` are declared directly — Rust already links libc
 //! on every Unix target, so no external crate is needed. Their four
-//! calls are the workspace's only `unsafe` blocks; each states its
-//! contract in a `// SAFETY:` comment, which the crate's
-//! `clippy::undocumented_unsafe_blocks` denial enforces.
+//! calls are `unsafe` blocks, and the only other one in the workspace
+//! is the call into the carry-less-multiply CRC kernel
+//! ([`crate::crc`]). Each states its contract in a `// SAFETY:`
+//! comment, which the crate's `clippy::undocumented_unsafe_blocks`
+//! denial enforces, and the tests below pin the FFI contracts.
 
 use std::io::{self, Write};
 use std::os::fd::RawFd;
@@ -319,10 +321,17 @@ impl WriteBuf {
         WriteBuf::default()
     }
 
-    /// Queue bytes behind whatever is already pending.
-    pub fn push(&mut self, bytes: &[u8]) {
-        self.compact();
-        self.buf.extend_from_slice(bytes);
+    /// Queue `bytes` behind whatever is already pending. With nothing
+    /// pending the vector becomes the buffer, so a reply is queued
+    /// without a copy.
+    pub fn push(&mut self, bytes: Vec<u8>) {
+        if self.is_empty() {
+            self.buf = bytes;
+            self.pos = 0;
+        } else {
+            self.compact();
+            self.buf.extend_from_slice(&bytes);
+        }
     }
 
     /// Bytes still waiting to go out.
@@ -561,19 +570,72 @@ mod tests {
             budget: 3,
         };
         let mut wbuf = WriteBuf::new();
-        wbuf.push(b"hello");
+        wbuf.push(b"hello".to_vec());
         assert_eq!(wbuf.flush_to(&mut sink).unwrap(), FlushProgress::Partial);
         assert_eq!(wbuf.pending(), 2);
-        wbuf.push(b" world");
+        wbuf.push(b" world".to_vec());
         sink.budget = usize::MAX;
         assert_eq!(wbuf.flush_to(&mut sink).unwrap(), FlushProgress::Done);
         assert_eq!(sink.accepted, b"hello world");
         assert!(wbuf.is_empty());
+
+        // A push onto a fully drained buffer becomes the buffer: the
+        // reply's allocation is queued as it is, not copied.
+        let reply = b", again".to_vec();
+        let at = reply.as_ptr();
+        wbuf.push(reply);
+        assert_eq!(wbuf.buf.as_ptr(), at);
+        assert_eq!(wbuf.pending(), 7);
+        assert_eq!(wbuf.flush_to(&mut sink).unwrap(), FlushProgress::Done);
+        assert_eq!(sink.accepted, b"hello world, again");
+
+        // A push behind a partial write queues after the unsent bytes.
+        sink.budget = 2;
+        wbuf.push(b"abcd".to_vec());
+        assert_eq!(wbuf.flush_to(&mut sink).unwrap(), FlushProgress::Partial);
+        wbuf.push(b"ef".to_vec());
+        assert_eq!(wbuf.pending(), 4);
+        sink.budget = usize::MAX;
+        assert_eq!(wbuf.flush_to(&mut sink).unwrap(), FlushProgress::Done);
+        assert_eq!(sink.accepted, b"hello world, againabcdef");
+        assert!(wbuf.is_empty());
     }
 
+    /// The `poll` call's contract: an fd that is not open is reported,
+    /// not undefined behaviour. `c_int::MAX` is above any fd limit, so
+    /// no other thread can open it meanwhile (a closed socket's number
+    /// could be reused by a concurrent test).
+    #[test]
+    fn poll_reports_an_fd_that_cannot_be_open() {
+        let mut poller = Poller::new();
+        poller
+            .register(c_int::MAX, Token(5), Interest::READABLE)
+            .unwrap();
+        let mut events = Vec::new();
+        let n = poller
+            .poll(&mut events, Some(Duration::from_secs(2)))
+            .unwrap();
+        assert_eq!(n, 1, "POLLNVAL must be delivered at once");
+        assert_eq!(events[0].token, Token(5));
+        assert!(events[0].error, "POLLNVAL maps to an error event");
+    }
+
+    /// The `getrlimit`/`setrlimit` contracts, which hold with or without
+    /// the privilege to raise the hard limit. One test, so no other test
+    /// in this process moves the limit between its reads.
     #[test]
     fn nofile_limit_reports_a_usable_value() {
         let limit = raise_nofile_limit(256);
         assert!(limit >= 256 || limit >= 1024);
+
+        // Asking for nothing reads the soft limit in force, which is
+        // what the raise above reported, and sets nothing.
+        let before = raise_nofile_limit(0);
+        assert_eq!(before, limit);
+        assert_eq!(raise_nofile_limit(0), before);
+        // A raise never lowers the limit, and reports what is in force.
+        let got = raise_nofile_limit(before + 1);
+        assert!(got >= before, "raise lowered the limit: {before} -> {got}");
+        assert_eq!(raise_nofile_limit(0), got);
     }
 }

@@ -2,12 +2,14 @@
 //! request surface, slow-loris robustness (a dribbling or stalled
 //! connection never starves the others and pins no memory beyond the
 //! bytes it actually sent), write backpressure against a client that
-//! queries without reading, and per-tenant ACL enforcement — including
+//! queries without reading, per-tenant ACL enforcement — including
 //! that a mixed-tenant client hitting a denied tenant cannot poison its
-//! allowed-tenant pipeline.
+//! allowed-tenant pipeline — and that a panicking request takes down
+//! neither its connection nor the loop.
 
 use std::io::Write as _;
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::Duration;
 
 use corrfuse_core::dataset::{DatasetBuilder, SourceId};
@@ -15,8 +17,8 @@ use corrfuse_core::fuser::{FuserConfig, Method};
 use corrfuse_core::TripleId;
 use corrfuse_net::server::spawn;
 use corrfuse_net::{
-    AclTable, Client, ClientConfig, ErrorCode, Frame, NetError, Request, Response, Server,
-    ServerConfig,
+    AclTable, Client, ClientConfig, Conn, Endpoint, ErrorCode, Frame, NetError, Reply, Request,
+    Response, Server, ServerConfig, Service,
 };
 use corrfuse_serve::{RouterConfig, ShardRouter, TenantId};
 use corrfuse_stream::Event;
@@ -442,4 +444,58 @@ fn unread_responses_stop_the_reactor_answering() {
 
     handle.stop();
     join.join().unwrap().unwrap();
+}
+
+/// The leader's service, except that `SCORES` on one tenant panics —
+/// as a read does when it unwraps a lock a crashed shard poisoned.
+struct PanicsOnScores {
+    router: ShardRouter,
+    tenant: TenantId,
+}
+
+impl Service for PanicsOnScores {
+    type TakeOver = <ShardRouter as Service>::TakeOver;
+
+    fn handle(&self, request: Request, conn: &mut Conn) -> Reply<Self::TakeOver> {
+        if matches!(&request, Request::Scores { tenant, .. } if *tenant == self.tenant) {
+            panic!("scores of tenant {} failed", self.tenant.0);
+        }
+        self.router.handle(request, conn)
+    }
+
+    fn take_over(&self, stream: TcpStream, leftover: Vec<u8>, state: Self::TakeOver) {
+        self.router.take_over(stream, leftover, state)
+    }
+}
+
+/// A panic in `Service::handle` is answered with `INTERNAL` on its own
+/// request. The same connection's next request, and a connection opened
+/// before the panic, are still answered, and the loop stops cleanly.
+#[test]
+fn a_panicking_request_is_answered_and_the_loop_serves_on() {
+    let endpoint = Endpoint::bind("127.0.0.1:0").unwrap();
+    let addr = endpoint.local_addr().unwrap().to_string();
+    let handle = endpoint.handle().unwrap();
+    let service = Arc::new(PanicsOnScores {
+        router: router(&[0, 1]),
+        tenant: TenantId(1),
+    });
+    let serving = Arc::clone(&service);
+    let join = std::thread::spawn(move || endpoint.serve(&serving, &ServerConfig::new()));
+
+    let mut bystander = Client::connect(&addr).unwrap();
+    bystander.ping().unwrap();
+    let mut client = Client::connect(&addr).unwrap();
+    match client.scores(TenantId(1)).unwrap_err() {
+        NetError::Remote { code, .. } => assert_eq!(code, ErrorCode::Internal),
+        other => panic!("unexpected {other:?}"),
+    }
+    assert_eq!(client.scores(TenantId(0)).unwrap().len(), 2);
+    assert_eq!(bystander.scores(TenantId(0)).unwrap().len(), 2);
+    bystander.ping().unwrap();
+
+    handle.stop();
+    join.join()
+        .expect("the loop thread")
+        .expect("serve returns Ok");
 }
