@@ -262,12 +262,9 @@ impl Frame {
     /// Serialise the frame (header + payload).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len());
-        out.extend_from_slice(&MAGIC);
-        out.push(self.version);
-        out.push(self.kind as u8);
-        out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(&self.payload).to_le_bytes());
+        out.resize(HEADER_LEN, 0);
         out.extend_from_slice(&self.payload);
+        write_header(&mut out, self.version, self.kind);
         out
     }
 
@@ -275,7 +272,7 @@ impl Frame {
     /// must refuse to put an oversized frame on the wire — the peer's
     /// decoder is required to reject it (see `docs/PROTOCOL.md` §2).
     pub fn fits(&self) -> bool {
-        self.payload.len() as u64 <= MAX_PAYLOAD as u64
+        oversize(self.payload.len()).is_none()
     }
 
     /// The frame's [`FrameError::PayloadTooLarge`], for encoders that
@@ -387,6 +384,27 @@ impl Frame {
         w.write_all(&self.encode())?;
         Ok(())
     }
+}
+
+/// Fill in the header of `buf`: its first [`HEADER_LEN`] bytes are
+/// reserved for it and the rest is the payload, so a frame is encoded in
+/// one buffer.
+pub(crate) fn write_header(buf: &mut [u8], version: u8, kind: FrameType) {
+    let (header, payload) = buf.split_at_mut(HEADER_LEN);
+    header[0..4].copy_from_slice(&MAGIC);
+    header[4] = version;
+    header[5] = kind as u8;
+    header[6..10].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[10..14].copy_from_slice(&crc32(payload).to_le_bytes());
+}
+
+/// The [`FrameError::PayloadTooLarge`] for a `len`-byte payload past
+/// [`MAX_PAYLOAD`], for encoders that never built a [`Frame`].
+pub(crate) fn oversize(len: usize) -> Option<FrameError> {
+    (len as u64 > MAX_PAYLOAD as u64).then(|| FrameError::PayloadTooLarge {
+        len: len.min(u32::MAX as usize) as u32,
+        max: MAX_PAYLOAD,
+    })
 }
 
 /// Validate a complete header and extract `(version, kind, payload_len,

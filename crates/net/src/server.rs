@@ -1097,15 +1097,16 @@ fn replicate(
             while !push_done.load(Ordering::SeqCst) {
                 match sub.recv_deadline(Some(Instant::now() + Duration::from_millis(50))) {
                     Pop::Item(b) => {
-                        let frame = Response::Batch {
+                        let (_, bytes) = Response::Batch {
                             epoch: b.epoch,
                             text: b.text,
                         }
-                        .to_frame();
-                        let sent = frame
-                            .write_to(&mut writer)
-                            .and_then(|()| Ok(writer.flush()?));
-                        if sent.is_err() {
+                        .encode();
+                        if writer
+                            .write_all(&bytes)
+                            .and_then(|()| writer.flush())
+                            .is_err()
+                        {
                             break;
                         }
                     }

@@ -46,7 +46,7 @@ use std::time::Instant;
 
 use crate::acl::{Access, AclTable};
 use crate::error::ErrorCode;
-use crate::frame::{Frame, FrameError, FrameType, VERSION};
+use crate::frame::{oversize, Frame, FrameError, FrameType, HEADER_LEN, VERSION};
 use crate::wire::{Request, Response};
 
 /// Session-layer policy, extracted from the server configuration.
@@ -432,21 +432,21 @@ impl SessionStateMachine {
         self.out.push_back(Output::App { request, decode_ns });
     }
 
+    /// Encode `response` into one buffer and queue it; the timing
+    /// covers the CRC.
     fn push_response(&mut self, response: &Response) -> (FrameType, u64) {
         let t0 = self.clock.now_ns();
-        let mut frame = response.to_frame();
-        if !frame.fits() {
+        let (mut kind, mut bytes) = response.encode();
+        if let Some(e) = oversize(bytes.len() - HEADER_LEN) {
             // Never put a frame on the wire the peer must reject (the
             // decoder enforces MAX_PAYLOAD); report the overflow as a
             // typed error instead.
-            frame = Response::Error {
+            (kind, bytes) = Response::Error {
                 code: ErrorCode::Internal,
-                message: frame.oversize_error().to_string(),
+                message: e.to_string(),
             }
-            .to_frame();
+            .encode();
         }
-        let kind = frame.kind;
-        let bytes = frame.encode();
         let ns = self.clock.now_ns().saturating_sub(t0);
         self.out.push_back(Output::Write(bytes));
         (kind, ns)
@@ -788,5 +788,31 @@ mod tests {
         assert_eq!(leftover, ack, "the pipelined ACK belongs to the driver now");
         sm.feed(b"ignored");
         assert!(drain(&mut sm).is_empty());
+    }
+
+    #[test]
+    fn encode_is_byte_identical_to_the_frame_path() {
+        let responses = [
+            Response::ScoresOk {
+                scores: vec![0.25, f64::NAN, -1.0],
+            },
+            Response::Batch {
+                epoch: 9,
+                text: "+C\t0\t1\n+B\n".to_string(),
+            },
+            Response::FlushOk,
+            Response::Error {
+                code: ErrorCode::Busy,
+                message: "full".to_string(),
+            },
+        ];
+        for r in responses {
+            let (kind, bytes) = r.encode();
+            let frame = r.to_frame();
+            assert_eq!(kind, frame.kind);
+            assert_eq!(bytes, frame.encode(), "{r:?}");
+            // Sized up front: a buffer that grew would have doubled.
+            assert!(bytes.capacity() <= bytes.len() + 8, "{r:?}");
+        }
     }
 }

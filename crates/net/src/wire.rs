@@ -15,7 +15,7 @@ use corrfuse_stream::codec;
 use corrfuse_stream::Event;
 
 use crate::error::ErrorCode;
-use crate::frame::{Frame, FrameError, FrameType};
+use crate::frame::{write_header, Frame, FrameError, FrameType, HEADER_LEN, VERSION};
 
 /// A client-to-server message.
 #[derive(Debug, Clone, PartialEq)]
@@ -637,77 +637,109 @@ impl Request {
 impl Response {
     /// Encode the response as a frame.
     pub fn to_frame(&self) -> Frame {
+        let mut payload = Vec::with_capacity(self.payload_len_hint());
+        let kind = self.write_payload(&mut payload);
+        Frame::new(kind, payload)
+    }
+
+    /// The frame type and wire bytes: `to_frame().encode()` in one buffer
+    /// sized up front, without the payload's own allocation and copy.
+    pub fn encode(&self) -> (FrameType, Vec<u8>) {
+        let mut out = Vec::with_capacity(HEADER_LEN + self.payload_len_hint());
+        out.resize(HEADER_LEN, 0);
+        let kind = self.write_payload(&mut out);
+        write_header(&mut out, VERSION, kind);
+        (kind, out)
+    }
+
+    /// The payload length, exact for every variable-length payload but
+    /// `METRICS_OK`'s (which grows as it encodes).
+    fn payload_len_hint(&self) -> usize {
         match self {
-            Response::HelloOk { version } => Frame::new(FrameType::HelloOk, vec![*version]),
+            Response::ScoresOk { scores } => 4 + 8 * scores.len(),
+            Response::DecisionsOk { decisions } => 4 + decisions.len(),
+            Response::StatsOk { stats } => 28 + STATS_RECORD_LEN * stats.shards.len(),
+            Response::SubscribeOk {
+                start: WireSubscriptionStart::Snapshot { dataset, .. },
+            } => 17 + dataset.len(),
+            Response::Batch { text, .. } => 8 + text.len(),
+            Response::Error { message, .. } => 2 + message.len(),
+            _ => 8,
+        }
+    }
+
+    /// Append the payload to `out`; returns the frame type.
+    fn write_payload(&self, out: &mut Vec<u8>) -> FrameType {
+        match self {
+            Response::HelloOk { version } => {
+                out.push(*version);
+                FrameType::HelloOk
+            }
             Response::IngestOk { seq } => {
-                Frame::new(FrameType::IngestOk, seq.to_le_bytes().to_vec())
+                out.extend_from_slice(&seq.to_le_bytes());
+                FrameType::IngestOk
             }
             Response::ScoresOk { scores } => {
-                // One exact allocation, filled in one pass: a reply
-                // carries a whole tenant's scores.
-                let mut payload = Vec::with_capacity(4 + 8 * scores.len());
-                payload.extend_from_slice(&(scores.len() as u32).to_le_bytes());
-                payload.extend(scores.iter().flat_map(|s| s.to_bits().to_le_bytes()));
-                Frame::new(FrameType::ScoresOk, payload)
+                out.extend_from_slice(&(scores.len() as u32).to_le_bytes());
+                out.extend(scores.iter().flat_map(|s| s.to_bits().to_le_bytes()));
+                FrameType::ScoresOk
             }
             Response::DecisionsOk { decisions } => {
-                let mut payload = (decisions.len() as u32).to_le_bytes().to_vec();
-                payload.extend(decisions.iter().map(|&d| d as u8));
-                Frame::new(FrameType::DecisionsOk, payload)
+                out.extend_from_slice(&(decisions.len() as u32).to_le_bytes());
+                out.extend(decisions.iter().map(|&d| d as u8));
+                FrameType::DecisionsOk
             }
-            Response::FlushOk => Frame::new(FrameType::FlushOk, Vec::new()),
+            Response::FlushOk => FrameType::FlushOk,
             Response::StatsOk { stats } => {
-                let mut payload = Vec::new();
-                payload.extend_from_slice(&stats.conn_frames.to_le_bytes());
-                payload.extend_from_slice(&stats.conn_batches.to_le_bytes());
-                payload.extend_from_slice(&stats.conn_events.to_le_bytes());
-                payload.extend_from_slice(&(stats.shards.len() as u32).to_le_bytes());
+                out.extend_from_slice(&stats.conn_frames.to_le_bytes());
+                out.extend_from_slice(&stats.conn_batches.to_le_bytes());
+                out.extend_from_slice(&stats.conn_events.to_le_bytes());
+                out.extend_from_slice(&(stats.shards.len() as u32).to_le_bytes());
                 for s in &stats.shards {
-                    payload.extend_from_slice(&s.shard.to_le_bytes());
-                    payload.extend_from_slice(&s.tenants.to_le_bytes());
-                    payload.extend_from_slice(&s.processed_messages.to_le_bytes());
-                    payload.extend_from_slice(&s.ingested_events.to_le_bytes());
-                    payload.extend_from_slice(&s.ingest_errors.to_le_bytes());
-                    payload.extend_from_slice(&s.queue_depth.to_le_bytes());
-                    payload.push(s.poisoned as u8);
+                    out.extend_from_slice(&s.shard.to_le_bytes());
+                    out.extend_from_slice(&s.tenants.to_le_bytes());
+                    out.extend_from_slice(&s.processed_messages.to_le_bytes());
+                    out.extend_from_slice(&s.ingested_events.to_le_bytes());
+                    out.extend_from_slice(&s.ingest_errors.to_le_bytes());
+                    out.extend_from_slice(&s.queue_depth.to_le_bytes());
+                    out.push(s.poisoned as u8);
                 }
-                Frame::new(FrameType::StatsOk, payload)
+                FrameType::StatsOk
             }
-            Response::Pong => Frame::new(FrameType::Pong, Vec::new()),
-            Response::ShutdownOk => Frame::new(FrameType::ShutdownOk, Vec::new()),
+            Response::Pong => FrameType::Pong,
+            Response::ShutdownOk => FrameType::ShutdownOk,
             Response::MetricsOk { metrics } => {
-                let mut payload = (metrics.len() as u32).to_le_bytes().to_vec();
+                out.extend_from_slice(&(metrics.len() as u32).to_le_bytes());
                 for m in metrics {
-                    encode_metric(&mut payload, m);
+                    encode_metric(out, m);
                 }
-                Frame::new(FrameType::MetricsOk, payload)
+                FrameType::MetricsOk
             }
             Response::SubscribeOk { start } => {
-                let payload = match start {
-                    WireSubscriptionStart::Resume => vec![START_RESUME],
+                match start {
+                    WireSubscriptionStart::Resume => out.push(START_RESUME),
                     WireSubscriptionStart::Snapshot {
                         epoch,
                         threshold,
                         dataset,
                     } => {
-                        let mut p = vec![START_SNAPSHOT];
-                        p.extend_from_slice(&epoch.to_le_bytes());
-                        p.extend_from_slice(&threshold.to_bits().to_le_bytes());
-                        p.extend_from_slice(dataset.as_bytes());
-                        p
+                        out.push(START_SNAPSHOT);
+                        out.extend_from_slice(&epoch.to_le_bytes());
+                        out.extend_from_slice(&threshold.to_bits().to_le_bytes());
+                        out.extend_from_slice(dataset.as_bytes());
                     }
-                };
-                Frame::new(FrameType::SubscribeOk, payload)
+                }
+                FrameType::SubscribeOk
             }
             Response::Batch { epoch, text } => {
-                let mut payload = epoch.to_le_bytes().to_vec();
-                payload.extend_from_slice(text.as_bytes());
-                Frame::new(FrameType::Batch, payload)
+                out.extend_from_slice(&epoch.to_le_bytes());
+                out.extend_from_slice(text.as_bytes());
+                FrameType::Batch
             }
             Response::Error { code, message } => {
-                let mut payload = (*code as u16).to_le_bytes().to_vec();
-                payload.extend_from_slice(message.as_bytes());
-                Frame::new(FrameType::Error, payload)
+                out.extend_from_slice(&(*code as u16).to_le_bytes());
+                out.extend_from_slice(message.as_bytes());
+                FrameType::Error
             }
         }
     }

@@ -402,13 +402,12 @@ fn journal_path(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("shard-{shard}.journal"))
 }
 
-/// Dial + `HELLO` handshake (the follower side speaks the raw frame
-/// primitives: unlike [`corrfuse_net::Client`] it must read unsolicited
-/// `BATCH` frames, so the pipelined request/response machinery does not
-/// fit).
-fn dial(addr: &str) -> Result<TcpStream> {
+/// The `HELLO` handshake on a fresh connection (the follower side speaks
+/// the raw frame primitives: unlike [`corrfuse_net::Client`] it must
+/// read unsolicited `BATCH` frames, so the pipelined request/response
+/// machinery does not fit).
+fn hello(stream: &mut TcpStream) -> Result<()> {
     use std::io::Write as _;
-    let mut stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true).ok();
     Request::Hello {
         min_version: VERSION,
@@ -416,10 +415,10 @@ fn dial(addr: &str) -> Result<TcpStream> {
         credential: None,
     }
     .to_frame()
-    .write_to(&mut stream)?;
+    .write_to(stream)?;
     stream.flush()?;
-    match read_response(&mut stream)? {
-        Response::HelloOk { version } if version == VERSION => Ok(stream),
+    match read_response(stream)? {
+        Response::HelloOk { version } if version == VERSION => Ok(()),
         Response::Error { code, message } => Err(NetError::Remote { code, message }.into()),
         other => Err(ReplicaError::Protocol(format!(
             "expected HELLO_OK, got {other:?}"
@@ -438,7 +437,8 @@ fn read_response(stream: &mut TcpStream) -> Result<Response> {
 /// leader's shard count.
 fn probe_shards(addr: &str) -> Result<usize> {
     use std::io::Write as _;
-    let mut stream = dial(addr)?;
+    let mut stream = TcpStream::connect(addr)?;
+    hello(&mut stream)?;
     Request::Stats { min_epoch: None }
         .to_frame()
         .write_to(&mut stream)?;
@@ -481,13 +481,31 @@ fn run_link_loop(shared: &Shared, shard: usize) {
     }
 }
 
-/// One link: subscribe from the applied epoch (or bootstrap), then
-/// apply `BATCH` frames and acknowledge each applied epoch, until the
-/// connection ends. Returns the number of batches applied on this link.
+/// One link: connect, and keep the socket where shutdown and
+/// [`Follower::disconnect_all`] can sever it from the start (a leader
+/// that accepts and never answers would otherwise park the link in the
+/// handshake for good), then run it until the connection ends. Returns
+/// the number of batches applied on this link.
 fn run_link(shared: &Shared, shard: usize) -> Result<u64> {
+    let slot = &shared.slots[shard];
+    let mut stream = TcpStream::connect(&shared.addr)?;
+    *slot.conn.lock().expect("conn lock") = Some(stream.try_clone().map_err(NetError::from)?);
+    let result = link(shared, shard, &mut stream);
+    slot.conn.lock().expect("conn lock").take();
+    result
+}
+
+/// Handshake, subscribe from the applied epoch (or bootstrap), then
+/// apply `BATCH` frames and acknowledge each applied epoch, until the
+/// connection ends.
+fn link(shared: &Shared, shard: usize, stream: &mut TcpStream) -> Result<u64> {
     use std::io::Write as _;
     let slot = &shared.slots[shard];
-    let mut stream = dial(&shared.addr)?;
+    // A stop that landed before the socket was kept found none to sever.
+    if shared.stop.load(Ordering::SeqCst) {
+        return Ok(0);
+    }
+    hello(stream)?;
     let from_epoch = {
         let st = slot.state.lock().expect("shard state lock");
         match &st.session {
@@ -500,9 +518,9 @@ fn run_link(shared: &Shared, shard: usize) -> Result<u64> {
         from_epoch,
     }
     .to_frame()
-    .write_to(&mut stream)?;
+    .write_to(stream)?;
     stream.flush()?;
-    match read_response(&mut stream)? {
+    match read_response(stream)? {
         Response::SubscribeOk {
             start: WireSubscriptionStart::Resume,
         } => {
@@ -536,13 +554,9 @@ fn run_link(shared: &Shared, shard: usize) -> Result<u64> {
             }
         }
     }
-    *slot.conn.lock().expect("conn lock") = Some(stream.try_clone().map_err(NetError::from)?);
-    if shared.stop.load(Ordering::SeqCst) {
-        return Ok(0);
-    }
     let mut applied = 0u64;
-    let result = loop {
-        match Frame::read_from(&mut stream) {
+    loop {
+        match Frame::read_from(stream) {
             Ok(Some(frame)) => match Response::from_frame(&frame).map_err(NetError::Frame) {
                 Ok(Response::Batch { epoch, text }) => {
                     if let Err(e) = apply_batch(shared, shard, epoch, &text) {
@@ -554,7 +568,7 @@ fn run_link(shared: &Shared, shard: usize) -> Result<u64> {
                         epoch,
                     }
                     .to_frame()
-                    .write_to(&mut stream)
+                    .write_to(stream)
                     .and_then(|()| Ok(stream.flush()?));
                     if let Err(e) = acked {
                         break Err(e.into());
@@ -572,9 +586,7 @@ fn run_link(shared: &Shared, shard: usize) -> Result<u64> {
             Ok(None) => break Ok(applied),
             Err(e) => break Err(e.into()),
         }
-    };
-    slot.conn.lock().expect("conn lock").take();
-    result.map(|_| applied)
+    }
 }
 
 /// Replace `shard`'s state with a leader snapshot at `epoch`.
@@ -658,4 +670,76 @@ fn apply_batch(shared: &Shared, shard: usize, epoch: u64, text: &str) -> Result<
     st.events_applied += events.len() as u64;
     slot.caught_up.notify_all();
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+    use std::sync::mpsc;
+
+    use corrfuse_core::fuser::{FuserConfig, Method};
+    use corrfuse_net::wire::{WireShardStats, WireStats};
+
+    /// A leader that answers the shard probe, then accepts the link and
+    /// never says a word (as one parked at its connection limit would
+    /// leave it in the accept backlog): `shutdown` must still return,
+    /// severing the link parked in its handshake read.
+    #[test]
+    fn shutdown_severs_a_link_parked_in_the_handshake() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let (parked, link_parked) = mpsc::channel();
+        let leader = std::thread::spawn(move || {
+            let (mut probe, _) = listener.accept().unwrap();
+            let shard = WireShardStats {
+                shard: 0,
+                tenants: 0,
+                processed_messages: 0,
+                ingested_events: 0,
+                ingest_errors: 0,
+                queue_depth: 0,
+                poisoned: false,
+            };
+            let answers = [
+                Response::HelloOk { version: VERSION },
+                Response::StatsOk {
+                    stats: WireStats {
+                        conn_frames: 2,
+                        conn_batches: 0,
+                        conn_events: 0,
+                        shards: vec![shard],
+                    },
+                },
+            ];
+            for answer in answers {
+                Frame::read_from(&mut probe).unwrap();
+                answer.to_frame().write_to(&mut probe).unwrap();
+            }
+            let (mut silent, _) = listener.accept().unwrap();
+            Frame::read_from(&mut silent)
+                .unwrap()
+                .expect("the link's HELLO");
+            parked.send(()).unwrap();
+            // Silent until the link goes away.
+            let _ = std::io::copy(&mut silent, &mut std::io::sink());
+        });
+        let follower = Follower::connect(
+            &addr,
+            FollowerConfig::new(FuserConfig::new(Method::PrecRec)),
+        )
+        .unwrap();
+        link_parked
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the link dials");
+        let (done, stopped) = mpsc::channel();
+        std::thread::spawn(move || {
+            follower.shutdown();
+            done.send(()).unwrap();
+        });
+        stopped
+            .recv_timeout(Duration::from_secs(10))
+            .expect("shutdown returns while the leader stays silent");
+        leader.join().unwrap();
+    }
 }

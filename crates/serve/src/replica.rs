@@ -75,8 +75,8 @@ pub enum SubscriptionStart {
 
 /// A live subscription: the consumer half of one subscriber queue.
 /// Dropping it (or the tap closing it for falling behind) ends the
-/// subscription; the leader notices on its next publish and forgets the
-/// queue.
+/// subscription: the queue closes, and the tap forgets it on its next
+/// publish.
 #[derive(Debug)]
 pub struct Subscription {
     queue: Arc<Queue<ReplicaBatch>>,
@@ -94,6 +94,12 @@ impl Subscription {
     /// Batches currently buffered and not yet received.
     pub fn depth(&self) -> usize {
         self.queue.depth()
+    }
+}
+
+impl Drop for Subscription {
+    fn drop(&mut self) {
+        self.queue.close();
     }
 }
 
@@ -152,6 +158,7 @@ impl ReplicaTap {
                     q.close();
                     false
                 }
+                // The subscription was dropped.
                 Err(PushError::Closed) => false,
             }
         });
@@ -200,8 +207,9 @@ impl ReplicaTap {
         (start, Subscription { queue })
     }
 
-    /// Live subscriber queues (stale entries are pruned on publish, so
-    /// this can briefly over-count followers that vanished silently).
+    /// Live subscriber queues (a dropped subscription is pruned on the
+    /// next publish, so this can briefly over-count by the ones dropped
+    /// since).
     pub fn n_subscribers(&self) -> usize {
         self.subscribers.len()
     }
@@ -313,6 +321,18 @@ mod tests {
             start,
             SubscriptionStart::Snapshot { epoch: 2, .. }
         ));
+    }
+
+    #[test]
+    fn dropped_subscription_leaves_the_tap_on_the_next_publish() {
+        let mut tap = ReplicaTap::new(ReplicationConfig::new(), 0);
+        let (_, kept) = tap.subscribe(0, 0, || (String::new(), 0.5));
+        let (_, dropped) = tap.subscribe(0, 0, || (String::new(), 0.5));
+        assert_eq!(tap.n_subscribers(), 2);
+        drop(dropped);
+        tap.publish(1, &batch(1));
+        assert_eq!(tap.n_subscribers(), 1, "the dropped queue is pruned");
+        assert!(matches!(kept.recv_deadline(None), Pop::Item(b) if b.epoch == 1));
     }
 
     #[test]
