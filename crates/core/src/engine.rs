@@ -19,8 +19,9 @@
 //!
 //! State reuse: workers share the fitted model immutably (`F: Sync`), so
 //! per-cluster solver state — e.g. [`crate::joint::EmpiricalJoint`]'s
-//! memoised joint-rate tables behind `RwLock`s — is warmed by every chunk
-//! and reused across the whole batch instead of being rebuilt per thread.
+//! subset memo, whose fill table takes a pass's first reads behind one
+//! lock — is warmed by every chunk and reused across the whole batch
+//! instead of being rebuilt per thread.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

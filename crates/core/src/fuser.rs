@@ -113,7 +113,8 @@ pub struct FuserConfig {
     pub cluster: ClusterConfig,
     /// Cap on `|S_t̄|` for the exact solver.
     pub max_exact_complement: usize,
-    /// Bound on live subset-memo entries per cluster joint (see
+    /// Bound on live subset-memo entries per cluster joint, exact over
+    /// both of its memo tables (see
     /// [`EmpiricalJoint::set_memo_capacity`]); `None` = unbounded.
     /// Evicted subsets rescan on next touch, so scores never change —
     /// this is a memory ceiling for wide/long-running deployments.
@@ -179,9 +180,11 @@ struct ClusterUnit {
 }
 
 impl ClusterUnit {
+    /// The factor `mu` of one `(prov_c, act_c)`. Its term reads tally
+    /// their memo hits locally ([`EmpiricalJoint::tally`]).
     fn mu(&self, providers: SourceSet, active: SourceSet) -> Result<f64> {
         match &self.joint {
-            Some(joint) => self.solver.mu(joint, providers, active),
+            Some(joint) => self.solver.mu(&joint.tally(), providers, active),
             None => self.solver.mu(&NoJoint, providers, active),
         }
     }
@@ -774,10 +777,13 @@ impl Fuser {
     /// Score every triple through the given [`ScoringEngine`].
     ///
     /// Scoring is embarrassingly parallel; the engine's workers share this
-    /// fitted model immutably, so per-cluster solver state (including the
-    /// empirical joint's memoised rate tables behind `RwLock`s) is warmed
-    /// once and reused across the whole batch. Parallel results are
-    /// bitwise identical to serial results.
+    /// fitted model immutably. Each empirical joint's subset memo serves
+    /// them without a lock from its warm table, and fills the subsets
+    /// this pass reads first into its fill table, behind one lock that
+    /// is never held across a row scan; the next `&mut` call on the joint
+    /// folds them into the warm table. Every term reads the same rates
+    /// whichever table answers, so parallel results are bitwise identical
+    /// to serial results.
     pub fn score_all_with(&self, ds: &Dataset, engine: &ScoringEngine) -> Result<Vec<f64>> {
         engine.map(ds.n_triples(), |i| {
             self.score_triple(ds, TripleId(i as u32))

@@ -12,19 +12,16 @@
 //! come from (empirical training data, hand-specified tables, or pure
 //! independence products for testing the corollaries).
 
+use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::dataset::{Dataset, GoldLabels, SourceId};
 use crate::error::{FusionError, Result};
 use crate::prob::check_alpha;
 use crate::triple::TripleId;
-
-/// Number of lock shards in a [`ShardedMemo`]. A small fixed power of two:
-/// enough to spread the scoring engine's workers across locks, cheap
-/// enough to clear on invalidation.
-const MEMO_SHARDS: usize = 16;
 
 /// Cumulative hit/miss counters of a memo cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -183,148 +180,128 @@ impl JointEntry {
     }
 }
 
-/// One memoised subset plus its last-touch stamp (for LRU eviction).
-/// The stamp is a relaxed atomic so cache *reads* can refresh it under
-/// the shard's read lock.
+/// Hashes a subset mask by one Fibonacci multiply, rotated so the product's
+/// well-mixed top half picks the bucket. It needs no key: the keys are
+/// cluster-local subset masks (clusters are ≤ 24 members by default and
+/// never over 64) from the solver's own enumeration, not client strings.
+#[derive(Debug, Default)]
+struct MaskHasher(u64);
+
+impl Hasher for MaskHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("subset masks hash as one u64")
+    }
+
+    fn write_u64(&mut self, mask: u64) {
+        self.0 = mask.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(32);
+    }
+}
+
+type MaskMap<V> = HashMap<u64, V, BuildHasherDefault<MaskHasher>>;
+
+/// A warm subset and its CLOCK reference bit, which a read stores only
+/// when it is clear and an eviction sweep clears.
 #[derive(Debug)]
 struct MemoSlot {
     entry: JointEntry,
-    stamp: AtomicU64,
+    referenced: AtomicBool,
 }
 
-/// A fixed-shard concurrent memo table `u64 -> JointEntry` with hit/miss
-/// counters and an optional capacity bound.
+/// The subset memo `u64 -> JointEntry` of an [`EmpiricalJoint`], in two
+/// tables. `&self` reads the **warm** table with no lock and no shared
+/// write; it changes only under `&mut self`. The **fill** table takes the
+/// `&self` misses behind one lock (a miss's O(rows) `scan_counts` runs
+/// outside it), and every `&mut` entry point of [`EmpiricalJoint`] first
+/// folds it into the warm table. Only map operations run under the lock,
+/// so a panic cannot leave a table half-changed: a poisoned lock is taken
+/// over with [`PoisonError::into_inner`].
 ///
-/// [`EmpiricalJoint`] memoises per-subset counts and joint rates behind
-/// this: a single `RwLock<HashMap>` serialises every reader on the write
-/// path once the scoring engine fans out, while sharding by key hash
-/// keeps workers on (mostly) disjoint locks. Counters are relaxed
-/// atomics — they feed benchmarks and reports, not control flow. Row
-/// deltas walk every shard under `&mut self` (no lock contention: the
-/// mutable borrow proves no reader exists).
-///
-/// With a capacity set ([`ShardedMemo::set_capacity`]), each shard holds
-/// at most `ceil(capacity / MEMO_SHARDS)` entries; inserting past that
-/// evicts the shard's least-recently-touched slot. Eviction is purely a
-/// memory bound, never a correctness concern: a re-touched evicted
-/// subset takes the ordinary miss path (one `scan_counts` rescan), which
-/// the delta-vs-rescan property pins bitwise equal to the maintained
-/// entry it replaced.
+/// A cap bounds both tables together (see
+/// [`EmpiricalJoint::set_memo_capacity`]). Eviction is purely a memory
+/// bound: a re-touched evicted subset takes the ordinary miss path (one
+/// `scan_counts` rescan), which the delta-vs-rescan property pins bitwise
+/// equal to the maintained entry it replaced.
 #[derive(Debug, Default)]
-struct ShardedMemo {
-    shards: [RwLock<HashMap<u64, MemoSlot>>; MEMO_SHARDS],
+struct SubsetMemo {
+    warm: MaskMap<MemoSlot>,
+    fill: Mutex<MaskMap<JointEntry>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    /// Monotone touch clock feeding the slots' LRU stamps.
-    clock: AtomicU64,
     evictions: AtomicU64,
-    /// Per-shard entry cap; `None` = unbounded.
-    shard_cap: Option<usize>,
+    /// Entry cap over both tables; `None` = unbounded.
+    cap: Option<usize>,
 }
 
-impl ShardedMemo {
-    fn new() -> Self {
-        Self::default()
+impl SubsetMemo {
+    fn fill(&self) -> MutexGuard<'_, MaskMap<JointEntry>> {
+        self.fill.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Bound the total entry count (`None` lifts the bound). Shrinks
-    /// over-full shards immediately, coldest entries first.
-    fn set_capacity(&mut self, max_entries: Option<usize>) {
-        self.shard_cap = max_entries.map(|m| m.div_ceil(MEMO_SHARDS).max(1));
-        if let Some(cap) = self.shard_cap {
-            for shard in &mut self.shards {
-                let map = shard.get_mut().unwrap();
-                while map.len() > cap {
-                    Self::evict_coldest(map, &self.evictions);
+    /// Move the fill table into the warm table; then, under a cap, sweep
+    /// the warm table by CLOCK down to ¾ of the cap: a referenced entry
+    /// loses its bit and stays, an unreferenced one is evicted.
+    fn fold(&mut self) {
+        let fill = self.fill.get_mut().unwrap_or_else(PoisonError::into_inner);
+        self.warm.extend(fill.drain().map(|(mask, entry)| {
+            let referenced = AtomicBool::new(true);
+            (mask, MemoSlot { entry, referenced })
+        }));
+        let mut over = self
+            .cap
+            .map_or(0, |cap| self.warm.len().saturating_sub(cap * 3 / 4));
+        *self.evictions.get_mut() += over as u64;
+        while over > 0 {
+            self.warm.retain(|_, slot| {
+                if over == 0 || std::mem::take(slot.referenced.get_mut()) {
+                    return true;
                 }
-            }
+                over -= 1;
+                false
+            });
         }
     }
 
-    fn evict_coldest(map: &mut HashMap<u64, MemoSlot>, evictions: &AtomicU64) {
-        let coldest = map
-            .iter()
-            .min_by_key(|(_, slot)| slot.stamp.load(Ordering::Relaxed))
-            .map(|(&k, _)| k);
-        if let Some(k) = coldest {
-            map.remove(&k);
-            evictions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    #[inline]
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    #[inline]
-    fn shard(&self, key: u64) -> &RwLock<HashMap<u64, MemoSlot>> {
-        // Fibonacci hash then keep the top bits: subset masks are dense in
-        // the low bits, so modulo alone would alias neighbouring sets.
-        let h = key.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        &self.shards[(h >> 60) as usize % MEMO_SHARDS]
-    }
-
-    /// Look up `key`, bumping the hit/miss counter (and, on a hit, the
-    /// slot's LRU stamp).
+    /// Look `key` up in the warm table, then in the fill table.
     fn get(&self, key: u64) -> Option<JointEntry> {
-        let guard = self.shard(key).read().unwrap();
-        let found = guard.get(&key).map(|slot| {
-            slot.stamp.store(self.tick(), Ordering::Relaxed);
-            slot.entry
-        });
-        drop(guard);
-        match found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
+        let Some(slot) = self.warm.get(&key) else {
+            return self.fill().get(&key).copied();
         };
-        found
-    }
-
-    fn insert(&self, key: u64, value: JointEntry) {
-        let stamp = self.tick();
-        let mut map = self.shard(key).write().unwrap();
-        if let Some(cap) = self.shard_cap {
-            while !map.contains_key(&key) && map.len() >= cap {
-                Self::evict_coldest(&mut map, &self.evictions);
-            }
+        if !slot.referenced.load(Ordering::Relaxed) {
+            slot.referenced.store(true, Ordering::Relaxed);
         }
-        map.insert(
-            key,
-            MemoSlot {
-                entry: value,
-                stamp: AtomicU64::new(stamp),
-            },
-        );
+        Some(slot.entry)
     }
 
-    /// Apply `f` to every memoised entry, in place. Requires `&mut self`,
-    /// so no scoring reader can observe a half-updated table.
+    /// Memoise a miss in the fill table. At the cap, a fill entry makes
+    /// room (a fold leaves the warm table below the cap).
+    fn insert(&self, key: u64, value: JointEntry) {
+        let mut fill = self.fill();
+        let room = self.cap.map_or(usize::MAX, |c| c - self.warm.len());
+        let victim = fill.keys().next().copied();
+        if let Some(k) = victim.filter(|_| fill.len() >= room && !fill.contains_key(&key)) {
+            fill.remove(&k);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
+        fill.insert(key, value);
+    }
+
+    /// Apply `f` to every memoised entry, in place, after a fold.
     fn update_entries(&mut self, mut f: impl FnMut(u64, &mut JointEntry)) {
-        for shard in &mut self.shards {
-            for (mask, slot) in shard.get_mut().unwrap().iter_mut() {
-                f(*mask, &mut slot.entry);
-            }
+        self.fold();
+        for (mask, slot) in self.warm.iter_mut() {
+            f(*mask, &mut slot.entry);
         }
     }
 
     /// Drop every memoised entry (counters are cumulative and survive).
-    fn clear(&self) {
-        for shard in &self.shards {
-            shard.write().unwrap().clear();
-        }
-    }
-
-    /// Current total occupancy across shards.
-    fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().unwrap().len()).sum()
-    }
-
-    fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-        }
+    fn clear(&mut self) {
+        let fill = self.fill.get_mut().unwrap_or_else(PoisonError::into_inner);
+        fill.clear();
+        self.warm.clear();
     }
 }
 
@@ -476,19 +453,20 @@ pub trait JointQuality {
 #[derive(Debug)]
 pub struct EmpiricalJoint {
     members: Vec<SourceId>,
+    /// The members' global source indices, for projecting provider sets.
+    positions: Vec<usize>,
     /// (projected providers, projected scope, truth) per labelled triple.
     rows: Vec<(u64, u64, bool)>,
     alpha: f64,
     /// Memoised per-subset counts + derived recall/FPR.
-    memo: ShardedMemo,
+    memo: SubsetMemo,
     /// Whether any memo-visible input (rows, alpha) changed since the
     /// last [`crate::fuser::Fuser::rebuild_cluster_solvers`] consumed it.
     dirty: bool,
     /// Row deltas absorbed incrementally (see [`JointDeltaStats`]).
     delta_rows: u64,
-    /// Explicit whole-cache invalidations (atomic: the invalidation
-    /// entry point takes `&self`).
-    invalidations: AtomicU64,
+    /// Explicit whole-cache invalidations.
+    invalidations: u64,
 }
 
 impl EmpiricalJoint {
@@ -529,30 +507,24 @@ impl EmpiricalJoint {
         if labelled.is_empty() {
             return Err(FusionError::MissingGold);
         }
-        let positions: Vec<usize> = members.iter().map(|s| s.index()).collect();
-        let mut rows = Vec::with_capacity(labelled.len());
+        let mut joint = EmpiricalJoint {
+            positions: members.iter().map(|s| s.index()).collect(),
+            members,
+            rows: Vec::with_capacity(labelled.len()),
+            alpha,
+            memo: SubsetMemo::default(),
+            dirty: false,
+            delta_rows: 0,
+            invalidations: 0,
+        };
         for &(t, truth) in labelled {
             if t.index() >= ds.n_triples() {
                 return Err(FusionError::TripleOutOfRange(t.index()));
             }
-            let providers = ds.providers(t).project(&positions);
-            let mut scope = 0u64;
-            for (k, &s) in members.iter().enumerate() {
-                if ds.in_scope(s, t) {
-                    scope |= 1u64 << k;
-                }
-            }
-            rows.push((providers, scope, truth));
+            let (providers, scope) = joint.project_pattern(ds, t);
+            joint.rows.push((providers, scope, truth));
         }
-        Ok(EmpiricalJoint {
-            members,
-            rows,
-            alpha,
-            memo: ShardedMemo::new(),
-            dirty: false,
-            delta_rows: 0,
-            invalidations: AtomicU64::new(0),
-        })
+        Ok(joint)
     }
 
     /// The cluster members (bit `k` of any [`SourceSet`] refers to
@@ -675,9 +647,9 @@ impl EmpiricalJoint {
         }
     }
 
-    /// Drop every memoised subset (counts and rates). The next query of
-    /// each subset pays one full O(rows) rescan; hit/miss counters are
-    /// cumulative and survive.
+    /// Drop every memoised subset (counts and rates) from both memo
+    /// tables. The next query of each subset pays one full O(rows)
+    /// rescan; hit/miss counters are cumulative and survive.
     ///
     /// Since row deltas and prior changes are absorbed in place, nothing
     /// in the maintenance path calls this any more. The **only**
@@ -688,24 +660,29 @@ impl EmpiricalJoint {
     /// `EmpiricalJoint` — e.g. when re-clustering changes a cluster's
     /// membership, which changes the projection every row is stored
     /// under.
-    pub fn invalidate_caches(&self) {
+    pub fn invalidate_caches(&mut self) {
         self.memo.clear();
-        self.invalidations.fetch_add(1, Ordering::Relaxed);
+        self.invalidations += 1;
     }
 
-    /// Cumulative hit/miss counters of the subset memo.
+    /// Cumulative hit/miss counters of the subset memo: one count per
+    /// subset read, a hit whichever of its two tables answered.
     pub fn cache_stats(&self) -> CacheStats {
-        self.memo.stats()
+        CacheStats {
+            hits: self.memo.hits.load(Ordering::Relaxed),
+            misses: self.memo.misses.load(Ordering::Relaxed),
+        }
     }
 
-    /// Bound the subset memo to roughly `max_entries` live entries
-    /// (`None` lifts the bound). Past the bound, inserting a fresh
-    /// subset evicts the least-recently-touched one in its shard; a
-    /// re-touched evicted subset simply pays the ordinary miss-path
-    /// rescan, so scores are unaffected — this is purely a memory
-    /// ceiling for long sessions that sweep many distinct subsets.
+    /// Bound the subset memo to `max_entries` live entries over both its
+    /// tables (at least one; `None` lifts the bound). The fold that starts
+    /// each `&mut` call touching the memo evicts by CLOCK down to ¾ of the
+    /// bound; a miss at the bound evicts a subset filled since the last
+    /// fold. A re-touched evicted subset pays the ordinary miss-path
+    /// rescan, so scores are unaffected: this is purely a memory ceiling.
     pub fn set_memo_capacity(&mut self, max_entries: Option<usize>) {
-        self.memo.set_capacity(max_entries);
+        self.memo.cap = max_entries.map(|m| m.max(1));
+        self.memo.fold();
     }
 
     /// Cumulative incremental-maintenance counters (row deltas absorbed
@@ -713,9 +690,9 @@ impl EmpiricalJoint {
     pub fn delta_stats(&self) -> JointDeltaStats {
         JointDeltaStats {
             delta_rows: self.delta_rows,
-            rescans: self.memo.stats().misses,
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            memo_entries: self.memo.len() as u64,
+            rescans: self.memo.misses.load(Ordering::Relaxed),
+            invalidations: self.invalidations,
+            memo_entries: (self.memo.warm.len() + self.memo.fill().len()) as u64,
             memo_evictions: self.memo.evictions.load(Ordering::Relaxed),
         }
     }
@@ -729,7 +706,10 @@ impl EmpiricalJoint {
     }
 
     /// Read and clear the dirty flag (see [`EmpiricalJoint::is_dirty`]).
+    /// Also folds the subsets filled since the last `&mut` call into the
+    /// memo's lock-free table.
     pub fn take_dirty(&mut self) -> bool {
+        self.memo.fold();
         std::mem::take(&mut self.dirty)
     }
 
@@ -738,8 +718,7 @@ impl EmpiricalJoint {
     /// labelled. Delta hook used to build [`EmpiricalJoint::push_row`] /
     /// [`EmpiricalJoint::set_row`] arguments from live dataset state.
     pub fn project_pattern(&self, ds: &Dataset, t: TripleId) -> (u64, u64) {
-        let positions: Vec<usize> = self.members.iter().map(|s| s.index()).collect();
-        let providers = ds.providers(t).project(&positions);
+        let providers = ds.providers(t).project(&self.positions);
         let mut scope = 0u64;
         for (k, &s) in self.members.iter().enumerate() {
             if ds.in_scope(s, t) {
@@ -771,21 +750,18 @@ impl EmpiricalJoint {
         counts
     }
 
-    /// The memoised entry for `set`, rescanning on a miss.
-    fn entry(&self, set: SourceSet) -> JointEntry {
-        if let Some(e) = self.memo.get(set.0) {
-            return e;
-        }
-        let e = JointEntry::from_counts(self.scan_counts(set), self.alpha);
-        self.memo.insert(set.0, e);
-        e
+    /// A reader for one pass of subset reads (a solver's factor): it
+    /// tallies its hits locally and adds them to the memo's count once,
+    /// when it drops, so its reads make no shared write.
+    pub(crate) fn tally(&self) -> Tally<'_> {
+        Tally(self, Cell::new(0))
     }
 
     /// The memoised joint counts for `set` (delta-maintained; rescans on
     /// the first query of a subset). Exposed so callers correlating many
     /// subsets (clustering, reports) share the maintained state.
     pub fn counts(&self, set: SourceSet) -> SubsetCounts {
-        self.entry(set).counts
+        self.tally().entry(set).counts
     }
 
     /// Joint precision `p_{S*}` — `None` when no labelled triple is jointly
@@ -800,25 +776,43 @@ impl EmpiricalJoint {
     }
 }
 
-impl JointQuality for EmpiricalJoint {
+/// An [`EmpiricalJoint`] and the hits it has tallied (see
+/// [`EmpiricalJoint::tally`]).
+#[derive(Debug)]
+pub(crate) struct Tally<'a>(&'a EmpiricalJoint, Cell<u64>);
+
+impl Tally<'_> {
+    /// The memoised entry for `set`, rescanning on a miss.
+    fn entry(&self, set: SourceSet) -> JointEntry {
+        let (joint, memo) = (self.0, &self.0.memo);
+        if let Some(e) = memo.get(set.0) {
+            self.1.set(self.1.get() + 1);
+            return e;
+        }
+        memo.misses.fetch_add(1, Ordering::Relaxed);
+        let e = JointEntry::from_counts(joint.scan_counts(set), joint.alpha);
+        memo.insert(set.0, e);
+        e
+    }
+}
+
+impl Drop for Tally<'_> {
+    fn drop(&mut self) {
+        self.0.memo.hits.fetch_add(self.1.get(), Ordering::Relaxed);
+    }
+}
+
+impl JointQuality for Tally<'_> {
     fn n_members(&self) -> usize {
-        self.members.len()
+        self.0.members.len()
     }
 
     fn joint_recall(&self, set: SourceSet) -> f64 {
-        if set.is_empty() {
-            return 1.0;
-        }
-        self.entry(set).recall
+        self.joint_rates(set).0
     }
 
     fn joint_fpr(&self, set: SourceSet) -> f64 {
-        if set.is_empty() {
-            return 1.0;
-        }
-        // Theorem 3.5 in count form: q = alpha/(1-alpha) * FP / N_true
-        // (see `quality::fpr_from_counts`). Stays defined when TP = 0.
-        self.entry(set).fpr
+        self.joint_rates(set).1
     }
 
     /// Both rates from one memo entry: one lookup (and one hit/miss
@@ -829,6 +823,24 @@ impl JointQuality for EmpiricalJoint {
         }
         let e = self.entry(set);
         (e.recall, e.fpr)
+    }
+}
+
+impl JointQuality for EmpiricalJoint {
+    fn n_members(&self) -> usize {
+        self.members.len()
+    }
+
+    fn joint_recall(&self, set: SourceSet) -> f64 {
+        self.tally().joint_recall(set)
+    }
+
+    fn joint_fpr(&self, set: SourceSet) -> f64 {
+        self.tally().joint_fpr(set)
+    }
+
+    fn joint_rates(&self, set: SourceSet) -> (f64, f64) {
+        self.tally().joint_rates(set)
     }
 }
 
@@ -1294,7 +1306,7 @@ mod tests {
 
     #[test]
     fn cache_counters_and_invalidation() {
-        let j = fig1_joint();
+        let mut j = fig1_joint();
         let s = set(&[1, 4, 5]);
         assert_eq!(j.cache_stats(), CacheStats::default());
         let first = j.joint_recall(s); // miss
@@ -1327,7 +1339,7 @@ mod tests {
     #[test]
     fn memo_eviction_bounds_entries_and_keeps_rates_bitwise() {
         let mut bounded = fig1_joint();
-        bounded.set_memo_capacity(Some(4)); // 1 entry per shard
+        bounded.set_memo_capacity(Some(4));
         let unbounded = fig1_joint();
         // Sweep the whole subset lattice twice: far more distinct
         // subsets than the bound, so eviction must kick in, and every
@@ -1348,9 +1360,9 @@ mod tests {
             }
         }
         let stats = bounded.delta_stats();
-        // Per-shard cap is ceil(4/16) = 1, so at most MEMO_SHARDS live.
+        // The cap is exact: at most 4 live across both tables.
         assert!(
-            stats.memo_entries <= MEMO_SHARDS as u64,
+            stats.memo_entries <= 4,
             "occupancy {} over bound",
             stats.memo_entries
         );
@@ -1370,7 +1382,7 @@ mod tests {
         assert_eq!(j.delta_stats().memo_entries, 31);
         j.set_memo_capacity(Some(4));
         let stats = j.delta_stats();
-        assert!(stats.memo_entries <= MEMO_SHARDS as u64);
+        assert!(stats.memo_entries <= 4);
         assert_eq!(
             stats.memo_evictions,
             31 - stats.memo_entries,
@@ -1388,6 +1400,148 @@ mod tests {
             assert_eq!(j.joint_recall(s).to_bits(), fresh.joint_recall(s).to_bits());
             assert_eq!(j.joint_fpr(s).to_bits(), fresh.joint_fpr(s).to_bits());
         }
+    }
+
+    /// The warm table takes no lock: while another thread holds the fill
+    /// lock, a reader still answers every warm subset, counting hits.
+    #[test]
+    fn warm_reads_never_wait_on_the_fill_lock() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let mut j = fig1_joint();
+        let want: Vec<(f64, f64)> = (1..32u64).map(|m| j.joint_rates(SourceSet(m))).collect();
+        j.take_dirty(); // folds the filled subsets into the warm table
+        let j = &j;
+        let (held_tx, held_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                let _fill = j.memo.fill();
+                held_tx.send(()).unwrap();
+                let _ = release_rx.recv();
+            });
+            held_rx.recv().unwrap();
+            s.spawn(move || {
+                let got: Vec<(f64, f64)> =
+                    (1..32u64).map(|m| j.joint_rates(SourceSet(m))).collect();
+                done_tx.send(got).unwrap();
+            });
+            let got = done_rx.recv_timeout(Duration::from_secs(10));
+            // Release the lock before judging, so a blocked reader ends.
+            release_tx.send(()).unwrap();
+            let got = got.expect("a warm read waited on the fill lock");
+            for (mask, (a, b)) in (1u64..).zip(got.iter().zip(&want)) {
+                assert_eq!(a.0.to_bits(), b.0.to_bits(), "r mask {mask:b}");
+                assert_eq!(a.1.to_bits(), b.1.to_bits(), "q mask {mask:b}");
+            }
+        });
+        assert_eq!(
+            j.cache_stats(),
+            CacheStats {
+                hits: 31,
+                misses: 31
+            }
+        );
+    }
+
+    /// A world wide enough that a 2-thread engine splits its triples.
+    fn patterned_world() -> Dataset {
+        let mut b = DatasetBuilder::new();
+        let sources: Vec<_> = (0..6).map(|i| b.source(format!("S{i}"))).collect();
+        for i in 0..300u64 {
+            let t = b.triple("x", "p", i.to_string());
+            let bits = i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 58;
+            for (k, &s) in sources.iter().enumerate() {
+                if bits >> k & 1 == 1 || i % 6 == k as u64 {
+                    b.observe(s, t);
+                }
+            }
+            if i % 3 != 0 {
+                b.label(t, bits.count_ones() >= 3);
+            }
+        }
+        b.build().unwrap()
+    }
+
+    /// One pass counts one hit or miss per term read, however the engine
+    /// splits it, and a second pass over the memoised subsets only hits.
+    #[test]
+    fn a_pass_counts_one_hit_or_miss_per_term_read() {
+        use crate::engine::ScoringEngine;
+        use crate::fuser::{ClusterStrategy, Fuser, FuserConfig, Method};
+        let ds = patterned_world();
+        let config = FuserConfig::new(Method::Exact).with_strategy(ClusterStrategy::SingleCluster);
+        let fit = || Fuser::fit(&config, &ds, ds.gold().unwrap()).unwrap();
+        let stats = |f: &Fuser| {
+            (0..f.n_cluster_units())
+                .filter_map(|i| f.cluster_joint(i))
+                .fold(CacheStats::default(), |acc, j| acc.merged(j.cache_stats()))
+        };
+        let two = ScoringEngine::with_threads(2).with_chunk_size(16);
+        let (serial, parallel) = (fit(), fit());
+        let want = serial
+            .score_all_with(&ds, &ScoringEngine::serial())
+            .unwrap();
+        let got = parallel.score_all_with(&ds, &two).unwrap();
+        for (a, b) in got.iter().zip(&want) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        let (s1, p1) = (stats(&serial), stats(&parallel));
+        let reads = s1.hits + s1.misses;
+        assert!(s1.hits > 0 && s1.misses > 0, "{s1:?}");
+        assert_eq!(p1.hits + p1.misses, reads);
+        parallel.score_all_with(&ds, &two).unwrap();
+        let p2 = stats(&parallel);
+        assert_eq!((p2.hits - p1.hits, p2.misses), (reads, p1.misses));
+    }
+
+    /// The fill lock's poisoning contract: only map operations run under
+    /// it, so a panic while it is held leaves both tables whole, and the
+    /// memo takes the poisoned lock over. Reads, fills and a fold then
+    /// return bitwise what an unpoisoned memo does.
+    #[test]
+    fn a_poisoned_fill_lock_is_taken_over() {
+        let clean = fig1_joint();
+        let mut poisoned = fig1_joint();
+        for mask in (1..32u64).step_by(2) {
+            let _ = poisoned.joint_rates(SourceSet(mask)); // fills 16
+        }
+        let p = &poisoned;
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _fill = p.memo.fill.lock();
+                panic!("poisoning the fill lock on purpose");
+            })
+            .join()
+            .is_err()
+        });
+        assert!(panicked && poisoned.memo.fill.is_poisoned());
+        let check = |j: &EmpiricalJoint| {
+            for mask in 1..32u64 {
+                let (s, c) = (SourceSet(mask), clean.joint_rates(SourceSet(mask)));
+                let (r, q) = j.joint_rates(s);
+                assert_eq!((r.to_bits(), q.to_bits()), (c.0.to_bits(), c.1.to_bits()));
+            }
+        };
+        check(&poisoned); // odd masks hit the fill table, even ones fill it
+        assert_eq!(
+            poisoned.cache_stats(),
+            CacheStats {
+                hits: 16,
+                misses: 31
+            }
+        );
+        poisoned.take_dirty(); // the fold takes the lock over too
+        assert_eq!(poisoned.delta_stats().memo_entries, 31);
+        check(&poisoned);
+        assert_eq!(
+            poisoned.cache_stats(),
+            CacheStats {
+                hits: 47,
+                misses: 31
+            }
+        );
     }
 
     fn fig1_joint_after(mutate: impl FnOnce(&mut EmpiricalJoint)) -> EmpiricalJoint {

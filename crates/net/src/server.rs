@@ -67,7 +67,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use corrfuse_obs::{Counter, Gauge, Histogram, MetricSample, MetricValue, Registry, Span};
 use corrfuse_serve::queue::Pop;
@@ -1084,34 +1084,30 @@ fn replicate(
     }
     frame.write_to(&mut writer)?;
     writer.flush()?;
-    // Shutdown story: the pusher wakes on `done` (ack reader exited),
-    // on the subscription closing (router shutdown, or the tap dropped
-    // a fallen-behind follower), or on a write failure; it then shuts
-    // the socket down, which unblocks the ack reader. Neither thread
-    // can strand the other.
-    let done = Arc::new(AtomicBool::new(false));
-    let push_done = Arc::clone(&done);
+    // Shutdown story: the pusher blocks on the subscription with no
+    // deadline and stops when it closes (the ack reader exited, the
+    // router shut down, or the tap dropped a fallen-behind follower) or
+    // on a write failure; it then shuts the socket down, which unblocks
+    // the ack reader. The ack reader, when it exits, shuts the socket
+    // down and closes the subscription, which wakes the pusher at once.
+    // Neither thread can strand the other.
+    let sub = Arc::new(sub);
+    let push_sub = Arc::clone(&sub);
     let pusher = std::thread::Builder::new()
         .name("corrfuse-net-push".to_string())
         .spawn(move || {
-            while !push_done.load(Ordering::SeqCst) {
-                match sub.recv_deadline(Some(Instant::now() + Duration::from_millis(50))) {
-                    Pop::Item(b) => {
-                        let (_, bytes) = Response::Batch {
-                            epoch: b.epoch,
-                            text: b.text,
-                        }
-                        .encode();
-                        if writer
-                            .write_all(&bytes)
-                            .and_then(|()| writer.flush())
-                            .is_err()
-                        {
-                            break;
-                        }
-                    }
-                    Pop::TimedOut => continue,
-                    Pop::Closed => break,
+            while let Pop::Item(b) = push_sub.recv_deadline(None) {
+                let (_, bytes) = Response::Batch {
+                    epoch: b.epoch,
+                    text: b.text,
+                }
+                .encode();
+                if writer
+                    .write_all(&bytes)
+                    .and_then(|()| writer.flush())
+                    .is_err()
+                {
+                    break;
                 }
             }
             let _ = writer.shutdown(std::net::Shutdown::Both);
@@ -1133,7 +1129,8 @@ fn replicate(
             Err(e) => break Err(e),
         }
     };
-    done.store(true, Ordering::SeqCst);
+    let _ = reader.get_ref().1.shutdown(std::net::Shutdown::Both);
+    sub.close();
     let _ = pusher.join();
     result
 }

@@ -95,6 +95,14 @@ impl Subscription {
     pub fn depth(&self) -> usize {
         self.queue.depth()
     }
+
+    /// End the subscription now, as dropping it would, from any thread
+    /// holding it: a receiver blocked in
+    /// [`Subscription::recv_deadline`] wakes and, once the buffered
+    /// batches are received, gets [`Pop::Closed`].
+    pub fn close(&self) {
+        self.queue.close();
+    }
 }
 
 impl Drop for Subscription {
@@ -227,6 +235,8 @@ impl ReplicaTap {
 mod tests {
     use super::*;
     use corrfuse_core::{SourceId, TripleId};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     fn batch(i: u32) -> Vec<Event> {
         vec![Event::claim(SourceId(i), TripleId(i))]
@@ -236,6 +246,30 @@ mod tests {
         let mut s = String::new();
         corrfuse_stream::codec::write_batch(events, &mut s);
         s
+    }
+
+    #[test]
+    fn close_wakes_a_receiver_blocked_with_no_deadline() {
+        let mut tap = ReplicaTap::new(ReplicationConfig::new(), 0);
+        let (_, sub) = tap.subscribe(0, 0, || unreachable!("backlog covers"));
+        let sub = Arc::new(sub);
+        let (ready_tx, ready_rx) = mpsc::channel();
+        let (tx, rx) = mpsc::channel();
+        let receiver = {
+            let sub = Arc::clone(&sub);
+            std::thread::spawn(move || {
+                ready_tx.send(()).unwrap();
+                tx.send(sub.recv_deadline(None)).unwrap();
+            })
+        };
+        ready_rx.recv().unwrap();
+        // The receiver is at its receive; give it time to park there. A
+        // close that lands first must read `Closed` all the same.
+        std::thread::sleep(Duration::from_millis(50));
+        sub.close();
+        let got = rx.recv_timeout(Duration::from_secs(10));
+        assert!(matches!(got, Ok(Pop::Closed)), "{got:?}");
+        receiver.join().unwrap();
     }
 
     #[test]
