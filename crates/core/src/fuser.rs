@@ -119,12 +119,6 @@ pub struct FuserConfig {
     /// Evicted subsets rescan on next touch, so scores never change —
     /// this is a memory ceiling for wide/long-running deployments.
     pub memo_capacity: Option<usize>,
-    /// Collect per-stage span timings in the layers above (streaming
-    /// sessions, serve shards). The core fitter itself never reads the
-    /// clock; this flag only travels with the config so instrumented
-    /// layers share one toggle. `false` (the default) makes every span
-    /// a no-op, preserving bitwise-identical behavior.
-    pub spans: bool,
 }
 
 impl FuserConfig {
@@ -137,7 +131,6 @@ impl FuserConfig {
             cluster: ClusterConfig::default(),
             max_exact_complement: crate::exact::DEFAULT_MAX_COMPLEMENT,
             memo_capacity: None,
-            spans: false,
         }
     }
 
@@ -156,12 +149,6 @@ impl FuserConfig {
     /// Builder-style subset-memo bound (entries per cluster joint).
     pub fn with_memo_capacity(mut self, max_entries: usize) -> Self {
         self.memo_capacity = Some(max_entries);
-        self
-    }
-
-    /// Builder-style span-timing toggle (see the `spans` field).
-    pub fn with_spans(mut self, spans: bool) -> Self {
-        self.spans = spans;
         self
     }
 }

@@ -53,6 +53,11 @@
 //!   [`ServerHandle::stop`] fires or a remote `SHUTDOWN` is honoured,
 //!   then gracefully shuts the router down and returns the final
 //!   [`RouterStats`].
+//! * An idle loop sleeps: `poll(2)` runs with no timeout. Besides the
+//!   listener and the connections, the loop registers the read end of a
+//!   doorbell, a `UnixStream` pair; [`ServerHandle::stop`] sets the
+//!   stop flag and writes one byte to the other end, which wakes the
+//!   loop even while its listener is parked at `max_connections`.
 //! * Backpressure propagates as protocol-level `BUSY` errors: when the
 //!   router's policy is `Reject`/`Timeout` a full shard queue turns
 //!   into a retryable [`ErrorCode::Busy`] response. A poisoned shard
@@ -63,6 +68,7 @@ use std::collections::HashMap;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -89,9 +95,15 @@ const READ_CHUNK: usize = 64 * 1024;
 /// memory.
 const WRITE_HIGH_WATER: usize = 1 << 20;
 
-/// The loop's registration token for the listener (connections get
-/// `slot + 1`).
+/// The loop's registration token for the listener.
 const LISTENER: Token = Token(0);
+
+/// The loop's registration token for its [`Doorbell`].
+const DOORBELL: Token = Token(1);
+
+/// The token of connection slot 0 (slot `i` registers as
+/// `FIRST_CONN + i`).
+const FIRST_CONN: usize = 2;
 
 /// Server configuration, shared by the leader's [`Server`] and the
 /// follower's read-only server.
@@ -255,10 +267,37 @@ impl<T> Reply<T> {
     }
 }
 
+/// The loop's doorbell: a connected socket pair whose read end the loop
+/// registers next to its listener. A ring writes one byte, so it wakes
+/// the loop whatever the listener's state, parked at `max_connections`
+/// included. Both ends live as long as the endpoint or any handle, so a
+/// ring never meets a closed peer.
+#[derive(Debug)]
+struct Doorbell {
+    rx: UnixStream,
+    tx: UnixStream,
+}
+
+impl Doorbell {
+    fn new() -> std::io::Result<Doorbell> {
+        let (rx, tx) = UnixStream::pair()?;
+        rx.set_nonblocking(true)?;
+        tx.set_nonblocking(true)?;
+        Ok(Doorbell { rx, tx })
+    }
+
+    /// Wake the loop. A full socket buffer (`WouldBlock`) already holds
+    /// a ring the loop has yet to drain.
+    fn ring(&self) {
+        let _ = (&self.tx).write(&[1]);
+    }
+}
+
 /// A handle that can stop a running server from another thread.
 #[derive(Debug, Clone)]
 pub struct ServerHandle {
     stop: Arc<AtomicBool>,
+    doorbell: Arc<Doorbell>,
     addr: SocketAddr,
 }
 
@@ -267,12 +306,12 @@ impl ServerHandle {
     /// connections are closed once the in-flight request finishes, and
     /// [`Server::serve`] returns after the graceful router shutdown —
     /// every *accepted* ingest batch is applied and journaled before
-    /// the final stats come back.
+    /// the final stats come back. Sets the stop flag, then rings the
+    /// loop's doorbell, which wakes the loop out of its untimed
+    /// `poll(2)` even while the listener is parked at capacity.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
-        // Wake the poll with a throwaway connection rather than waiting
-        // out its timeout slice; the accept path drops it unserved.
-        let _ = TcpStream::connect_timeout(&wake_addr(self.addr), Duration::from_millis(250));
+        self.doorbell.ring();
     }
 
     /// The server's bound address.
@@ -281,14 +320,15 @@ impl ServerHandle {
     }
 }
 
-/// A bound listener and its stop flag: the part of a server that does
-/// not depend on what it serves. The leader's [`Server`] and the
-/// follower's read-only server each wrap one and run
+/// A bound listener, its stop flag and doorbell: the part of a server
+/// that does not depend on what it serves. The leader's [`Server`] and
+/// the follower's read-only server each wrap one and run
 /// [`Endpoint::serve`] with their [`Service`].
 #[derive(Debug)]
 pub struct Endpoint {
     listener: TcpListener,
     stop: Arc<AtomicBool>,
+    doorbell: Arc<Doorbell>,
 }
 
 impl Endpoint {
@@ -297,6 +337,7 @@ impl Endpoint {
         Ok(Endpoint {
             listener: TcpListener::bind(addr)?,
             stop: Arc::new(AtomicBool::new(false)),
+            doorbell: Arc::new(Doorbell::new()?),
         })
     }
 
@@ -309,6 +350,7 @@ impl Endpoint {
     pub fn handle(&self) -> Result<ServerHandle> {
         Ok(ServerHandle {
             stop: Arc::clone(&self.stop),
+            doorbell: Arc::clone(&self.doorbell),
             addr: self.local_addr()?,
         })
     }
@@ -319,10 +361,15 @@ impl Endpoint {
     /// every connection and joins the take-over threads, so no clone of
     /// `service` made here outlives the call.
     pub fn serve<S: Service>(self, service: &Arc<S>, config: &ServerConfig) -> Result<()> {
-        let Endpoint { listener, stop } = self;
+        let Endpoint {
+            listener,
+            stop,
+            doorbell,
+        } = self;
         listener.set_nonblocking(true)?;
         let mut poller = Poller::new();
         poller.register(listener.as_raw_fd(), LISTENER, Interest::READABLE)?;
+        poller.register(doorbell.rx.as_raw_fd(), DOORBELL, Interest::READABLE)?;
         let metrics = config.metrics.as_ref().map(ReactorMetrics::new);
         let mut conns: Vec<Option<ReactorConn>> = Vec::new();
         let mut free: Vec<usize> = Vec::new();
@@ -336,12 +383,17 @@ impl Endpoint {
         let mut accept_paused = false;
 
         while !stop.load(Ordering::SeqCst) {
-            // The sliced timeout doubles as the stop check cadence.
-            poller.poll(&mut events, Some(Duration::from_millis(50)))?;
+            // No timeout: `ServerHandle::stop` rings the doorbell.
+            poller.poll(&mut events, None)?;
             if let Some(m) = &metrics {
                 m.wakeups.inc();
             }
             for &ev in &events {
+                if ev.token == DOORBELL {
+                    // Take the rings off; the loop condition reads the flag.
+                    while matches!((&doorbell.rx).read(&mut chunk), Ok(n) if n > 0) {}
+                    continue;
+                }
                 if ev.token == LISTENER {
                     accept_paused = accept_ready(
                         &listener,
@@ -355,7 +407,7 @@ impl Endpoint {
                     );
                     continue;
                 }
-                let slot = ev.token.0 - 1;
+                let slot = ev.token.0 - FIRST_CONN;
                 let Some(conn) = conns.get_mut(slot).and_then(Option::as_mut) else {
                     continue;
                 };
@@ -555,8 +607,8 @@ fn accept_ready(
         match listener.accept() {
             Ok((stream, _peer)) => {
                 if stop.load(Ordering::SeqCst) {
-                    // The stop wake-up (or a client racing it); the main
-                    // loop exits on its next check.
+                    // A client racing the stop; the main loop exits on
+                    // its next check.
                     return false;
                 }
                 if stream.set_nonblocking(true).is_err() {
@@ -568,7 +620,11 @@ fn accept_ready(
                     conns.len() - 1
                 });
                 if poller
-                    .register(stream.as_raw_fd(), Token(slot + 1), Interest::READABLE)
+                    .register(
+                        stream.as_raw_fd(),
+                        Token(slot + FIRST_CONN),
+                        Interest::READABLE,
+                    )
                     .is_err()
                 {
                     free.push(slot);
@@ -702,19 +758,6 @@ fn take_over<S: Service>(
 
 fn serve_to_net(e: ServeError) -> NetError {
     NetError::Protocol(format!("router shutdown failed: {e}"))
-}
-
-/// The address the stop wake-up dials: a wildcard bind (`0.0.0.0` /
-/// `::`) is not connectable on every platform, so substitute the
-/// loopback of the same family, keeping the bound port.
-fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
-    if addr.ip().is_unspecified() {
-        match addr {
-            SocketAddr::V4(_) => addr.set_ip(std::net::Ipv4Addr::LOCALHOST.into()),
-            SocketAddr::V6(_) => addr.set_ip(std::net::Ipv6Addr::LOCALHOST.into()),
-        }
-    }
-    addr
 }
 
 /// Per-connection cache of the per-frame-type wire histograms
@@ -978,47 +1021,30 @@ fn metrics_response(registry: Option<&Arc<Registry>>, router: &ShardRouter) -> R
         counter("serve_migrations_failed", agg.migrations_failed),
         gauge("serve_scoring_threads", agg.scoring_threads as i64),
     ]);
-    // Per-shard migration traffic: the summed counters cannot say which
-    // shard sheds tenants and which absorbs them.
-    for m in &agg.migrations {
-        if m.migrations_in + m.migrations_out + m.migrations_failed > 0 {
-            samples.push(counter(
-                &format!("serve_migrations_in_shard_{}", m.shard),
-                m.migrations_in,
-            ));
-            samples.push(counter(
-                &format!("serve_migrations_out_shard_{}", m.shard),
-                m.migrations_out,
-            ));
-            samples.push(counter(
-                &format!("serve_migrations_failed_shard_{}", m.shard),
-                m.migrations_failed,
-            ));
-        }
-    }
-    for q in &agg.queue {
-        samples.push(gauge(
-            &format!("serve_queue_depth_shard_{}", q.shard),
-            q.depth as i64,
-        ));
-        samples.push(gauge(
-            &format!("serve_queue_high_water_shard_{}", q.shard),
-            q.high_water as i64,
-        ));
-    }
-    // Replication epochs and lag. The lag gauge counts only shards with
-    // a live subscriber — an idle tap is not "behind", it has no
-    // follower to be behind.
+    // Per-shard series, read off `RouterStats::shards`. Migration
+    // traffic appears only for shards that had some. The lag gauge
+    // counts only shards with a live subscriber — an idle tap is not
+    // "behind", it has no follower to be behind.
     let mut lag: u64 = 0;
     for s in &stats.shards {
-        samples.push(gauge(
-            &format!("serve_epoch_shard_{}", s.shard),
-            s.epoch as i64,
-        ));
-        samples.push(gauge(
-            &format!("replica_applied_epoch_shard_{}", s.shard),
-            s.replica_acked_epoch as i64,
-        ));
+        let i = s.shard;
+        if s.migrations_in + s.migrations_out + s.migrations_failed > 0 {
+            for (way, v) in [
+                ("in", s.migrations_in),
+                ("out", s.migrations_out),
+                ("failed", s.migrations_failed),
+            ] {
+                samples.push(counter(&format!("serve_migrations_{way}_shard_{i}"), v));
+            }
+        }
+        for (series, v) in [
+            ("serve_queue_depth", s.queue_depth as u64),
+            ("serve_queue_high_water", s.max_queue_depth as u64),
+            ("serve_epoch", s.epoch),
+            ("replica_applied_epoch", s.replica_acked_epoch),
+        ] {
+            samples.push(gauge(&format!("{series}_shard_{i}"), v as i64));
+        }
         if s.replica_subscribers > 0 {
             lag += s.epoch.saturating_sub(s.replica_acked_epoch);
         }

@@ -4,13 +4,14 @@
 //! bytes it actually sent), write backpressure against a client that
 //! queries without reading, per-tenant ACL enforcement — including
 //! that a mixed-tenant client hitting a denied tenant cannot poison its
-//! allowed-tenant pipeline — and that a panicking request takes down
-//! neither its connection nor the loop.
+//! allowed-tenant pipeline — that a panicking request takes down
+//! neither its connection nor the loop, and that an idle loop sleeps
+//! until it is stopped.
 
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use corrfuse_core::dataset::{DatasetBuilder, SourceId};
 use corrfuse_core::fuser::{FuserConfig, Method};
@@ -20,6 +21,7 @@ use corrfuse_net::{
     AclTable, Client, ClientConfig, Conn, Endpoint, ErrorCode, Frame, NetError, Reply, Request,
     Response, Server, ServerConfig, Service,
 };
+use corrfuse_obs::Registry;
 use corrfuse_serve::{RouterConfig, ShardRouter, TenantId};
 use corrfuse_stream::Event;
 
@@ -498,4 +500,37 @@ fn a_panicking_request_is_answered_and_the_loop_serves_on() {
     join.join()
         .expect("the loop thread")
         .expect("serve returns Ok");
+}
+
+/// The loop polls with no timeout: an endpoint with no traffic records
+/// no wake-up after its first turns, and `stop()` still lands at once,
+/// through the doorbell rather than a tick.
+#[test]
+fn an_idle_endpoint_sleeps_until_stopped() {
+    let registry = Arc::new(Registry::new());
+    let server = Server::bind(
+        "127.0.0.1:0",
+        router(&[0]),
+        ServerConfig::new().with_metrics(Arc::clone(&registry)),
+    )
+    .unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let (handle, join) = spawn(server).unwrap();
+
+    // The PONG proves the loop has taken its turns and counted them; the
+    // connection then stays open and silent.
+    let mut client = Client::connect(&addr).unwrap();
+    client.ping().unwrap();
+    let wakeups = registry.counter("net_reactor_wakeups");
+    let turns = wakeups.get();
+    assert!(turns > 0, "the loop counts its turns");
+    std::thread::sleep(Duration::from_millis(300));
+    assert_eq!(wakeups.get(), turns, "an idle loop woke up");
+
+    let stopping = Instant::now();
+    handle.stop();
+    join.join().unwrap().unwrap();
+    let took = stopping.elapsed();
+    assert!(took < Duration::from_secs(1), "stop took {took:?}");
+    drop(client);
 }

@@ -12,10 +12,13 @@
 //! see where a batch's latency goes — queue wait vs. refit vs. journal
 //! fsync vs. wire. This crate supplies the primitives; the layers above
 //! thread them through behind per-layer toggles
-//! (`FuserConfig::with_spans`, `RouterConfig::with_metrics`,
-//! `ServerConfig::with_metrics`), and `corrfuse-net`'s `METRICS` frame
-//! carries a registry snapshot to remote operators. `docs/OBSERVABILITY.md`
-//! is the operator-facing catalog of every metric and span stage.
+//! (`RouterConfig::with_metrics`, `ServerConfig::with_metrics`,
+//! `FollowerConfig::with_metrics`), and `corrfuse-net`'s `METRICS` frame
+//! carries a registry snapshot to remote operators. The stream session
+//! times its own stages on every batch, toggle or not, and the layers
+//! above record those times rather than timing the call again.
+//! `docs/OBSERVABILITY.md` is the operator-facing catalog of every
+//! metric and span stage.
 //!
 //! # Design constraints
 //!
@@ -33,7 +36,9 @@
 //! * **Near-free when off.** A disabled [`Span`] records nothing and
 //!   reads no clock; the instrumented layers skip every registry touch
 //!   when their toggle is off, keeping the trust anchor's
-//!   bitwise-equivalence suites byte-identical.
+//!   bitwise-equivalence suites byte-identical. The session's stage
+//!   clock is the one span that is always on: a few clock reads per
+//!   batch that no score ever reads.
 //!
 //! ## Quick start
 //!

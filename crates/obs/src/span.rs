@@ -9,10 +9,13 @@ use crate::histogram::Histogram;
 /// `Span::start(enabled)` reads the monotonic clock only when `enabled`
 /// is true; a disabled span is a `None` and every observation on it is
 /// a constant 0 with no clock read and no histogram touch. This is the
-/// mechanism behind the layer toggles (`FuserConfig::with_spans` etc.):
-/// with the toggle off the instrumented code paths do no timing work at
-/// all, which is what keeps the bitwise-equivalence suites unperturbed
-/// and the overhead contract in `docs/OBSERVABILITY.md` honest.
+/// mechanism behind the layer toggles (`RouterConfig::with_metrics`
+/// etc.): with the toggle off the instrumented code paths do no timing
+/// work at all, which is what keeps the bitwise-equivalence suites
+/// unperturbed and the overhead contract in `docs/OBSERVABILITY.md`
+/// honest. The stream session's ingest stages are the exception: they
+/// start their spans enabled on every batch, and every layer above
+/// records those times instead of timing the call again.
 #[derive(Debug, Clone, Copy)]
 pub struct Span(Option<Instant>);
 

@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 use corrfuse_core::TripleId;
 use corrfuse_net::frame::VERSION;
 use corrfuse_net::{Frame, NetError, Request, Response, WireSubscriptionStart};
-use corrfuse_obs::{Counter, Histogram, Span};
+use corrfuse_obs::{Counter, Histogram};
 use corrfuse_serve::{derive_tenant_maps, extend_tenant_maps, ServeError, TenantId, TenantMap};
 use corrfuse_stream::StreamSession;
 
@@ -648,19 +648,18 @@ fn apply_batch(shared: &Shared, shard: usize, epoch: u64, text: &str) -> Result<
     }
     let before_sources = session.dataset().n_sources();
     let before_triples = session.dataset().n_triples();
-    let span = Span::start(shared.metrics.is_some());
     let outcome = st.session.as_mut().expect("session present").ingest(events);
-    if let Err(e) = outcome {
+    if outcome.is_err() {
         // A batch the leader committed failed to apply here: the
         // replica has diverged (or its journal died). Discard the shard
         // and let the next link bootstrap a fresh snapshot.
         st.session = None;
         st.maps.clear();
         st.apply_errors += 1;
-        return Err(e.into());
     }
+    let delta = outcome?;
     if let Some(m) = &shared.metrics {
-        m.apply_ns.record(span.elapsed_ns());
+        m.apply_ns.record(delta.elapsed_ns + delta.journal_ns);
         m.batches.inc();
     }
     let ShardState { session, maps, .. } = &mut *st;

@@ -149,10 +149,10 @@ pub struct RouterConfig {
     /// Observability registry. When set, shard workers record queue
     /// wait, batch assembly, per-[`corrfuse_stream::RefitLevel`] refit,
     /// rescore, sketch and journal latencies into named histograms (see
-    /// `docs/OBSERVABILITY.md`), push per-batch traces into the
-    /// registry's trace ring, and each shard session runs with
-    /// `FuserConfig::spans` on. `None` (the default) records nothing —
-    /// no clock reads beyond the always-on per-ingest totals.
+    /// `docs/OBSERVABILITY.md`) and push per-batch traces into the
+    /// registry's trace ring. The stage times come from each batch's
+    /// `ScoredDelta`, which the session always measures. `None` (the
+    /// default) records nothing.
     pub metrics: Option<Arc<Registry>>,
     /// Leader-side replication tap. When set, every shard records its
     /// committed batches into a bounded backlog and accepts follower

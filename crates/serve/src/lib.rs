@@ -130,5 +130,5 @@ pub use migration::{
 };
 pub use replica::{ReplicaBatch, Subscription, SubscriptionStart};
 pub use router::{ShardRouter, ShardSnapshot};
-pub use stats::{RouterAggregate, RouterStats, ShardMigrationStat, ShardQueueStat, ShardStats};
+pub use stats::{RouterStats, ShardStats};
 pub use tenant::{derive_tenant_maps, extend_tenant_maps, TenantId, TenantMap};

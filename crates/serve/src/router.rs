@@ -106,18 +106,11 @@ impl ShardRouter {
     /// use the builder's provision-inferred scopes, mirroring
     /// `corrfuse_stream::replay`.
     pub fn new(
-        mut fuser: FuserConfig,
+        fuser: FuserConfig,
         config: RouterConfig,
         seeds: Vec<(TenantId, Dataset)>,
     ) -> Result<ShardRouter> {
         config.validate()?;
-        // A metrics registry implies per-stage timing: the shard
-        // sessions collect their stage breakdowns so the worker has
-        // something to record. (`spans` alone, without a registry,
-        // only surfaces timings on each `ScoredDelta`.)
-        if config.metrics.is_some() {
-            fuser.spans = true;
-        }
         let n = config.n_shards;
         let mut seen: HashSet<TenantId> = HashSet::new();
         for (t, _) in &seeds {
@@ -152,20 +145,15 @@ impl ShardRouter {
                     .journal_to(j.shard_path(i), j.fsync)
                     .map_err(ServeError::Fusion)?;
             }
-            let stats = ShardStats {
-                shard: i,
-                tenants: tenants.len(),
-                n_sources: session.dataset().n_sources(),
-                n_triples: session.dataset().n_triples(),
-                journal_bytes: session.journal_bytes(),
-                ..ShardStats::default()
-            };
             let poison = Arc::new(PoisonCell::new());
             let core = Arc::new(Mutex::new(ShardCore {
                 session,
                 tenants,
                 next_domain,
-                stats,
+                stats: ShardStats {
+                    shard: i,
+                    ..ShardStats::default()
+                },
                 batches_since_rotation: 0,
                 poison: Arc::clone(&poison),
                 tap: config.replication.clone().map(|r| ReplicaTap::new(r, 0)),
@@ -890,7 +878,6 @@ impl ShardRouter {
             .stats
             .migrations_in += 1;
         if let Some(reg) = &self.config.metrics {
-            reg.counter("serve_migrations_total").inc();
             reg.gauge("serve_migrations_active").add(-1);
         }
         Ok(MigrationReport {
@@ -984,7 +971,6 @@ impl ShardRouter {
             .stats
             .migrations_failed += 1;
         if let Some(reg) = &self.config.metrics {
-            reg.counter("serve_migrations_failed_total").inc();
             reg.gauge("serve_migrations_active").add(-1);
         }
         ServeError::MigrationFailed {

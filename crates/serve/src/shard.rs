@@ -25,11 +25,15 @@
 //! [`crate::ServeError::ShardPoisoned`], and reports
 //! [`ShardStats::poisoned`]; the last consistent state stays readable
 //! through [`crate::ShardRouter::shard_snapshot`] so an operator can
-//! rebuild the shard from its journal. Journal rotation runs outside
-//! the batch path; a rotation failure is recorded but neither retries
-//! the batch nor poisons the shard.
+//! rebuild the shard from its journal. A panic while applying a batch
+//! poisons the shard the same way: the worker catches it with the core
+//! lock held, so the lock itself stays usable, though the snapshot may
+//! then hold part of that batch. Journal rotation runs
+//! outside the batch path; a rotation failure is recorded but neither
+//! retries the batch nor poisons the shard.
 
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -71,7 +75,7 @@ pub(crate) struct ShardSpans {
     pub queue_wait: Arc<Histogram>,
     /// First pop → already-queued messages drained, per batch.
     pub assembly: Arc<Histogram>,
-    /// Whole `StreamSession::ingest` call, per batch.
+    /// Session apply, rescore and journal time, per batch.
     pub ingest: Arc<Histogram>,
     /// Refit stage on `RefitLevel::Model` batches.
     pub refit_model: Arc<Histogram>,
@@ -237,7 +241,9 @@ pub(crate) fn run_worker(p: WorkerParams) {
         }
         {
             let mut core = p.core.lock().expect("shard core lock");
-            apply_batch(&mut core, &msgs, p.journal.as_ref(), spans);
+            contain_panic(&mut core, msgs.len(), |core| {
+                apply_batch(core, &msgs, p.journal.as_ref(), spans);
+            });
             core.stats.processed_messages += msgs.len() as u64;
         }
         p.progress.add(msgs.len() as u64);
@@ -293,6 +299,26 @@ pub(crate) fn apply_batch(
     }
 }
 
+/// Run one batch `apply` on the locked core with a panic contained to
+/// this shard. The caller holds the guard outside the closure, so an
+/// unwinding apply never poisons the core lock: the panic poisons the
+/// shard instead (its message becomes the [`PoisonCell`] reason) and
+/// the batch's `n_msgs` messages count as dropped. The worker then
+/// serves on as for any poisoned shard: it refuses what is queued,
+/// flushes complete, and reads answer [`crate::ServeError::ShardPoisoned`].
+fn contain_panic(core: &mut ShardCore, n_msgs: usize, apply: impl FnOnce(&mut ShardCore)) {
+    let Err(payload) = catch_unwind(AssertUnwindSafe(|| apply(&mut *core))) else {
+        return;
+    };
+    let message = payload
+        .downcast_ref::<&str>()
+        .map(|m| (*m).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string());
+    let _ = core.poison.set(format!("batch apply panicked: {message}"));
+    refuse_poisoned(core, n_msgs);
+}
+
 /// Record a message's front-door-to-pop latency, when both the shard
 /// records metrics and the message carries its enqueue stamp.
 fn record_queue_wait(spans: Option<&ShardSpans>, msg: &Msg) {
@@ -344,9 +370,7 @@ fn try_apply(core: &mut ShardCore, msgs: &[Msg], spans: Option<&ShardSpans>) -> 
     } = core;
     let tr = translate(tenants, session.dataset(), *next_domain, msgs)?;
     let dims_before = (session.dataset().n_sources(), session.dataset().n_triples());
-    let t0 = Instant::now();
     let result = session.ingest(&tr.events);
-    let ns = t0.elapsed().as_nanos() as u64;
     let dims_after = (session.dataset().n_sources(), session.dataset().n_triples());
     // Input errors are detected before any mutation, so a failed ingest
     // normally discards the pending maps with the batch. The exception is
@@ -371,6 +395,8 @@ fn try_apply(core: &mut ShardCore, msgs: &[Msg], spans: Option<&ShardSpans>) -> 
             return Err(e);
         }
     };
+    // The session's own clock: apply and rescore, then the journal.
+    let ns = delta.elapsed_ns + delta.journal_ns;
     if let Some(tap) = tap {
         // Publish under the same lock that committed the batch: the
         // session's post-commit epoch stamps it, and subscription
@@ -384,7 +410,6 @@ fn try_apply(core: &mut ShardCore, msgs: &[Msg], spans: Option<&ShardSpans>) -> 
     }
     stats.ingested_events += tr.events.len() as u64;
     stats.max_batch_events = stats.max_batch_events.max(tr.events.len() as u64);
-    stats.total_ingest_ns += ns;
     stats.max_ingest_ns = stats.max_ingest_ns.max(ns);
     stats.rescored += delta.rescored.len() as u64;
     stats.flips += delta.flips.len() as u64;
@@ -412,29 +437,25 @@ fn try_apply(core: &mut ShardCore, msgs: &[Msg], spans: Option<&ShardSpans>) -> 
         if delta.journal_ns > 0 {
             sp.journal.record(delta.journal_ns);
         }
-        // The session runs with `FuserConfig::spans` on whenever the
-        // router records metrics (see `ShardRouter::new`), so the
-        // per-stage breakdown is present.
-        if let Some(st) = delta.stages {
-            match delta.refit {
-                RefitLevel::None => {}
-                RefitLevel::Model => sp.refit_model.record(st.refit_ns),
-                RefitLevel::Cluster => sp.refit_cluster.record(st.refit_ns),
-                RefitLevel::Full => sp.refit_full.record(st.refit_ns),
-            }
-            sp.rescore.record(st.rescore_ns);
-            sp.sketch.record(st.sketch_ns);
-            sp.registry.traces().push(
-                &sp.label,
-                ns,
-                vec![
-                    ("sketch".to_string(), st.sketch_ns),
-                    ("refit".to_string(), st.refit_ns),
-                    ("rescore".to_string(), st.rescore_ns),
-                    ("journal".to_string(), delta.journal_ns),
-                ],
-            );
+        let st = delta.stages;
+        match delta.refit {
+            RefitLevel::None => {}
+            RefitLevel::Model => sp.refit_model.record(st.refit_ns),
+            RefitLevel::Cluster => sp.refit_cluster.record(st.refit_ns),
+            RefitLevel::Full => sp.refit_full.record(st.refit_ns),
         }
+        sp.rescore.record(st.rescore_ns);
+        sp.sketch.record(st.sketch_ns);
+        sp.registry.traces().push(
+            &sp.label,
+            ns,
+            vec![
+                ("sketch".to_string(), st.sketch_ns),
+                ("refit".to_string(), st.refit_ns),
+                ("rescore".to_string(), st.rescore_ns),
+                ("journal".to_string(), delta.journal_ns),
+            ],
+        );
     }
     *batches_since_rotation += 1;
     Ok(())
@@ -644,14 +665,12 @@ mod tests {
         }
     }
 
-    /// Run a worker over a two-tenant shard whose queue was filled with
-    /// `msgs` and closed before the worker started, so every message is
-    /// already queued at its first pop; returns the core it left.
-    fn run_queued(msgs: Vec<Msg>, max_batch_events: usize) -> ShardCore {
+    /// A two-tenant shard core over [`seed`].
+    fn two_tenant_core() -> ShardCore {
         let (ds, tenants, next_domain) =
             merge_seeds(&[(TenantId(0), seed()), (TenantId(1), seed())]).unwrap();
         let config = FuserConfig::new(Method::PrecRec).with_alpha(0.5);
-        let core = Arc::new(Mutex::new(ShardCore {
+        ShardCore {
             session: StreamSession::with_engine(config, ds, ScoringEngine::serial()).unwrap(),
             tenants,
             next_domain,
@@ -659,7 +678,14 @@ mod tests {
             batches_since_rotation: 0,
             poison: Arc::default(),
             tap: None,
-        }));
+        }
+    }
+
+    /// Run a worker over a two-tenant shard whose queue was filled with
+    /// `msgs` and closed before the worker started, so every message is
+    /// already queued at its first pop; returns the core it left.
+    fn run_queued(msgs: Vec<Msg>, max_batch_events: usize) -> ShardCore {
+        let core = Arc::new(Mutex::new(two_tenant_core()));
         let queue = Arc::new(Queue::new(msgs.len()));
         for m in msgs {
             queue.push(m, Backpressure::Reject).unwrap();
@@ -708,5 +734,29 @@ mod tests {
         assert_eq!(core.tenants[&TenantId(0)].triples.len(), 2);
         assert_eq!(core.tenants[&TenantId(1)].triples.len(), 3);
         assert!(core.poison.get().is_none());
+    }
+
+    #[test]
+    fn a_panicking_apply_poisons_the_shard_not_its_lock() {
+        let core = Mutex::new(two_tenant_core());
+        {
+            let mut guard = core.lock().unwrap();
+            contain_panic(&mut guard, 2, |_| panic!("apply blew up"));
+        }
+        let mut guard = core.lock().expect("the core lock is not poisoned");
+        let reason = guard.poison.get().expect("the shard is poisoned");
+        assert!(
+            reason.contains("apply blew up"),
+            "unexpected reason: {reason}"
+        );
+        assert_eq!(guard.stats.ingest_errors, 2);
+
+        // The next message is refused and counted, and nothing applies.
+        apply_batch(&mut guard, &[grow(0, 2)], None, None);
+        assert_eq!(guard.stats.ingest_errors, 3);
+        let err = guard.stats.last_error.as_deref().unwrap_or_default();
+        assert!(err.contains("shard poisoned"), "unexpected error: {err}");
+        assert_eq!(guard.session.dataset().n_triples(), 4);
+        assert_eq!(guard.stats.batches, 0);
     }
 }

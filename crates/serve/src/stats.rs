@@ -31,12 +31,13 @@ pub struct ShardStats {
     pub ingest_errors: u64,
     /// Human-readable description of the most recent error.
     pub last_error: Option<String>,
-    /// A post-validation error left the shard session in an undefined
-    /// state: it stopped applying messages, and ingest/queries against
-    /// it fail with the typed `ServeError::ShardPoisoned` (protocol
-    /// error `SHARD_POISONED` over the wire). The last consistent state
-    /// stays readable via `ShardRouter::shard_snapshot`; rebuild the
-    /// shard from its journal to recover.
+    /// A post-validation error or a panicking batch apply left the
+    /// shard session in an undefined state: it stopped applying
+    /// messages, and ingest/queries against it fail with the typed
+    /// `ServeError::ShardPoisoned` (protocol error `SHARD_POISONED` over
+    /// the wire). The last state stays readable via
+    /// `ShardRouter::shard_snapshot`; rebuild the shard from its journal
+    /// to recover.
     pub poisoned: bool,
     /// Queue depth at snapshot time.
     pub queue_depth: usize,
@@ -44,20 +45,18 @@ pub struct ShardStats {
     pub max_queue_depth: usize,
     /// Largest single micro-batch, in events.
     pub max_batch_events: u64,
-    /// Total wall time spent inside `ingest`, in nanoseconds.
-    pub total_ingest_ns: u64,
     /// Slowest single micro-batch, in nanoseconds.
     pub max_ingest_ns: u64,
-    /// `total_ingest_ns` attributed to fast-path batches
-    /// (`RefitLevel::None`). The four `ingest_ns_*` counters partition
-    /// `total_ingest_ns`, so slow ingests are attributable to their
-    /// refit level without enabling span tracing.
+    /// Ingest time of fast-path batches (`RefitLevel::None`), in
+    /// nanoseconds: the session's apply, rescore and journal time
+    /// (`ScoredDelta::elapsed_ns + journal_ns`). The four `ingest_ns_*`
+    /// counters partition the shard's total ingest time by refit level.
     pub ingest_ns_none: u64,
-    /// `total_ingest_ns` attributed to `RefitLevel::Model` batches.
+    /// Ingest time of `RefitLevel::Model` batches.
     pub ingest_ns_model: u64,
-    /// `total_ingest_ns` attributed to `RefitLevel::Cluster` batches.
+    /// Ingest time of `RefitLevel::Cluster` batches.
     pub ingest_ns_cluster: u64,
-    /// `total_ingest_ns` attributed to `RefitLevel::Full` batches.
+    /// Ingest time of `RefitLevel::Full` batches.
     pub ingest_ns_full: u64,
     /// Triples re-scored across all batches.
     pub rescored: u64,
@@ -151,114 +150,35 @@ impl ShardStats {
         if self.batches == 0 {
             0.0
         } else {
-            self.total_ingest_ns as f64 / self.batches as f64
+            let total = self.ingest_ns_none
+                + self.ingest_ns_model
+                + self.ingest_ns_cluster
+                + self.ingest_ns_full;
+            total as f64 / self.batches as f64
         }
     }
 }
 
-/// One shard's queue pressure, preserved through aggregation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardQueueStat {
-    /// Shard index.
-    pub shard: usize,
-    /// Queue depth at snapshot time.
-    pub depth: usize,
-    /// Queue high-water mark since start.
-    pub high_water: usize,
-}
-
-/// One shard's migration traffic, preserved through aggregation: the
-/// summed totals say how many migrations happened, but rebalancing
-/// diagnostics need to know *which* shards are shedding or absorbing
-/// tenants and where rollbacks cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardMigrationStat {
-    /// Shard index.
-    pub shard: usize,
-    /// Migrations committed into this shard.
-    pub migrations_in: u64,
-    /// Migrations committed out of this shard.
-    pub migrations_out: u64,
-    /// Migrations rolled back with this shard as the source.
-    pub migrations_failed: u64,
-}
-
-/// Aggregated router counters plus the per-shard queue detail that a
-/// single summed/maxed row cannot carry.
-///
-/// The workspace-wide maxima in [`RouterAggregate::totals`] say *how
-/// hot* the hottest queue got but not *which* shard it was, or whether
-/// the pressure was one skewed shard or uniform load —
-/// [`RouterAggregate::queue`] keeps that, as groundwork for
-/// queue-depth-driven rebalancing (ROADMAP item 4). Migration counters
-/// have the same shape ([`RouterAggregate::migrations`]): a summed
-/// `migrations_in` cannot say which shard is absorbing the fleet.
-///
-/// Derefs to [`ShardStats`] (the totals row), so existing callers of
-/// [`RouterStats::aggregate`] keep reading summed counters field-for-
-/// field unchanged.
-#[derive(Debug, Clone)]
-pub struct RouterAggregate {
-    /// Summed/maxed counters across shards (`shard` holds the shard
-    /// count; see [`RouterStats::aggregate`] for the folding rules).
-    pub totals: ShardStats,
-    /// Per-shard queue depth and high-water mark, in shard order.
-    pub queue: Vec<ShardQueueStat>,
-    /// Per-shard migration traffic, in shard order.
-    pub migrations: Vec<ShardMigrationStat>,
-}
-
-impl std::ops::Deref for RouterAggregate {
-    type Target = ShardStats;
-
-    fn deref(&self) -> &ShardStats {
-        &self.totals
-    }
-}
-
-impl RouterAggregate {
-    /// The shard whose queue high-water mark is largest (ties resolve
-    /// to the lowest shard index); `None` with no shards.
-    pub fn hottest_shard(&self) -> Option<ShardQueueStat> {
-        self.queue
-            .iter()
-            .copied()
-            .max_by(|a, b| a.high_water.cmp(&b.high_water).then(b.shard.cmp(&a.shard)))
-    }
-}
-
-/// Stats for every shard plus aggregate views.
+/// Stats for every shard, plus their aggregate.
 #[derive(Debug, Clone, Default)]
 pub struct RouterStats {
-    /// One entry per shard, in shard order.
+    /// One entry per shard, in shard order: the only home of per-shard
+    /// detail (queue depth and high-water mark, migrations, epochs).
     pub shards: Vec<ShardStats>,
 }
 
 impl RouterStats {
-    /// Fold the per-shard counters into one aggregate row, keeping the
-    /// per-shard queue detail alongside. In the totals, `shard` is the
-    /// shard count, `queue_depth`/`max_queue_depth`/`epoch`/
+    /// Fold the per-shard counters into one aggregate row. `shard` is
+    /// the shard count, `queue_depth`/`max_queue_depth`/`epoch`/
     /// `replica_acked_epoch` are maxima, `last_error` is the first one
-    /// found; everything else sums.
-    pub fn aggregate(&self) -> RouterAggregate {
+    /// found; everything else sums. Which shard contributed what stays
+    /// readable in [`RouterStats::shards`].
+    pub fn aggregate(&self) -> ShardStats {
         let mut agg = ShardStats {
             shard: self.shards.len(),
             ..ShardStats::default()
         };
-        let mut queue = Vec::with_capacity(self.shards.len());
-        let mut migrations = Vec::with_capacity(self.shards.len());
         for s in &self.shards {
-            queue.push(ShardQueueStat {
-                shard: s.shard,
-                depth: s.queue_depth,
-                high_water: s.max_queue_depth,
-            });
-            migrations.push(ShardMigrationStat {
-                shard: s.shard,
-                migrations_in: s.migrations_in,
-                migrations_out: s.migrations_out,
-                migrations_failed: s.migrations_failed,
-            });
             agg.tenants += s.tenants;
             agg.enqueued_messages += s.enqueued_messages;
             agg.rejected_messages += s.rejected_messages;
@@ -274,7 +194,6 @@ impl RouterStats {
             agg.queue_depth = agg.queue_depth.max(s.queue_depth);
             agg.max_queue_depth = agg.max_queue_depth.max(s.max_queue_depth);
             agg.max_batch_events = agg.max_batch_events.max(s.max_batch_events);
-            agg.total_ingest_ns += s.total_ingest_ns;
             agg.max_ingest_ns = agg.max_ingest_ns.max(s.max_ingest_ns);
             agg.ingest_ns_none += s.ingest_ns_none;
             agg.ingest_ns_model += s.ingest_ns_model;
@@ -305,11 +224,7 @@ impl RouterStats {
             agg.migrations_failed += s.migrations_failed;
             agg.scoring_threads += s.scoring_threads;
         }
-        RouterAggregate {
-            totals: agg,
-            queue,
-            migrations,
-        }
+        agg
     }
 }
 
@@ -331,7 +246,6 @@ mod tests {
                     queue_depth: 1,
                     max_queue_depth: 5,
                     max_ingest_ns: 50,
-                    total_ingest_ns: 100,
                     ingest_ns_none: 40,
                     ingest_ns_model: 50,
                     ingest_ns_cluster: 10,
@@ -365,7 +279,6 @@ mod tests {
                     queue_depth: 4,
                     max_queue_depth: 4,
                     max_ingest_ns: 80,
-                    total_ingest_ns: 80,
                     ingest_ns_model: 30,
                     ingest_ns_full: 50,
                     journal_bytes: Some(500),
@@ -442,34 +355,14 @@ mod tests {
         assert!((agg.mean_ingest_ns() - 36.0).abs() < 1e-9);
         assert_eq!(ShardStats::default().mean_batch_events(), 0.0);
         assert_eq!(ShardStats::default().mean_ingest_ns(), 0.0);
-
-        // The aggregate keeps the per-shard queue detail the summed row
-        // can't carry: shard 1 had the deeper standing queue, shard 0
-        // the higher high-water mark.
-        assert_eq!(
-            agg.queue,
-            vec![
-                ShardQueueStat {
-                    shard: 0,
-                    depth: 1,
-                    high_water: 5,
-                },
-                ShardQueueStat {
-                    shard: 1,
-                    depth: 4,
-                    high_water: 4,
-                },
-            ]
-        );
-        assert_eq!(agg.hottest_shard().map(|q| q.shard), Some(0));
     }
 
     #[test]
     fn aggregate_keeps_per_shard_migration_detail() {
-        // Same bug class as the queue high-water fix: summed totals
-        // cannot say which shard sheds and which absorbs. Shard 0 sent
-        // two tenants away (one attempt rolled back), shard 1 received
-        // both; the flattened row would read 2/2/1 and lose direction.
+        // Summed totals cannot say which shard sheds and which absorbs.
+        // Shard 0 sent two tenants away (one attempt rolled back), shard
+        // 1 received both; the flattened row reads 2/2/1 and loses
+        // direction, which stays readable in `RouterStats::shards`.
         let stats = RouterStats {
             shards: vec![
                 ShardStats {
@@ -493,43 +386,18 @@ mod tests {
             (2, 2, 1)
         );
         assert_eq!(agg.scoring_threads, 4);
-        assert_eq!(
-            agg.migrations,
-            vec![
-                ShardMigrationStat {
-                    shard: 0,
-                    migrations_in: 0,
-                    migrations_out: 2,
-                    migrations_failed: 1,
-                },
-                ShardMigrationStat {
-                    shard: 1,
-                    migrations_in: 2,
-                    migrations_out: 0,
-                    migrations_failed: 0,
-                },
-            ]
-        );
-    }
-
-    #[test]
-    fn hottest_shard_handles_edge_cases() {
-        assert!(RouterStats::default().aggregate().hottest_shard().is_none());
-        // Ties resolve to the lowest shard index.
-        let tied = RouterStats {
-            shards: vec![
-                ShardStats {
-                    shard: 0,
-                    max_queue_depth: 7,
-                    ..ShardStats::default()
-                },
-                ShardStats {
-                    shard: 1,
-                    max_queue_depth: 7,
-                    ..ShardStats::default()
-                },
-            ],
-        };
-        assert_eq!(tied.aggregate().hottest_shard().map(|q| q.shard), Some(0));
+        let per_shard: Vec<_> = stats
+            .shards
+            .iter()
+            .map(|s| {
+                (
+                    s.shard,
+                    s.migrations_in,
+                    s.migrations_out,
+                    s.migrations_failed,
+                )
+            })
+            .collect();
+        assert_eq!(per_shard, vec![(0, 0, 2, 1), (1, 2, 0, 0)]);
     }
 }

@@ -107,10 +107,10 @@ pub struct ScoredTriple {
     pub after: f64,
 }
 
-/// Per-stage wall-clock breakdown of one ingest, collected only when
-/// [`FuserConfig::spans`] is on (see `docs/OBSERVABILITY.md` for the
-/// stage map). Stages don't sum to the outcome's `elapsed_ns`: event
-/// application and bookkeeping run between them untimed.
+/// Per-stage wall-clock breakdown of one ingest, measured on every batch
+/// (see `docs/OBSERVABILITY.md` for the stage map). Stages don't sum to
+/// the outcome's `elapsed_ns`: event application and bookkeeping run
+/// between them untimed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
     /// Lift-sketch admission / candidate rescan time.
@@ -135,13 +135,11 @@ pub struct IngestOutcome {
     /// On a [`RefitLevel::Cluster`] batch, how many cluster units were
     /// reused vs. refitted by the re-clustering.
     pub reconcile: Option<ClusterReconcile>,
-    /// End-to-end ingest time in nanoseconds. Always measured — two
-    /// clock reads per batch — so callers can attribute slow ingests to
-    /// their [`RefitLevel`] without enabling full tracing.
+    /// End-to-end ingest time in nanoseconds, so callers can attribute
+    /// slow ingests to their [`RefitLevel`].
     pub elapsed_ns: u64,
-    /// Per-stage breakdown; `Some` only when [`FuserConfig::spans`] is
-    /// enabled.
-    pub stages: Option<StageTimings>,
+    /// Per-stage breakdown, read off the same clock as `elapsed_ns`.
+    pub stages: StageTimings,
 }
 
 /// Dirt accumulated while applying one batch of events.
@@ -360,7 +358,6 @@ impl IncrementalFuser {
     /// the batch; treat the session as poisoned then and rebuild it from
     /// the journal or a snapshot.
     pub fn ingest(&mut self, batch: &[Event], engine: &ScoringEngine) -> Result<IngestOutcome> {
-        let spans = self.config.spans;
         let total_span = Span::start(true);
         self.validate_batch(batch)?;
         let stats_before = self.patterns.stats;
@@ -370,7 +367,7 @@ impl IncrementalFuser {
         // and refit only if the partition differs. (Scope expansions can
         // move pair counts without dirtying the quality model, so this
         // check is independent of `dirt.model`.)
-        let sketch_span = Span::start(spans);
+        let sketch_span = Span::start(true);
         let mut new_clustering: Option<Clustering> = None;
         if !dirt.full {
             if let Some(lift) = &mut self.lift {
@@ -394,7 +391,7 @@ impl IncrementalFuser {
             RefitLevel::None
         };
         let mut reconcile = None;
-        let refit_span = Span::start(spans);
+        let refit_span = Span::start(true);
         match refit {
             RefitLevel::Full => {
                 let gold = self.ds.require_gold()?.clone();
@@ -422,7 +419,7 @@ impl IncrementalFuser {
             RefitLevel::None => {}
         }
         let refit_ns = refit_span.elapsed_ns();
-        let rescore_span = Span::start(spans);
+        let rescore_span = Span::start(true);
         let rescored = match refit {
             RefitLevel::None => {
                 let dirty: Vec<TripleId> = dirt.touched.iter().copied().collect();
@@ -444,11 +441,11 @@ impl IncrementalFuser {
             },
             reconcile,
             elapsed_ns: total_span.elapsed_ns(),
-            stages: spans.then_some(StageTimings {
+            stages: StageTimings {
                 sketch_ns,
                 refit_ns,
                 rescore_ns,
-            }),
+            },
         })
     }
 

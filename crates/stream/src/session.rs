@@ -38,9 +38,8 @@ pub struct ScoredDelta {
     /// Journal append + fsync time in nanoseconds; 0 when the session
     /// isn't journaling.
     pub journal_ns: u64,
-    /// Per-stage breakdown, `Some` only when the session's
-    /// [`FuserConfig::spans`] toggle is on.
-    pub stages: Option<StageTimings>,
+    /// Per-stage breakdown of `elapsed_ns`.
+    pub stages: StageTimings,
 }
 
 /// A live fusion session: seed snapshot + stream of micro-batches.

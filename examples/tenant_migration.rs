@@ -100,10 +100,10 @@ fn main() {
     let stats = router.stats();
     let agg = stats.aggregate();
     println!("\n== migration ledger ==");
-    for m in &agg.migrations {
+    for s in &stats.shards {
         println!(
             "shard {}: {} in, {} out, {} failed",
-            m.shard, m.migrations_in, m.migrations_out, m.migrations_failed
+            s.shard, s.migrations_in, s.migrations_out, s.migrations_failed
         );
     }
     println!(

@@ -84,9 +84,7 @@ fn bounded_session_stays_bitwise_equal_to_unbounded() {
             sample_size: 256,
             margin: 0.5,
         };
-        // Per-joint ceiling: the memo shards round the cap up to one
-        // entry per shard (16 shards).
-        let per_joint_bound = 16 * bounded.memo_capacity.unwrap().div_ceil(16) as u64;
+        let cap = bounded.memo_capacity.unwrap() as u64;
         let (seed, batches) = label_churn_stream(&spec).expect("churn generation succeeds");
         let mut capped = StreamSession::with_engine(bounded, seed.clone(), ScoringEngine::serial())
             .expect("bounded session fits");
@@ -109,7 +107,7 @@ fn bounded_session_stays_bitwise_equal_to_unbounded() {
                 );
             }
             let stats = capped.joint_delta_stats();
-            let memo_bound = per_joint_bound * capped.fuser().n_cluster_units() as u64;
+            let memo_bound = cap * capped.fuser().n_cluster_units() as u64;
             assert!(
                 stats.memo_entries <= memo_bound,
                 "batch {i}: {} memo entries over the {memo_bound} bound",

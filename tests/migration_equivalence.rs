@@ -212,11 +212,23 @@ fn migrated_tenant_equals_never_migrated_twin() {
 
         // The migration ledger balances: every commit moved the tenant
         // in somewhere and out somewhere, every chaos abort failed once.
-        let agg = router.stats().aggregate();
+        let stats = router.stats();
+        let agg = stats.aggregate();
         assert_eq!(agg.migrations_in, successes, "commits in");
         assert_eq!(agg.migrations_out, successes, "commits out");
         assert_eq!(agg.migrations_failed, crashes, "rollbacks");
-        assert_eq!(agg.migrations.len(), n_shards);
+        let per_shard = stats.shards.iter().fold((0, 0, 0), |(i, o, f), s| {
+            (
+                i + s.migrations_in,
+                o + s.migrations_out,
+                f + s.migrations_failed,
+            )
+        });
+        assert_eq!(
+            per_shard,
+            (successes, successes, crashes),
+            "per-shard ledger"
+        );
 
         drop(client);
         // The server reclaims sole ownership of the router at stop.
