@@ -23,7 +23,7 @@ use crate::engine::ScoringEngine;
 use crate::error::{FusionError, Result};
 use crate::exact::ExactSolver;
 use crate::independent::PrecRecModel;
-use crate::joint::{EmpiricalJoint, JointQuality, NoJoint, SourceSet};
+use crate::joint::{EmpiricalJoint, JointQuality, NoJoint, PassSlot, SourceSet, DENSE_MAX_MEMBERS};
 use crate::prob::posterior_from_log_mu;
 use crate::quality::{QualityEstimator, SourceQuality};
 use crate::solver::{CorrelationSolver, PrecRecSolver};
@@ -168,10 +168,11 @@ struct ClusterUnit {
 
 impl ClusterUnit {
     /// The factor `mu` of one `(prov_c, act_c)`. Its term reads tally
-    /// their memo hits locally ([`EmpiricalJoint::tally`]).
-    fn mu(&self, providers: SourceSet, active: SourceSet) -> Result<f64> {
+    /// their memo hits locally, through `pass` when it is not empty
+    /// ([`EmpiricalJoint::tally`]).
+    fn mu(&self, pass: &[PassSlot], providers: SourceSet, active: SourceSet) -> Result<f64> {
         match &self.joint {
-            Some(joint) => self.solver.mu(&joint.tally(), providers, active),
+            Some(joint) => self.solver.mu(&joint.tally(pass), providers, active),
             None => self.solver.mu(&NoJoint, providers, active),
         }
     }
@@ -664,7 +665,7 @@ impl Fuser {
                 break;
             }
             let act = unit.active(&scope);
-            log_mu = log_mu.times(unit.mu(unit.providing(providers, act), act)?);
+            log_mu = log_mu.times(unit.mu(&[], unit.providing(providers, act), act)?);
         }
         Ok(log_mu.value())
     }
@@ -694,23 +695,25 @@ impl Fuser {
     /// cluster by cluster over the patterns whose fold is still open. As
     /// in [`Fuser::log_mu`], a factor after a 0 or ∞ one is never solved,
     /// so its error cannot surface.
+    ///
+    /// The factors of one cluster read each subset's `(r, q)` from the
+    /// memo once per call: a cluster of at most 12 members gets a dense
+    /// table of `2^m` slots, shared by the engine's workers, in one
+    /// allocation for the call.
     pub fn score_patterns(
         &self,
         ds: &Dataset,
         patterns: &[(Domain, &BitSet)],
         engine: &ScoringEngine,
     ) -> Result<Vec<f64>> {
-        let mut domain_index: HashMap<Domain, usize> = HashMap::new();
-        let mut scopes: Vec<BitSet> = Vec::new();
+        let mut domains: Vec<Domain> = patterns.iter().map(|&(d, _)| d).collect();
+        domains.sort_unstable();
+        domains.dedup();
         let scope_of: Vec<usize> = patterns
             .iter()
-            .map(|&(d, _)| {
-                *domain_index.entry(d).or_insert_with(|| {
-                    scopes.push(ds.domain_scope_mask(d));
-                    scopes.len() - 1
-                })
-            })
+            .map(|(d, _)| domains.binary_search(d).expect("every domain is listed"))
             .collect();
+        let scopes: Vec<BitSet> = domains.iter().map(|&d| ds.domain_scope_mask(d)).collect();
         let indep_scopes: Vec<BitSet> = scopes.iter().map(|s| self.independent_scope(s)).collect();
         let mut log_mu: Vec<LogMu> = patterns
             .iter()
@@ -719,28 +722,41 @@ impl Fuser {
                 LogMu::Open(self.precrec.log_mu(providers, &indep_scopes[s]))
             })
             .collect();
+        // The aggressive solver reads no subset per factor.
+        let reads_terms = matches!(self.method, Method::Exact | Method::Elastic(_));
+        let dense_len = |unit: &ClusterUnit| match unit.positions.len() {
+            m if reads_terms && m <= DENSE_MAX_MEMBERS => 1usize << m,
+            _ => 0,
+        };
+        let pass: Vec<PassSlot> = std::iter::repeat_with(PassSlot::new)
+            .take(self.clusters.iter().map(dense_len).sum())
+            .collect();
+        let mut unread = pass.as_slice();
         let mut open: Vec<usize> = (0..patterns.len()).collect();
         for unit in &self.clusters {
+            let slots;
+            (slots, unread) = unread.split_at(dense_len(unit));
             open.retain(|&i| log_mu[i].is_open());
             if open.is_empty() {
                 break;
             }
             let active: Vec<SourceSet> = scopes.iter().map(|s| unit.active(s)).collect();
-            let mut factor_index: HashMap<(SourceSet, SourceSet), usize> = HashMap::new();
-            let mut factors: Vec<(SourceSet, SourceSet)> = Vec::new();
-            let factor_of: Vec<usize> = open
+            let keys: Vec<(u64, u64)> = open
                 .iter()
                 .map(|&i| {
                     let act = active[scope_of[i]];
-                    let key = (unit.providing(patterns[i].1, act), act);
-                    *factor_index.entry(key).or_insert_with(|| {
-                        factors.push(key);
-                        factors.len() - 1
-                    })
+                    (unit.providing(patterns[i].1, act).0, act.0)
                 })
                 .collect();
-            let mus = engine.map(factors.len(), |f| unit.mu(factors[f].0, factors[f].1))?;
-            for (&i, &f) in open.iter().zip(&factor_of) {
+            let mut factors = keys.clone();
+            factors.sort_unstable();
+            factors.dedup();
+            let mus = engine.map(factors.len(), |f| {
+                let (providers, act) = factors[f];
+                unit.mu(slots, SourceSet(providers), SourceSet(act))
+            })?;
+            for (&i, key) in open.iter().zip(&keys) {
+                let f = factors.binary_search(key).expect("every key is a factor");
                 log_mu[i] = log_mu[i].times(mus[f]);
             }
         }
@@ -1103,7 +1119,7 @@ mod tests {
                 let unit = &fuser.clusters[0];
                 let act = unit.active(&ds.scope_mask(t11));
                 let first = unit
-                    .mu(unit.providing(ds.providers(t11), act), act)
+                    .mu(&[], unit.providing(ds.providers(t11), act), act)
                     .unwrap();
                 assert_eq!(first, 0.0, "t11 settles on its first factor");
                 assert_eq!(fuser.score_triple(&ds, t11).unwrap(), 0.0);
@@ -1130,6 +1146,59 @@ mod tests {
         assert!(fuser
             .score_patterns(&ds, &[pattern(t11), pattern(TripleId(2))], &engine)
             .is_err());
+
+        // Both read paths behind `score_patterns`: a cluster at the dense
+        // bound reads each subset through the call's table, one over it
+        // reads the memo on every term. A chunk of 8 lets the 4-thread
+        // engine split their factors.
+        for n in [DENSE_MAX_MEMBERS, DENSE_MAX_MEMBERS + 1] {
+            let wide = wide_world(n);
+            let patterns: Vec<_> = wide
+                .triples()
+                .map(|t| (wide.domain(t), wide.providers(t)))
+                .collect();
+            for method in [
+                Method::PrecRec,
+                Method::Exact,
+                Method::Aggressive,
+                Method::Elastic(2),
+            ] {
+                let config = FuserConfig::new(method).with_strategy(ClusterStrategy::SingleCluster);
+                let fuser = Fuser::fit(&config, &wide, wide.gold().unwrap()).unwrap();
+                assert_eq!(fuser.cluster_unit_positions(0).len(), n);
+                let split = ScoringEngine::with_threads(4).with_chunk_size(8);
+                for engine in [ScoringEngine::serial(), split] {
+                    let scores = fuser.score_patterns(&wide, &patterns, &engine).unwrap();
+                    for (t, got) in wide.triples().zip(scores) {
+                        let want = fuser.score_triple(&wide, t).unwrap();
+                        assert_eq!(got.to_bits(), want.to_bits(), "{n}: {method:?} {t}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// One domain over `n` sources. Each of 120 triples is provided by
+    /// all but the (up to) three sources its index picks, and two in
+    /// three carry a label: about a hundred patterns, each with a
+    /// complement of at most three.
+    fn wide_world(n: usize) -> Dataset {
+        let mut b = DatasetBuilder::new();
+        let sources: Vec<_> = (0..n).map(|i| b.source(format!("S{i}"))).collect();
+        for i in 0..120u64 {
+            let t = b.triple("x", "p", i.to_string());
+            let h = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let left_out = [h >> 8, h >> 24, h >> 40].map(|x| (x % n as u64) as usize);
+            for (k, &s) in sources.iter().enumerate() {
+                if !left_out.contains(&k) {
+                    b.observe(s, t);
+                }
+            }
+            if i % 3 != 0 {
+                b.label(t, h >> 63 == 1);
+            }
+        }
+        b.build().unwrap()
     }
 
     #[test]

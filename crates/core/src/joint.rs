@@ -16,7 +16,7 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::dataset::{Dataset, GoldLabels, SourceId};
 use crate::error::{FusionError, Result};
@@ -752,16 +752,18 @@ impl EmpiricalJoint {
 
     /// A reader for one pass of subset reads (a solver's factor): it
     /// tallies its hits locally and adds them to the memo's count once,
-    /// when it drops, so its reads make no shared write.
-    pub(crate) fn tally(&self) -> Tally<'_> {
-        Tally(self, Cell::new(0))
+    /// when it drops, so its reads make no shared write. Through a
+    /// non-empty `pass` table (one slot per subset mask) only a subset's
+    /// first read in the pass reaches the memo; later reads hit its slot.
+    pub(crate) fn tally<'a>(&'a self, pass: &'a [PassSlot]) -> Tally<'a> {
+        Tally(self, Cell::new(0), pass)
     }
 
     /// The memoised joint counts for `set` (delta-maintained; rescans on
     /// the first query of a subset). Exposed so callers correlating many
     /// subsets (clustering, reports) share the maintained state.
     pub fn counts(&self, set: SourceSet) -> SubsetCounts {
-        self.tally().entry(set).counts
+        self.tally(&[]).entry(set).counts
     }
 
     /// Joint precision `p_{S*}` — `None` when no labelled triple is jointly
@@ -776,10 +778,17 @@ impl EmpiricalJoint {
     }
 }
 
-/// An [`EmpiricalJoint`] and the hits it has tallied (see
-/// [`EmpiricalJoint::tally`]).
+/// Largest cluster whose reads a scoring pass serves from a dense table
+/// of `2^m` [`PassSlot`]s; a wider one reads the memo on every term.
+pub(crate) const DENSE_MAX_MEMBERS: usize = 12;
+
+/// One subset's `(r, q)` in a pass table, filled on its first read.
+pub(crate) type PassSlot = OnceLock<(f64, f64)>;
+
+/// An [`EmpiricalJoint`], the hits it has tallied and the pass table it
+/// reads through (see [`EmpiricalJoint::tally`]).
 #[derive(Debug)]
-pub(crate) struct Tally<'a>(&'a EmpiricalJoint, Cell<u64>);
+pub(crate) struct Tally<'a>(&'a EmpiricalJoint, Cell<u64>, &'a [PassSlot]);
 
 impl Tally<'_> {
     /// The memoised entry for `set`, rescanning on a miss.
@@ -816,13 +825,26 @@ impl JointQuality for Tally<'_> {
     }
 
     /// Both rates from one memo entry: one lookup (and one hit/miss
-    /// count) where the two single reads take two.
+    /// count) where the two single reads take two. Through a pass table,
+    /// only the subset's first read in the pass looks the memo up.
     fn joint_rates(&self, set: SourceSet) -> (f64, f64) {
         if set.is_empty() {
             return (1.0, 1.0);
         }
-        let e = self.entry(set);
-        (e.recall, e.fpr)
+        let read = || {
+            let e = self.entry(set);
+            (e.recall, e.fpr)
+        };
+        let Some(slot) = self.2.get(set.0 as usize) else {
+            return read();
+        };
+        let mut filled = false;
+        let rates = *slot.get_or_init(|| {
+            filled = true;
+            read()
+        });
+        self.1.set(self.1.get() + u64::from(!filled));
+        rates
     }
 }
 
@@ -832,15 +854,15 @@ impl JointQuality for EmpiricalJoint {
     }
 
     fn joint_recall(&self, set: SourceSet) -> f64 {
-        self.tally().joint_recall(set)
+        self.tally(&[]).joint_recall(set)
     }
 
     fn joint_fpr(&self, set: SourceSet) -> f64 {
-        self.tally().joint_fpr(set)
+        self.tally(&[]).joint_fpr(set)
     }
 
     fn joint_rates(&self, set: SourceSet) -> (f64, f64) {
-        self.tally().joint_rates(set)
+        self.tally(&[]).joint_rates(set)
     }
 }
 
@@ -1494,6 +1516,31 @@ mod tests {
         parallel.score_all_with(&ds, &two).unwrap();
         let p2 = stats(&parallel);
         assert_eq!((p2.hits - p1.hits, p2.misses), (reads, p1.misses));
+    }
+
+    /// Through a pass table, a subset's first read in the pass goes to the
+    /// memo and every later read, from any factor, to its slot: one hit or
+    /// miss per read either way, and the memo's rates bitwise.
+    #[test]
+    fn a_pass_table_reads_each_subset_from_the_memo_once() {
+        let (j, clean) = (fig1_joint(), fig1_joint());
+        let pass: Vec<PassSlot> = std::iter::repeat_with(PassSlot::new).take(32).collect();
+        for _factor in 0..3 {
+            let tally = j.tally(&pass);
+            for mask in 0..32u64 {
+                let (r, q) = tally.joint_rates(SourceSet(mask));
+                let (cr, cq) = clean.joint_rates(SourceSet(mask));
+                assert_eq!((r.to_bits(), q.to_bits()), (cr.to_bits(), cq.to_bits()));
+            }
+        }
+        assert_eq!(
+            j.cache_stats(),
+            CacheStats {
+                hits: 62,
+                misses: 31
+            }
+        );
+        assert_eq!(j.delta_stats().memo_entries, 31);
     }
 
     /// The fill lock's poisoning contract: only map operations run under

@@ -341,10 +341,10 @@ fn query_path_discards_dead_streams_and_redials() {
 #[test]
 fn stop_lands_with_idle_connections_at_capacity() {
     // Regression: with `max_connections` held by an idle connection the
-    // reactor parks its listener, so the wake-up connection `stop()`
-    // dials only sits in the backlog. `stop()` must still bring
-    // `serve()` down: the loop re-checks the stop flag every poll slice
-    // and closes the idle connection on its way out.
+    // reactor parks its listener, so no new connection can reach the
+    // loop. `stop()` must still bring `serve()` down: it rings the
+    // endpoint's doorbell, which the loop polls even while the listener
+    // is parked, and the loop closes the idle connection on its way out.
     let server = Server::bind(
         "127.0.0.1:0",
         router(1, &[0], RouterConfig::new(1)),

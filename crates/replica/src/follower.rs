@@ -28,6 +28,7 @@
 
 use std::collections::HashMap;
 use std::net::TcpStream;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -648,16 +649,7 @@ fn apply_batch(shared: &Shared, shard: usize, epoch: u64, text: &str) -> Result<
     }
     let before_sources = session.dataset().n_sources();
     let before_triples = session.dataset().n_triples();
-    let outcome = st.session.as_mut().expect("session present").ingest(events);
-    if outcome.is_err() {
-        // A batch the leader committed failed to apply here: the
-        // replica has diverged (or its journal died). Discard the shard
-        // and let the next link bootstrap a fresh snapshot.
-        st.session = None;
-        st.maps.clear();
-        st.apply_errors += 1;
-    }
-    let delta = outcome?;
+    let delta = contain_apply(&mut st, shard, |session| Ok(session.ingest(events)?))?;
     if let Some(m) = &shared.metrics {
         m.apply_ns.record(delta.elapsed_ns + delta.journal_ns);
         m.batches.inc();
@@ -669,6 +661,29 @@ fn apply_batch(shared: &Shared, shard: usize, epoch: u64, text: &str) -> Result<
     st.events_applied += events.len() as u64;
     slot.caught_up.notify_all();
     Ok(())
+}
+
+/// Run `apply` on `st`'s session with the state guard held outside it,
+/// as the leader's shard worker does: a panic is caught before it
+/// unwinds past the guard, so the state lock is never poisoned. A panic
+/// counts as an apply error.
+fn contain_apply<T>(
+    st: &mut ShardState,
+    shard: usize,
+    apply: impl FnOnce(&mut StreamSession) -> Result<T>,
+) -> Result<T> {
+    let session = st.session.as_mut().expect("session present");
+    let outcome = catch_unwind(AssertUnwindSafe(|| apply(session)))
+        .unwrap_or_else(|_| Err(ServeError::ShardPanicked { shard }.into()));
+    if outcome.is_err() {
+        // A batch the leader committed failed to apply here: the
+        // replica has diverged (or its journal died). Discard the shard
+        // and let the next link bootstrap a fresh snapshot.
+        st.session = None;
+        st.maps.clear();
+        st.apply_errors += 1;
+    }
+    outcome
 }
 
 #[cfg(test)]
@@ -740,5 +755,38 @@ mod tests {
             .recv_timeout(Duration::from_secs(10))
             .expect("shutdown returns while the leader stays silent");
         leader.join().unwrap();
+    }
+
+    /// A panic in a batch apply stays in the apply: the state lock is not
+    /// poisoned, and the shard drops its session, so that the next link
+    /// bootstraps from a snapshot, and counts one apply error.
+    #[test]
+    fn a_panicking_apply_drops_the_session_not_the_lock() {
+        let mut b = corrfuse_core::DatasetBuilder::new();
+        let (s0, t0) = b.observe_named("S0", "x", "p", "0");
+        let t1 = b.triple("x", "p", "1");
+        b.observe(s0, t1);
+        b.label(t0, true);
+        b.label(t1, false);
+        let session = StreamSession::new(FuserConfig::new(Method::Exact), b.build().unwrap());
+        let state = Mutex::new(ShardState {
+            session: Some(session.unwrap()),
+            ..ShardState::default()
+        });
+        {
+            let mut st = state.lock().expect("the state lock is not poisoned");
+            let outcome: Result<()> = contain_apply(&mut st, 3, |_| panic!("apply blew up"));
+            assert!(
+                matches!(
+                    outcome,
+                    Err(ReplicaError::Serve(ServeError::ShardPanicked { shard: 3 }))
+                ),
+                "unexpected outcome: {outcome:?}"
+            );
+        }
+        assert!(!state.is_poisoned());
+        let st = state.lock().expect("the state lock is not poisoned");
+        assert!(st.session.is_none());
+        assert_eq!(st.apply_errors, 1);
     }
 }

@@ -40,7 +40,9 @@
 //! domain's patterns stale, a model or cluster refit marks them all, and
 //! a full refit (wider provider sets) rebuilds the table. A rescore
 //! solves each stale pattern of the dirtied triples once
-//! ([`Fuser::score_patterns`]), then gathers per-triple scores.
+//! ([`Fuser::score_patterns`]), then gathers per-triple scores. After a
+//! model or cluster refit it places only the touched triples and takes
+//! the stale patterns from one scan of the table.
 //!
 //! # Equivalence invariant
 //!
@@ -288,7 +290,7 @@ impl IncrementalFuser {
         };
         inc.rebuild_index_state();
         let all: Vec<TripleId> = inc.ds.triples().collect();
-        inc.rescore(&all, engine)?;
+        inc.rescore(&all, false, engine)?;
         Ok(inc)
     }
 
@@ -421,13 +423,13 @@ impl IncrementalFuser {
         let refit_ns = refit_span.elapsed_ns();
         let rescore_span = Span::start(true);
         let rescored = match refit {
-            RefitLevel::None => {
-                let dirty: Vec<TripleId> = dirt.touched.iter().copied().collect();
-                self.rescore(&dirty, engine)?
+            RefitLevel::Full => {
+                let all: Vec<TripleId> = self.ds.triples().collect();
+                self.rescore(&all, false, engine)?
             }
             _ => {
-                let all: Vec<TripleId> = self.ds.triples().collect();
-                self.rescore(&all, engine)?
+                let touched: Vec<TripleId> = dirt.touched.iter().copied().collect();
+                self.rescore(&touched, refit != RefitLevel::None, engine)?
             }
         };
         let rescore_ns = rescore_span.elapsed_ns();
@@ -815,15 +817,33 @@ impl IncrementalFuser {
         Ok(changed)
     }
 
-    /// Re-score `dirty` triples: place each under its pattern, solve each
-    /// distinct stale pattern once through the engine (parallel output is
-    /// bitwise identical to serial), then gather per-triple scores.
-    fn rescore(&mut self, dirty: &[TripleId], engine: &ScoringEngine) -> Result<Vec<ScoredTriple>> {
+    /// Re-score triples: place each `touched` one under its pattern,
+    /// solve each distinct stale pattern once through the engine
+    /// (parallel output is bitwise identical to serial), then gather
+    /// per-triple scores. A model or cluster refit (`walk`) left every
+    /// live pattern stale and can have moved only the touched triples:
+    /// it takes the patterns from one scan of the table and gathers every
+    /// triple, in [`TripleId`] order. Rescored triples and pattern counts
+    /// equal those of placing every triple.
+    fn rescore(
+        &mut self,
+        touched: &[TripleId],
+        walk: bool,
+        engine: &ScoringEngine,
+    ) -> Result<Vec<ScoredTriple>> {
         let table = &mut self.patterns;
-        let ids: Vec<u32> = dirty.iter().map(|&t| table.place(&self.ds, t)).collect();
-        let mut stale = ids.clone();
-        stale.sort_unstable();
-        stale.dedup();
+        let ids: Vec<u32> = touched.iter().map(|&t| table.place(&self.ds, t)).collect();
+        let mut stale = if walk {
+            let live = (0u32..).zip(&table.slots).filter(|(_, p)| p.live > 0);
+            let mut all = Vec::with_capacity(table.slots.len());
+            all.extend(live.map(|(id, _)| id));
+            all
+        } else {
+            let mut distinct = ids.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            distinct
+        };
         let dirtied = stale.len();
         stale.retain(|&id| table.slots[id as usize].score.is_none());
         table.stats.hits += (dirtied - stale.len()) as u64;
@@ -839,20 +859,24 @@ impl IncrementalFuser {
         for (&id, value) in stale.iter().zip(values) {
             table.slots[id as usize].score = Some(value);
         }
-        let mut out = Vec::with_capacity(dirty.len());
-        for (&t, &id) in dirty.iter().zip(&ids) {
+        let scores = &mut self.scores;
+        let gather = |(t, id): (TripleId, u32)| {
             let after = table.slots[id as usize]
                 .score
                 .expect("dirtied pattern solved");
-            let before = self.scores[t.index()];
-            out.push(ScoredTriple {
+            let before = std::mem::replace(&mut scores[t.index()], after);
+            ScoredTriple {
                 triple: t,
                 before: if before.is_nan() { None } else { Some(before) },
                 after,
-            });
-            self.scores[t.index()] = after;
-        }
-        Ok(out)
+            }
+        };
+        Ok(if walk {
+            let placed = table.of.iter().map(|id| id.expect("placed"));
+            (0u32..).map(TripleId).zip(placed).map(gather).collect()
+        } else {
+            touched.iter().copied().zip(ids).map(gather).collect()
+        })
     }
 }
 

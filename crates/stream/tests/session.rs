@@ -287,6 +287,81 @@ fn flips_are_reported_with_before_and_after() {
     assert_equivalent(&session, &seed, &fed);
 }
 
+/// A commit that refits returns every triple, in `TripleId` order, each
+/// with the score it had before the commit; a commit that refits nothing
+/// returns only the triples it touched.
+#[test]
+fn a_refit_commit_returns_every_triple_and_a_plain_one_its_touched() {
+    let seed = figure1();
+    let mut session = StreamSession::new(FuserConfig::new(Method::Exact), seed.clone()).unwrap();
+    let mut fed = Vec::new();
+    let triples = |delta: &ScoredDelta| -> Vec<TripleId> {
+        delta.rescored.iter().map(|r| r.triple).collect()
+    };
+
+    // t11 = {S1,S4} and t12 = {S3}, both unlabelled: no refit.
+    let delta = ingest(
+        &mut session,
+        &mut fed,
+        &[
+            Event::add_triple("Obama", "fact", "t11"),
+            Event::claim(SourceId(0), TripleId(10)),
+            Event::claim(SourceId(3), TripleId(10)),
+            Event::add_triple("Obama", "fact", "t12"),
+            Event::claim(SourceId(2), TripleId(11)),
+        ],
+    );
+    assert_eq!(delta.refit, RefitLevel::None);
+    assert_eq!(triples(&delta), [TripleId(10), TripleId(11)]);
+    assert!(delta.rescored.iter().all(|r| r.before.is_none()));
+
+    // S2 moves t11 to {S1,S2,S4}, and t12 gets a label: a model refit.
+    let before = session.scores().to_vec();
+    let delta = ingest(
+        &mut session,
+        &mut fed,
+        &[
+            Event::claim(SourceId(1), TripleId(10)),
+            Event::label(TripleId(11), true),
+        ],
+    );
+    assert_eq!(delta.refit, RefitLevel::Model);
+    assert_eq!(triples(&delta), (0..12).map(TripleId).collect::<Vec<_>>());
+    for (r, (b, a)) in delta
+        .rescored
+        .iter()
+        .zip(before.iter().zip(session.scores()))
+    {
+        assert_eq!(
+            r.before.map(f64::to_bits),
+            Some(b.to_bits()),
+            "{}",
+            r.triple
+        );
+        assert_eq!(r.after.to_bits(), a.to_bits(), "{}", r.triple);
+    }
+    // Nine live patterns (t1, t8 and t9 share one, t12 shares t3's),
+    // each solved once.
+    assert_eq!((delta.cache.hits, delta.cache.misses), (0, 9));
+    assert_equivalent(&session, &seed, &fed);
+
+    // S5 moves t11 onto t1's pattern, whose score is current.
+    let before = session.scores()[10];
+    let delta = ingest(
+        &mut session,
+        &mut fed,
+        &[Event::claim(SourceId(4), TripleId(10))],
+    );
+    assert_eq!(delta.refit, RefitLevel::None);
+    assert_eq!(triples(&delta), [TripleId(10)]);
+    assert_eq!(
+        delta.rescored[0].before.map(f64::to_bits),
+        Some(before.to_bits())
+    );
+    assert_eq!((delta.cache.hits, delta.cache.misses), (1, 0));
+    assert_equivalent(&session, &seed, &fed);
+}
+
 #[test]
 fn bad_batches_are_rejected_without_mutating_the_session() {
     let seed = figure1();
