@@ -551,20 +551,9 @@ impl Request {
             FrameType::Ingest => {
                 let tenant = TenantId(r.u32("tenant")?);
                 let text = utf8(r.rest(), "INGEST event text")?;
-                let parsed = codec::parse_batches(text)
-                    .map_err(|e| FrameError::BadPayload(e.to_string()))?;
-                if parsed.open_tail {
-                    return Err(FrameError::BadPayload(
-                        "INGEST batch is missing its +B terminator".to_string(),
-                    ));
-                }
-                match <[Vec<Event>; 1]>::try_from(parsed.batches) {
-                    Ok([events]) => Ok(Request::Ingest { tenant, events }),
-                    Err(batches) => Err(FrameError::BadPayload(format!(
-                        "INGEST carries {} batches, expected exactly 1",
-                        batches.len()
-                    ))),
-                }
+                let events = codec::parse_batch(text)
+                    .map_err(|e| FrameError::BadPayload(format!("INGEST event text: {e}")))?;
+                Ok(Request::Ingest { tenant, events })
             }
             FrameType::Scores => {
                 let tenant = TenantId(r.u32("tenant")?);

@@ -62,8 +62,6 @@ struct ShardState {
     /// Tenant views derived from the (namespaced) shard dataset,
     /// extended incrementally as batches register new sources/triples.
     maps: HashMap<TenantId, TenantMap>,
-    /// Decision threshold (authoritative from the latest snapshot).
-    threshold: f64,
     batches_applied: u64,
     events_applied: u64,
     apply_errors: u64,
@@ -166,10 +164,7 @@ impl Follower {
         }
         let mut slots = Vec::with_capacity(n_shards);
         for shard in 0..n_shards {
-            let mut state = ShardState {
-                threshold: config.threshold,
-                ..ShardState::default()
-            };
+            let mut state = ShardState::default();
             if let Some(dir) = &config.journal_dir {
                 let path = journal_path(dir, shard);
                 if path.exists() {
@@ -301,9 +296,9 @@ impl Follower {
             .maps
             .get(&tenant)
             .ok_or(ServeError::UnknownTenant(tenant))?;
-        let threshold = st.threshold;
-        let scores = st.session.as_ref().expect("caught-up session").scores();
-        Ok(tenant_rows(map, scores, |x| x > threshold))
+        let session = st.session.as_ref().expect("caught-up session");
+        let threshold = session.threshold();
+        Ok(tenant_rows(map, session.scores(), |x| x > threshold))
     }
 
     /// Follower statistics once **every** shard has reached `min_epoch`
@@ -611,7 +606,6 @@ fn bootstrap(
     let mut st = slot.state.lock().expect("shard state lock");
     st.session = Some(session);
     st.maps = maps;
-    st.threshold = threshold;
     st.snapshots += 1;
     if let Some(m) = &shared.metrics {
         m.snapshots.inc();
@@ -624,16 +618,8 @@ fn bootstrap(
 /// exactly the next in sequence, run the incremental ingest, extend the
 /// tenant maps with whatever the batch registered, and wake readers.
 fn apply_batch(shared: &Shared, shard: usize, epoch: u64, text: &str) -> Result<()> {
-    let parsed = corrfuse_stream::codec::parse_batches(text)
+    let events = corrfuse_stream::codec::parse_batch(text)
         .map_err(|e| ReplicaError::Protocol(format!("undecodable BATCH payload: {e}")))?;
-    if parsed.open_tail || parsed.batches.len() != 1 {
-        return Err(ReplicaError::Protocol(format!(
-            "BATCH payload must hold exactly one closed batch, got {} ({})",
-            parsed.batches.len(),
-            if parsed.open_tail { "open" } else { "closed" },
-        )));
-    }
-    let events = &parsed.batches[0];
     let slot = &shared.slots[shard];
     let mut st = slot.state.lock().expect("shard state lock");
     let Some(session) = st.session.as_ref() else {
@@ -649,7 +635,7 @@ fn apply_batch(shared: &Shared, shard: usize, epoch: u64, text: &str) -> Result<
     }
     let before_sources = session.dataset().n_sources();
     let before_triples = session.dataset().n_triples();
-    let delta = contain_apply(&mut st, shard, |session| Ok(session.ingest(events)?))?;
+    let delta = contain_apply(&mut st, shard, |session| Ok(session.ingest(&events)?))?;
     if let Some(m) = &shared.metrics {
         m.apply_ns.record(delta.elapsed_ns + delta.journal_ns);
         m.batches.inc();

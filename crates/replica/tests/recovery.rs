@@ -1,0 +1,112 @@
+//! A follower that cold-restarts from its own journal resumes at the
+//! last batch it holds whole. A crash can cut the journal inside a
+//! batch (one append is one `write_all`, not one atomic disk write);
+//! what survives of that batch must not count as the batch, or the
+//! follower would resubscribe past events it never applied.
+
+use std::time::Duration;
+
+use corrfuse_core::dataset::{DatasetBuilder, SourceId};
+use corrfuse_core::fuser::{FuserConfig, Method};
+use corrfuse_core::TripleId;
+use corrfuse_net::server::spawn;
+use corrfuse_net::{Client, Server, ServerConfig};
+use corrfuse_replica::{Follower, FollowerConfig};
+use corrfuse_serve::{ReplicationConfig, RouterConfig, ShardRouter, TenantId};
+use corrfuse_stream::{Event, FsyncPolicy};
+
+/// Three sources of distinct quality over eight labelled triples, and
+/// six unlabelled triples with one claim each (8: A, 9: B, 10: C,
+/// 11: A, 12: B, 13: C).
+fn seed() -> corrfuse_core::dataset::Dataset {
+    let mut b = DatasetBuilder::new();
+    let sources = [b.source("A"), b.source("B"), b.source("C")];
+    let provided: [&[usize]; 8] = [&[0, 2], &[0, 1], &[0], &[1], &[0, 2], &[1, 2], &[2], &[0]];
+    for (k, providers) in provided.iter().enumerate() {
+        let t = b.triple(format!("labelled-{k}"), "p", "o");
+        for &s in *providers {
+            b.observe(sources[s], t);
+        }
+        b.label(t, k < 4);
+    }
+    for k in 0..6 {
+        let t = b.triple(format!("open-{k}"), "p", "o");
+        b.observe(sources[k % 3], t);
+    }
+    b.build().unwrap()
+}
+
+#[test]
+fn a_torn_follower_journal_resumes_from_its_last_whole_batch() {
+    let tenant = TenantId(0);
+    let config = FuserConfig::new(Method::PrecRec);
+    let router = ShardRouter::new(
+        config.clone(),
+        RouterConfig::new(1)
+            .with_threshold(0.5)
+            .with_replication(ReplicationConfig::new()),
+        vec![(tenant, seed())],
+    )
+    .unwrap();
+    let server = Server::bind("127.0.0.1:0", router, ServerConfig::new()).unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let (handle, join) = spawn(server).unwrap();
+
+    let dir = std::env::temp_dir().join(format!("corrfuse-torn-follower-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let follower_config = FollowerConfig::new(config)
+        .with_threshold(0.5)
+        .with_catchup_timeout(Duration::from_secs(10))
+        .with_journal_dir(&dir, FsyncPolicy::Always);
+    let follower = Follower::connect(&addr, follower_config.clone()).unwrap();
+    follower
+        .stats_at(0)
+        .expect("the follower bootstraps at epoch 0");
+
+    // Three one-message batches of three claims on unlabelled triples.
+    let claim = |s: u32, t: u32| Event::claim(SourceId(s), TripleId(t));
+    let batches = [
+        [claim(1, 8), claim(2, 9), claim(0, 10)],
+        [claim(2, 11), claim(0, 12), claim(1, 13)],
+        [claim(0, 9), claim(1, 10), claim(2, 8)],
+    ];
+    let mut client = Client::connect(&addr).unwrap();
+    for batch in &batches {
+        client.ingest(tenant, batch).unwrap();
+        client.flush().unwrap();
+    }
+    let leader = client.scores(tenant).unwrap();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&follower.scores_at(tenant, 3).unwrap()), bits(&leader));
+    follower.shutdown();
+    drop(follower);
+
+    // Cut the journal after the second line of the last batch: its
+    // third claim and its `+B` line are lost.
+    let path = dir.join("shard-0.journal");
+    let text = std::fs::read_to_string(&path).unwrap();
+    let lines: Vec<&str> = text.split_inclusive('\n').collect();
+    let n = lines.len();
+    assert_eq!((lines[n - 1], lines[n - 5]), ("+B\n", "+B\n"), "{text}");
+    let cut = text.len() - lines[n - 2].len() - lines[n - 1].len();
+    std::fs::write(&path, &text[..cut]).unwrap();
+
+    let follower = Follower::connect(&addr, follower_config).unwrap();
+    let replica = follower.scores_at(tenant, 3).unwrap();
+    assert_eq!(bits(&replica), bits(&leader), "the follower at epoch 3");
+    let stats = follower.stats();
+    assert_eq!(
+        stats.shards[0].snapshots, 0,
+        "the restart resumed its journal"
+    );
+    assert_eq!(
+        stats.shards[0].batches_applied, 1,
+        "only the torn batch came again"
+    );
+
+    follower.shutdown();
+    drop(client);
+    handle.stop();
+    join.join().unwrap().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -88,10 +88,9 @@ fn truncated_journals_recover_to_a_consistent_prefix() {
         // strict read must now succeed and agree with the session.
         let (_, _, batches) = journal::read(&path).unwrap();
         assert_eq!(batches.len(), report.batches_replayed);
-        // Nothing is ever dropped after a clean cut on a newline
-        // boundary, unless the surviving partial batch itself was
-        // invalid (its claims were lost with the tear) and recovery cut
-        // back to the previous batch boundary.
+        // Recovery keeps the file through its last whole `+B` line (or
+        // the `#events` line), so a cut that dropped nothing fell on a
+        // newline; a cut inside a batch drops the whole batch.
         let on_boundary = bytes[..cut].last() == Some(&b'\n');
         if report.dropped_bytes == 0 {
             assert!(on_boundary, "cut {cut} dropped nothing off a torn line");
@@ -360,5 +359,78 @@ fn chaos_aborted_migration_persists_no_route() {
     assert_eq!(load_routes(&dir).unwrap().len(), 1);
     let stats = router.shutdown().unwrap();
     assert_eq!(stats.aggregate().ingest_errors, 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A migration's fence batch is all-or-nothing under recovery. Build a
+/// target journal whose last batch, the fence, carries new triples,
+/// their claims and a label, and cut it at every line boundary inside
+/// that batch: every cut that resolves to `CutOver` must hold every
+/// fence event, and every `RollBack` must sit below the fence. A batch
+/// whose `+B` line was lost is never replayed, however much of it
+/// survived.
+#[test]
+fn every_line_cut_of_a_fence_batch_cuts_over_whole_or_rolls_back() {
+    let dir = std::env::temp_dir().join(format!("corrfuse-recovery-fence-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let config = FuserConfig::new(Method::PrecRec).with_alpha(0.5);
+    let mut b = corrfuse_core::DatasetBuilder::new();
+    let (a, t0) = b.observe_named("A", "x", "p", "1");
+    let s_b = b.source("B");
+    b.observe(s_b, t0);
+    b.label(t0, true);
+    let t1 = b.triple("y", "p", "2");
+    b.observe(a, t1);
+    b.label(t1, false);
+    let path = dir.join("target.journal");
+    let mut target = StreamSession::new(config.clone(), b.build().unwrap()).unwrap();
+    target.journal_to(&path, FsyncPolicy::Never).unwrap();
+    target.ingest(&[Event::claim(s_b, t1)]).unwrap();
+    let (t2, t3) = (corrfuse_core::TripleId(2), corrfuse_core::TripleId(3));
+    let fence_batch = [
+        Event::add_triple("z", "p", "3"),
+        Event::add_triple("w", "p", "4"),
+        Event::claim(a, t2),
+        Event::claim(s_b, t2),
+        Event::claim(s_b, t3),
+        Event::label(t3, false),
+    ];
+    target.ingest(&fence_batch).unwrap();
+    target.seal_journal().unwrap();
+    let route = corrfuse_serve::PersistedRoute {
+        tenant: TenantId(0),
+        shard: 1,
+        fence: target.epoch(),
+    };
+    let whole = corrfuse_core::io::to_string(target.dataset());
+
+    // Every line boundary from the end of the batch before the fence to
+    // the end of the fence's `+B` line.
+    let bytes = std::fs::read(&path).unwrap();
+    let fence_start = bytes.len() - corrfuse_stream::codec::encode_batch(&fence_batch).len();
+    let cuts: Vec<usize> = (fence_start..=bytes.len())
+        .filter(|&cut| bytes[cut - 1] == b'\n')
+        .collect();
+    assert_eq!(cuts.len(), fence_batch.len() + 2);
+    let mut cut_over = 0;
+    for cut in cuts {
+        let cut_path = dir.join("cut.journal");
+        std::fs::write(&cut_path, &bytes[..cut]).unwrap();
+        let (session, _) = StreamSession::recover(config.clone(), &cut_path, FsyncPolicy::Never)
+            .expect("recovery past the seed succeeds");
+        match resolve_route(&route, session.epoch()) {
+            RouteResolution::CutOver => {
+                cut_over += 1;
+                assert_eq!(
+                    corrfuse_core::io::to_string(session.dataset()),
+                    whole,
+                    "cut {cut} cut over without every fence event"
+                );
+            }
+            RouteResolution::RollBack => assert!(session.epoch() < route.fence),
+        }
+    }
+    assert_eq!(cut_over, 1, "only the whole fence batch reaches the fence");
     std::fs::remove_dir_all(&dir).ok();
 }

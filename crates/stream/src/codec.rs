@@ -28,6 +28,18 @@
 //! Parse errors report the 1-based line number handed in by the caller,
 //! so journal files can surface absolute file positions while wire
 //! payloads report payload-relative ones.
+//!
+//! # The commit rule
+//!
+//! A batch exists once its `+B` line is whole, newline included. Events
+//! after the last whole boundary are never a batch, and a line without
+//! its newline is never parsed. [`parse_batch_lines`] is the one place
+//! that applies this rule: the journal replays and keeps only the
+//! committed prefix it reports ([`crate::journal::recover`]), and the
+//! `INGEST` and `BATCH` payloads must each be exactly one committed
+//! batch ([`parse_batch`]).
+
+use std::fmt::Write as _;
 
 use corrfuse_core::dataset::{Domain, SourceId};
 use corrfuse_core::error::{FusionError, Result};
@@ -39,37 +51,31 @@ use crate::event::Event;
 /// The batch-boundary tag (a complete line of its own).
 pub const BOUNDARY_TAG: &str = "+B";
 
-/// Serialise one event as a codec line (no trailing newline).
-pub fn event_line(ev: &Event) -> String {
-    match ev {
-        Event::AddSource { name } => {
-            let mut out = String::from("+S\t");
-            escape(name, &mut out);
-            out
-        }
-        Event::AddTriple { triple, domain } => {
-            let mut out = String::from("+T\t");
-            escape(&triple.subject, &mut out);
-            out.push('\t');
-            escape(&triple.predicate, &mut out);
-            out.push('\t');
-            escape(&triple.object, &mut out);
-            out.push('\t');
-            out.push_str(&domain.0.to_string());
-            out
-        }
-        Event::Claim { source, triple } => format!("+C\t{}\t{}", source.0, triple.0),
-        Event::Label { triple, truth } => {
-            format!("+L\t{}\t{}", triple.0, if *truth { 1 } else { 0 })
-        }
-    }
-}
-
 /// Append one encoded batch — its event lines plus the closing `+B`
 /// line, every line `\n`-terminated — to `out`.
 pub fn write_batch(batch: &[Event], out: &mut String) {
     for ev in batch {
-        out.push_str(&event_line(ev));
+        let written = match ev {
+            Event::AddSource { name } => {
+                out.push_str("+S\t");
+                escape(name, out);
+                Ok(())
+            }
+            Event::AddTriple { triple, domain } => {
+                out.push_str("+T\t");
+                escape(&triple.subject, out);
+                out.push('\t');
+                escape(&triple.predicate, out);
+                out.push('\t');
+                escape(&triple.object, out);
+                write!(out, "\t{}", domain.0)
+            }
+            Event::Claim { source, triple } => write!(out, "+C\t{}\t{}", source.0, triple.0),
+            Event::Label { triple, truth } => {
+                write!(out, "+L\t{}\t{}", triple.0, u8::from(*truth))
+            }
+        };
+        written.expect("writing into a String cannot fail");
         out.push('\n');
     }
     out.push_str(BOUNDARY_TAG);
@@ -167,57 +173,51 @@ pub fn parse_line(raw: &str, lineno: usize) -> Result<Line> {
     }
 }
 
-/// Decoded batches plus whether the final run of events was left open
-/// (no closing `+B`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParsedBatches {
-    /// The decoded batches, in order. A trailing run without `+B` is
-    /// included as the final (partial) batch.
-    pub batches: Vec<Vec<Event>>,
-    /// True when the final batch had no closing boundary (a crash
-    /// mid-append, or a truncated wire payload).
-    pub open_tail: bool,
-}
-
-/// Decode a sequence of `(1-based lineno, raw line)` pairs into batches.
-/// Blank lines and `#`-comments are skipped, mirroring the journal's
-/// event section. This is the shared walk behind [`crate::journal::parse`]
-/// and the wire decoder ([`parse_batches`]).
-pub fn parse_batch_lines<'a>(
-    lines: impl Iterator<Item = (usize, &'a str)>,
-) -> Result<ParsedBatches> {
-    let mut batches: Vec<Vec<Event>> = Vec::new();
-    let mut current: Vec<Event> = Vec::new();
-    let mut open = false;
-    for (lineno, raw) in lines {
-        let line = raw.trim_end_matches('\r');
-        if line.is_empty() || line.starts_with('#') {
+/// Decode the batches `text` commits, and the byte length of its
+/// committed prefix: through its last whole `+B` line, 0 when none is
+/// (the commit rule; see the module docs). Blank lines and `#`-comments
+/// are skipped, mirroring the journal's event section. `first_line` is
+/// the 1-based number of `text`'s first line, for parse errors. This is
+/// the shared walk behind [`crate::journal::recover`] and the wire
+/// decoder ([`parse_batch`]).
+pub fn parse_batch_lines(text: &str, first_line: usize) -> Result<(Vec<Vec<Event>>, usize)> {
+    let mut batches = Vec::new();
+    let mut current = Vec::new();
+    let (mut read, mut committed) = (0, 0);
+    for (i, raw) in text.split_inclusive('\n').enumerate() {
+        read += raw.len();
+        let line = raw.trim_end_matches(['\n', '\r']);
+        if !raw.ends_with('\n') || line.is_empty() || line.starts_with('#') {
             continue;
         }
-        match parse_line(line, lineno)? {
+        match parse_line(line, first_line + i)? {
             Line::Boundary => {
                 batches.push(std::mem::take(&mut current));
-                open = false;
+                committed = read;
             }
-            Line::Event(ev) => {
-                current.push(ev);
-                open = true;
-            }
+            Line::Event(ev) => current.push(ev),
         }
     }
-    if open {
-        batches.push(current);
-    }
-    Ok(ParsedBatches {
-        batches,
-        open_tail: open,
-    })
+    // `current` holds the events after the last boundary: never a batch.
+    Ok((batches, committed))
 }
 
-/// Decode standalone codec text (e.g. a wire payload) into batches.
-/// Line numbers in errors are relative to `text` (1-based).
-pub fn parse_batches(text: &str) -> Result<ParsedBatches> {
-    parse_batch_lines(text.lines().enumerate().map(|(i, l)| (i + 1, l)))
+/// Decode the event text of an `INGEST` or `BATCH` frame, which must be
+/// exactly one batch that its whole `+B` line commits and ends. Line
+/// numbers in errors are relative to `text` (1-based).
+pub fn parse_batch(text: &str) -> Result<Vec<Event>> {
+    let (batches, committed) = parse_batch_lines(text, 1)?;
+    let n = batches.len();
+    match <[Vec<Event>; 1]>::try_from(batches) {
+        Ok([events]) if committed == text.len() => Ok(events),
+        _ => Err(FusionError::Parse {
+            line: text.lines().count(),
+            msg: format!(
+                "expected exactly one batch ended by its `+B` line, got {n} and {} uncommitted bytes",
+                text.len() - committed
+            ),
+        }),
+    }
 }
 
 fn index_field<'a>(
@@ -252,32 +252,49 @@ mod tests {
     fn batch_roundtrip_preserves_events() {
         let text = encode_batch(&sample());
         assert!(text.ends_with("+B\n"), "batches are self-terminating");
-        let parsed = parse_batches(&text).unwrap();
-        assert_eq!(parsed.batches, vec![sample()]);
-        assert!(!parsed.open_tail);
+        let (batches, committed) = parse_batch_lines(&text, 1).unwrap();
+        assert_eq!(batches, vec![sample()]);
+        assert_eq!(committed, text.len());
     }
 
     #[test]
     fn concatenated_batches_parse_in_order() {
         let mut text = encode_batch(&sample());
         text.push_str(&encode_batch(&[Event::label(TripleId(0), false)]));
-        let parsed = parse_batches(&text).unwrap();
-        assert_eq!(parsed.batches.len(), 2);
-        assert_eq!(parsed.batches[1], vec![Event::label(TripleId(0), false)]);
+        let (batches, _) = parse_batch_lines(&text, 1).unwrap();
+        assert_eq!(batches.len(), 2);
+        assert_eq!(batches[1], vec![Event::label(TripleId(0), false)]);
     }
 
     #[test]
-    fn open_tail_is_reported() {
-        let parsed = parse_batches("+C\t0\t0\n").unwrap();
-        assert!(parsed.open_tail);
+    fn an_open_tail_is_never_a_batch() {
+        // Events with no `+B` after them commit nothing.
+        assert_eq!(parse_batch_lines("+C\t0\t0\n", 1).unwrap(), (vec![], 0));
+        // Neither does a boundary without its newline, nor anything
+        // after the last whole one; a torn line is never parsed.
+        let text = "+C\t0\t0\n+B\n+C\t1\t0\n+B";
+        let claim = Event::claim(SourceId(0), TripleId(0));
         assert_eq!(
-            parsed.batches,
-            vec![vec![Event::claim(SourceId(0), TripleId(0))]]
+            parse_batch_lines(text, 1).unwrap(),
+            (vec![vec![claim.clone()]], 10)
+        );
+        assert_eq!(
+            parse_batch_lines("+C\t0\t0\n+B\n+T\tx", 1).unwrap(),
+            (vec![vec![claim.clone()]], 10)
         );
         // An empty closed batch is just the boundary.
-        let parsed = parse_batches("+B\n").unwrap();
-        assert!(!parsed.open_tail);
-        assert_eq!(parsed.batches, vec![Vec::new()]);
+        assert_eq!(parse_batch_lines("+B\n", 1).unwrap(), (vec![vec![]], 3));
+        // A frame payload is exactly one committed batch.
+        assert_eq!(parse_batch("+C\t0\t0\n+B\n").unwrap(), vec![claim]);
+        for bad in [
+            "",
+            "+C\t0\t0\n",
+            "+C\t0\t0\n+B",
+            "+B\n+B\n",
+            "+B\n+C\t0\t0\n",
+        ] {
+            assert!(parse_batch(bad).is_err(), "{bad:?}");
+        }
     }
 
     #[test]
@@ -298,7 +315,7 @@ mod tests {
 
     #[test]
     fn comments_and_blanks_are_skipped() {
-        let parsed = parse_batches("# comment\n\n+C\t0\t0\n+B\n").unwrap();
-        assert_eq!(parsed.batches.len(), 1);
+        let (batches, _) = parse_batch_lines("# comment\n\n+C\t0\t0\n+B\n", 1).unwrap();
+        assert_eq!(batches.len(), 1);
     }
 }

@@ -23,18 +23,21 @@
 //! ([`corrfuse_core::io::escape`]). Appending is the only mutation — a
 //! session's whole history replays from the top — and every parse error
 //! reports the 1-based line number *in the journal file*, including
-//! errors inside the embedded seed section. A trailing run of events
-//! without a closing `+B` (e.g. after a crash mid-append) is replayed as
-//! a final partial batch.
+//! errors inside the embedded seed section.
 //!
 //! # Durability and crash recovery
 //!
-//! Every write ends in a newline, so after a crash (power loss, a killed
-//! shard worker) only the *final* line of the file can be torn.
-//! [`recover`] exploits that: an unterminated last line is dropped as
-//! torn before parsing, and the byte length of the surviving well-formed
-//! prefix is reported so the caller can truncate the file and resume
-//! appending. How eagerly writes reach the disk is the writer's
+//! A batch is committed once its `+B` line is whole: the `+B` line is
+//! the commit record ([`crate::codec`]'s commit rule). After a crash
+//! (power loss, a killed shard worker) the file can end in a torn line
+//! or in events whose `+B` never landed, because one append is one
+//! `write_all`, not one atomic disk write. Neither is a batch: [`recover`]
+//! decodes only the committed prefix — through the last whole `+B` line,
+//! or through the `#events` line when no batch closed — and reports its
+//! byte length, so [`crate::StreamSession::recover`] replays it and
+//! truncates the file to it before appending again. A cut before the
+//! whole `#events` line leaves no seed to start from and is an error.
+//! How eagerly writes reach the disk is the writer's
 //! [`FsyncPolicy`]; [`JournalWriter::seal`] forces a full sync at
 //! shutdown regardless of policy, and [`JournalWriter::rotate`] compacts
 //! the journal in place (snapshot of the accumulated dataset written to a
@@ -65,30 +68,10 @@ const EVENTS_MARK: &str = "#events";
 /// unchanged. A missing line reads as epoch 0.
 const EPOCH_MARK: &str = "#epoch";
 
-/// A complete batch boundary as it appears in the file: the `+B` line,
-/// newline-anchored on both sides. Event lines always follow the
-/// `#events` marker line, so this sequence can never occur inside
-/// escaped field content.
-pub(crate) const BOUNDARY_LINE: &str = "\n+B\n";
-
-/// Byte offset just past the last complete batch boundary in `prefix`,
-/// falling back to the end of the `#events` marker line when no batch
-/// ever completed. Used by crash recovery to discard an unterminated
-/// trailing batch atomically.
-pub(crate) fn last_complete_boundary(prefix: &str) -> usize {
-    if let Some(i) = prefix.rfind(BOUNDARY_LINE) {
-        return i + BOUNDARY_LINE.len();
-    }
-    let marker = format!("\n{EVENTS_MARK}\n");
-    prefix
-        .rfind(&marker)
-        .map(|i| i + marker.len())
-        .unwrap_or(prefix.len())
-}
-
-// The event-line encoding itself lives in [`crate::codec`], shared with
-// the wire protocol (`corrfuse-net`); this module owns the file format
-// around it: header, embedded seed snapshot, durability and rotation.
+// The event-line encoding and the commit rule live in [`crate::codec`],
+// shared with the wire protocol (`corrfuse-net`); this module owns the
+// file format around it: header, embedded seed snapshot, durability and
+// rotation.
 
 /// How eagerly journal writes are forced to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -279,16 +262,16 @@ impl JournalWriter {
 }
 
 /// Read a journal: the snapshot's base epoch, the seed snapshot and the
-/// recorded event batches. The base epoch is the replication epoch at
-/// which the seed was captured (0 for journals without an `#epoch`
-/// line); the session's epoch after replay is
+/// committed event batches (see [`recover`]). The base epoch is the
+/// replication epoch at which the seed was captured (0 for journals
+/// without an `#epoch` line); the session's epoch after replay is
 /// `base_epoch + batches.len()`.
 pub fn read(path: impl AsRef<Path>) -> Result<(u64, Dataset, Vec<Vec<Event>>)> {
     let text = fs::read_to_string(path)?;
     parse(&text)
 }
 
-/// Outcome of a crash-tolerant journal read ([`recover`]).
+/// A journal's committed prefix, decoded ([`recover`]).
 #[derive(Debug, Clone)]
 pub struct Recovered {
     /// The base epoch of the seed snapshot (0 when the journal predates
@@ -296,49 +279,28 @@ pub struct Recovered {
     pub base_epoch: u64,
     /// The seed snapshot.
     pub seed: Dataset,
-    /// The surviving event batches (a trailing run without `+B` is the
-    /// final partial batch, exactly as [`parse`] treats it).
+    /// The committed event batches, each closed by its whole `+B` line.
     pub batches: Vec<Vec<Event>>,
-    /// Byte length of the well-formed prefix. Truncate the file to this
+    /// Byte length of the committed prefix. Truncate the file to this
     /// length before resuming appends.
     pub good_len: u64,
-    /// Whether a torn (unterminated) final line was dropped.
+    /// Whether the text held bytes past the committed prefix: a torn
+    /// line, or events whose `+B` never landed.
     pub torn: bool,
 }
 
-/// Parse journal text tolerating a torn tail.
-///
-/// Every journal write ends in a newline, so a crash can only tear the
-/// *final* line. An unterminated last line is therefore dropped before
-/// parsing — unconditionally, because a truncated numeric field can
-/// coincidentally still parse (`+C\t1\t234` torn to `+C\t1\t23`) and
-/// must not be replayed as a different event. Corruption anywhere else
-/// (e.g. truncation inside the seed snapshot) is not recoverable and
-/// surfaces as the underlying parse error.
+/// Decode journal text up to its committed prefix: the seed snapshot
+/// through the whole `#events` line, then every batch closed by a whole
+/// `+B` line. What follows the last one is never a batch. Its whole
+/// lines are still checked, so corruption anywhere but a torn final line
+/// is an error, as is a cut before the whole `#events` line.
 pub fn recover(text: &str) -> Result<Recovered> {
-    let (prefix, torn) = if text.is_empty() || text.ends_with('\n') {
-        (text, false)
-    } else {
-        match text.rfind('\n') {
-            Some(i) => (&text[..=i], true),
-            // No complete line at all: even the header is torn.
-            None => ("", true),
-        }
-    };
-    let (base_epoch, seed, batches) = parse(prefix)?;
-    Ok(Recovered {
-        base_epoch,
-        seed,
-        batches,
-        good_len: prefix.len() as u64,
-        torn,
-    })
-}
-
-/// Parse journal text into `(base_epoch, seed, batches)` (see
-/// [`read`]). See the module docs for the format.
-pub fn parse(text: &str) -> Result<(u64, Dataset, Vec<Vec<Event>>)> {
-    let mut lines = text.lines().enumerate();
+    // Each line with the byte offset just past it, so the event section
+    // can be sliced out of `text`.
+    let mut lines = text.split_inclusive('\n').scan(0, |end, line| {
+        *end += line.len();
+        Some((*end, line))
+    });
     match lines.next() {
         Some((_, l)) if l.trim_end() == HEADER => {}
         _ => {
@@ -363,46 +325,60 @@ pub fn parse(text: &str) -> Result<(u64, Dataset, Vec<Vec<Event>>)> {
             next = lines.next();
         }
     }
-    match next {
-        Some((_, l)) if l.trim_end() == SEED_MARK => {}
+    let seed_start = match next {
+        Some((end, l)) if l.trim_end() == SEED_MARK => end,
         _ => {
             return Err(FusionError::Parse {
                 line: seed_offset,
                 msg: format!("expected `{SEED_MARK}` section"),
             })
         }
-    }
-    // The seed section runs until the events marker; its first line is
-    // the file line just past the seed marker, so dataset parse errors
-    // are offset by `seed_offset` (2, or 3 with an epoch line).
-    let mut seed_text = String::new();
-    let mut saw_events_mark = false;
-    for (_, raw) in lines.by_ref() {
-        if raw.trim_end() == EVENTS_MARK {
-            saw_events_mark = true;
-            break;
+    };
+    // The seed section runs until the whole events marker line; its
+    // first line is the file line just past the seed marker, so dataset
+    // parse errors are offset by `seed_offset` (2, or 3 with an epoch
+    // line).
+    let mut seed_lines = 0;
+    let (seed_end, events) = loop {
+        match lines.next() {
+            Some((end, l)) if l.ends_with('\n') && l.trim_end() == EVENTS_MARK => {
+                break (end - l.len(), end)
+            }
+            Some(_) => seed_lines += 1,
+            None => {
+                return Err(FusionError::Parse {
+                    line: text.lines().count(),
+                    msg: format!("missing `{EVENTS_MARK}` marker"),
+                })
+            }
         }
-        seed_text.push_str(raw);
-        seed_text.push('\n');
-    }
-    if !saw_events_mark {
-        return Err(FusionError::Parse {
-            line: text.lines().count(),
-            msg: format!("missing `{EVENTS_MARK}` marker"),
-        });
-    }
-    let seed = corrfuse_core::io::from_str(&seed_text).map_err(|e| match e {
+    };
+    let seed = corrfuse_core::io::from_str(&text[seed_start..seed_end]).map_err(|e| match e {
         FusionError::Parse { line, msg } => FusionError::Parse {
             line: line + seed_offset,
             msg,
         },
         other => other,
     })?;
+    // The event section is the shared codec dialect, under its commit
+    // rule.
+    let first_line = seed_offset + seed_lines + 2;
+    let (batches, committed) = codec::parse_batch_lines(&text[events..], first_line)?;
+    let good_len = events + committed;
+    Ok(Recovered {
+        base_epoch,
+        seed,
+        batches,
+        good_len: good_len as u64,
+        torn: good_len < text.len(),
+    })
+}
 
-    // The event section is the shared codec dialect; a trailing run
-    // without `+B` (crash mid-append) replays as a final partial batch.
-    let parsed = codec::parse_batch_lines(lines.map(|(idx, raw)| (idx + 1, raw)))?;
-    Ok((base_epoch, seed, parsed.batches))
+/// Parse journal text into `(base_epoch, seed, batches)`: [`recover`]
+/// without the prefix report (see [`read`]).
+pub fn parse(text: &str) -> Result<(u64, Dataset, Vec<Vec<Event>>)> {
+    let r = recover(text)?;
+    Ok((r.base_epoch, r.seed, r.batches))
 }
 
 #[cfg(test)]
@@ -458,14 +434,18 @@ mod tests {
     }
 
     #[test]
-    fn trailing_partial_batch_is_replayed() {
+    fn a_trailing_unclosed_batch_is_not_replayed() {
         let text = format!(
             "{HEADER}\n{SEED_MARK}\n{}{EVENTS_MARK}\n+C\t0\t0\n+B\n+C\t1\t0\n",
             corrfuse_core::io::to_string(&seed())
         );
         let (_, _, batches) = parse(&text).unwrap();
-        assert_eq!(batches.len(), 2);
-        assert_eq!(batches[1], vec![Event::claim(SourceId(1), TripleId(0))]);
+        assert_eq!(batches, vec![vec![Event::claim(SourceId(0), TripleId(0))]]);
+        // Recovery keeps the committed prefix only.
+        let rec = recover(&text).unwrap();
+        assert!(rec.torn);
+        assert_eq!(rec.good_len as usize, text.len() - "+C\t1\t0\n".len());
+        assert_eq!(rec.batches, batches);
     }
 
     #[test]

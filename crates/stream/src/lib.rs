@@ -34,7 +34,9 @@
 //!   replayed. Journals carry an [`journal::FsyncPolicy`], rotate in
 //!   place (atomic snapshot compaction, [`StreamSession::rotate_journal`])
 //!   so they do not grow without bound, and recover from arbitrary-byte
-//!   truncation ([`StreamSession::recover`] trims the torn tail). The
+//!   truncation ([`StreamSession::recover`] replays the batches whose
+//!   `+B` line is whole, the [`codec`]'s commit rule, and trims the
+//!   rest). The
 //!   journal is a session's only record of its history. Snapshots may
 //!   carry an `#epoch <n>` stamp so a session's replication epoch
 //!   ([`StreamSession::epoch`], one increment per committed batch)

@@ -76,15 +76,17 @@ pub struct StreamSession {
     epoch: u64,
 }
 
-/// What [`StreamSession::recover`] salvaged from a crashed journal.
+/// What [`StreamSession::recover`] found in a journal.
 #[derive(Debug, Clone, Copy)]
 pub struct RecoveryReport {
-    /// Whether a torn (unterminated) final line was dropped.
+    /// Whether the journal held bytes past its last commit record (a
+    /// torn line, or events whose `+B` line never landed). They were
+    /// trimmed off, never replayed.
     pub torn: bool,
-    /// Bytes trimmed off the journal file to restore a well-formed tail.
+    /// Bytes trimmed off the journal file to end it at its last commit
+    /// record.
     pub dropped_bytes: u64,
-    /// Event batches replayed from the surviving prefix (a trailing run
-    /// without a batch boundary counts as one partial batch).
+    /// Committed batches replayed: each was closed by a whole `+B` line.
     pub batches_replayed: usize,
 }
 
@@ -127,33 +129,24 @@ impl StreamSession {
         self
     }
 
-    /// Restore a session from a `#corrfuse-journal v1` file: rebuild the
-    /// seed, replay every recorded batch through the incremental path,
-    /// and keep appending new batches to the same file (no explicit
-    /// fsyncing). After a crash, use [`StreamSession::recover`], which
-    /// trims a torn tail.
+    /// Restore a session from a `#corrfuse-journal v1` file and keep
+    /// appending to it without explicit fsyncing:
+    /// [`StreamSession::recover`] under [`FsyncPolicy::Never`].
     pub fn restore(config: FuserConfig, path: impl AsRef<Path>) -> Result<StreamSession> {
-        let path = path.as_ref();
-        let (base_epoch, seed, batches) = crate::journal::read(path)?;
-        let mut session = Self::replayed(config, seed, &batches)?;
-        session.epoch = base_epoch + batches.len() as u64;
-        session.journal = Some(JournalWriter::append(path, FsyncPolicy::Never)?);
-        Ok(session)
+        Ok(Self::recover(config, path, FsyncPolicy::Never)?.0)
     }
 
-    /// Crash-tolerant [`StreamSession::restore`]: a torn final journal
-    /// line (e.g. the file was truncated mid-append when a shard worker
-    /// died) is dropped, the file is truncated back to its well-formed
-    /// prefix, and the session resumes appending from there with the
-    /// given durability policy.
+    /// Open a session from a `#corrfuse-journal v1` file: rebuild the
+    /// seed, replay every committed batch through the incremental path,
+    /// truncate the file to its committed prefix, and resume appending
+    /// with the given durability policy.
     ///
-    /// A tear can also leave an *unterminated trailing batch* (events
-    /// with no `+B`). If its surviving prefix replays cleanly it is kept
-    /// and sealed in the file, so later appends do not merge into it; if
-    /// it does not (e.g. a new triple whose claims were lost to the
-    /// tear), the whole partial batch is discarded and the file is cut
-    /// back to the last complete batch boundary — batches are atomic
-    /// under recovery.
+    /// A batch is committed once its `+B` line is whole
+    /// ([`crate::codec`]'s commit rule), so the session's epoch always
+    /// counts whole batches. A crash mid-append (a killed shard worker,
+    /// power loss) can leave a torn line or events whose `+B` never
+    /// landed; they are dropped, not replayed, and recovery writes
+    /// nothing to the journal but that truncation.
     pub fn recover(
         config: FuserConfig,
         path: impl AsRef<Path>,
@@ -161,56 +154,25 @@ impl StreamSession {
     ) -> Result<(StreamSession, RecoveryReport)> {
         let path = path.as_ref();
         let text = std::fs::read_to_string(path)?;
-        let file_len = text.len() as u64;
         let recovered = crate::journal::recover(&text)?;
-        let mut good_len = recovered.good_len as usize;
-        let mut batches = recovered.batches;
-        let prefix = &text[..good_len];
-        // Event lines always follow the `#events` marker line, so a
-        // closed tail ends with a newline-anchored batch boundary.
-        let open_tail = !batches.is_empty() && !prefix.ends_with(crate::journal::BOUNDARY_LINE);
-        let mut dropped_partial = false;
-        let mut replayed = Self::replayed(config.clone(), recovered.seed.clone(), &batches);
-        if replayed.is_err() && open_tail {
-            batches.pop();
-            good_len = crate::journal::last_complete_boundary(prefix);
-            dropped_partial = true;
-            replayed = Self::replayed(config, recovered.seed, &batches);
-        }
-        let mut session = replayed?;
-        session.epoch = recovered.base_epoch + batches.len() as u64;
-        if (good_len as u64) < file_len {
-            let f = std::fs::OpenOptions::new().write(true).open(path)?;
-            f.set_len(good_len as u64)?;
-            f.sync_all()?;
-        }
-        let mut writer = JournalWriter::append(path, fsync)?;
-        if open_tail && !dropped_partial {
-            // Close the surviving partial batch exactly as it was
-            // replayed (an empty append writes just the `+B` boundary).
-            writer.append_batch(&[])?;
-        }
-        session.journal = Some(writer);
-        let report = RecoveryReport {
-            torn: recovered.torn || dropped_partial,
-            dropped_bytes: file_len - good_len as u64,
-            batches_replayed: batches.len(),
-        };
-        Ok((session, report))
-    }
-
-    /// Seed a session and replay recorded batches through the
-    /// incremental path.
-    fn replayed(
-        config: FuserConfig,
-        seed: Dataset,
-        batches: &[Vec<Event>],
-    ) -> Result<StreamSession> {
-        let mut session = StreamSession::new(config, seed)?;
-        for batch in batches {
+        let mut session = StreamSession::new(config, recovered.seed)?;
+        for batch in &recovered.batches {
             session.inc.ingest(batch, &session.engine)?;
         }
-        Ok(session)
+        session.epoch = recovered.base_epoch + recovered.batches.len() as u64;
+        let dropped_bytes = text.len() as u64 - recovered.good_len;
+        if dropped_bytes > 0 {
+            let f = std::fs::OpenOptions::new().write(true).open(path)?;
+            f.set_len(recovered.good_len)?;
+            f.sync_all()?;
+        }
+        session.journal = Some(JournalWriter::append(path, fsync)?);
+        let report = RecoveryReport {
+            torn: recovered.torn,
+            dropped_bytes,
+            batches_replayed: recovered.batches.len(),
+        };
+        Ok((session, report))
     }
 
     /// Start journaling to `path` under the durability policy `fsync`.
