@@ -213,24 +213,8 @@ impl Client {
     fn try_dial(&self) -> Result<TcpStream> {
         let mut stream = TcpStream::connect(&self.addr)?;
         stream.set_nodelay(true).ok();
-        Request::Hello {
-            min_version: VERSION,
-            max_version: VERSION,
-            credential: self.config.credential.clone(),
-        }
-        .to_frame()
-        .write_to(&mut stream)?;
-        stream.flush()?;
-        match read_response(&mut stream)? {
-            Response::HelloOk { version } if version == VERSION => Ok(stream),
-            Response::HelloOk { version } => Err(NetError::Protocol(format!(
-                "server negotiated unknown version {version}"
-            ))),
-            Response::Error { code, message } => Err(NetError::Remote { code, message }),
-            other => Err(NetError::Protocol(format!(
-                "expected HELLO_OK, got {other:?}"
-            ))),
-        }
+        hello(&mut stream, self.config.credential.clone())?;
+        Ok(stream)
     }
 
     /// Drop the connection (as a crashed network would), keeping the
@@ -544,7 +528,34 @@ fn resend_window(stream: &mut TcpStream, window: &VecDeque<Pending>) -> Result<(
     Ok(())
 }
 
-fn read_response(stream: &mut TcpStream) -> Result<Response> {
+/// The `HELLO` exchange that opens every connection: offer exactly
+/// [`VERSION`], present `credential` (`docs/PROTOCOL.md` §4.1), and
+/// accept only a `HELLO_OK` for that version. A typed rejection
+/// surfaces as [`NetError::Remote`].
+pub fn hello(stream: &mut TcpStream, credential: Option<String>) -> Result<()> {
+    Request::Hello {
+        min_version: VERSION,
+        max_version: VERSION,
+        credential,
+    }
+    .to_frame()
+    .write_to(stream)?;
+    stream.flush()?;
+    match read_response(stream)? {
+        Response::HelloOk { version } if version == VERSION => Ok(()),
+        Response::HelloOk { version } => Err(NetError::Protocol(format!(
+            "server negotiated unknown version {version}"
+        ))),
+        Response::Error { code, message } => Err(NetError::Remote { code, message }),
+        other => Err(NetError::Protocol(format!(
+            "expected HELLO_OK, got {other:?}"
+        ))),
+    }
+}
+
+/// Read one response frame. A connection the server closed between
+/// frames is an [`NetError::Io`].
+pub fn read_response(stream: &mut TcpStream) -> Result<Response> {
     match Frame::read_from(stream)? {
         Some(frame) => Ok(Response::from_frame(&frame)?),
         None => Err(NetError::Io("connection closed by server".to_string())),

@@ -120,5 +120,4 @@ pub use session::{Output, SessionConfig, SessionStateMachine};
 pub use transport::{raise_nofile_limit, Event, FlushProgress, Interest, Poller, Token, WriteBuf};
 pub use wire::{
     Request, Response, WireHistogram, WireMetric, WireMetricValue, WireShardStats, WireStats,
-    WireSubscriptionStart,
 };

@@ -84,7 +84,7 @@ use crate::error::{code_of, ErrorCode, NetError, Result};
 use crate::frame::{Frame, FrameType};
 use crate::session::{MonotonicClock, Output, SessionConfig, SessionStateMachine};
 use crate::transport::{FlushProgress, Interest, Poller, Token, WriteBuf};
-use crate::wire::{Request, Response, WireMetric, WireStats, WireSubscriptionStart};
+use crate::wire::{Request, Response, WireMetric, WireStats};
 
 /// Read chunk size: bounds the work one connection gets per wakeup.
 const READ_CHUNK: usize = 64 * 1024;
@@ -1019,6 +1019,7 @@ fn metrics_response(registry: Option<&Arc<Registry>>, router: &ShardRouter) -> R
         counter("serve_migrations_in", agg.migrations_in),
         counter("serve_migrations_out", agg.migrations_out),
         counter("serve_migrations_failed", agg.migrations_failed),
+        gauge("serve_migrations_active", router.migrations_active() as i64),
         gauge("serve_scoring_threads", agg.scoring_threads as i64),
     ]);
     // Per-shard series, read off `RouterStats::shards`. Migration
@@ -1081,18 +1082,6 @@ fn replicate(
 ) -> Result<()> {
     let mut reader = std::io::Cursor::new(leftover).chain(stream.try_clone()?);
     let mut writer = stream;
-    let start = match start {
-        SubscriptionStart::Resume => WireSubscriptionStart::Resume,
-        SubscriptionStart::Snapshot {
-            epoch,
-            dataset,
-            threshold,
-        } => WireSubscriptionStart::Snapshot {
-            epoch,
-            threshold,
-            dataset,
-        },
-    };
     let frame = Response::SubscribeOk { start }.to_frame();
     if !frame.fits() {
         // A snapshot dataset past MAX_PAYLOAD cannot be bootstrapped

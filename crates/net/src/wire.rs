@@ -10,7 +10,7 @@
 //! result parses as a journal file.
 
 use corrfuse_obs::{HistogramSnapshot, MetricSample, MetricValue, BUCKETS};
-use corrfuse_serve::{RouterStats, TenantId};
+use corrfuse_serve::{RouterStats, SubscriptionStart, TenantId};
 use corrfuse_stream::codec;
 use corrfuse_stream::Event;
 
@@ -156,8 +156,8 @@ pub enum Response {
     /// [`Response::Batch`].
     SubscribeOk {
         /// Resume from the follower's own state, or rebuild from a
-        /// snapshot.
-        start: WireSubscriptionStart,
+        /// snapshot (`docs/PROTOCOL.md` §5.11).
+        start: SubscriptionStart,
     },
     /// One replicated batch (pushed unsolicited in replication mode).
     Batch {
@@ -175,29 +175,6 @@ pub enum Response {
         code: ErrorCode,
         /// Human-readable detail.
         message: String,
-    },
-}
-
-/// How a replication subscription begins, as carried by
-/// [`Response::SubscribeOk`] (the wire shape of
-/// `corrfuse_serve::SubscriptionStart`).
-#[derive(Debug, Clone, PartialEq)]
-pub enum WireSubscriptionStart {
-    /// The leader's backlog covered `from_epoch`: the follower keeps
-    /// its state and the first `BATCH` frame carries `from_epoch + 1`.
-    Resume,
-    /// The follower is too far behind (or brand new): it must rebuild
-    /// from this snapshot, then apply the streamed batches.
-    Snapshot {
-        /// The shard epoch the snapshot was captured at; the first
-        /// `BATCH` frame carries `epoch + 1`.
-        epoch: u64,
-        /// The shard session's decision threshold (f64 bits travel
-        /// verbatim).
-        threshold: f64,
-        /// The shard's accumulated (namespaced) dataset in the
-        /// `corrfuse_core::io` TSV dialect.
-        dataset: String,
     },
 }
 
@@ -649,7 +626,7 @@ impl Response {
             Response::DecisionsOk { decisions } => 4 + decisions.len(),
             Response::StatsOk { stats } => 28 + STATS_RECORD_LEN * stats.shards.len(),
             Response::SubscribeOk {
-                start: WireSubscriptionStart::Snapshot { dataset, .. },
+                start: SubscriptionStart::Snapshot { dataset, .. },
             } => 17 + dataset.len(),
             Response::Batch { text, .. } => 8 + text.len(),
             Response::Error { message, .. } => 2 + message.len(),
@@ -706,11 +683,11 @@ impl Response {
             }
             Response::SubscribeOk { start } => {
                 match start {
-                    WireSubscriptionStart::Resume => out.push(START_RESUME),
-                    WireSubscriptionStart::Snapshot {
+                    SubscriptionStart::Resume => out.push(START_RESUME),
+                    SubscriptionStart::Snapshot {
                         epoch,
-                        threshold,
                         dataset,
+                        threshold,
                     } => {
                         out.push(START_SNAPSHOT);
                         out.extend_from_slice(&epoch.to_le_bytes());
@@ -834,16 +811,16 @@ impl Response {
                 let start = match tag {
                     START_RESUME => {
                         r.finish("SUBSCRIBE_OK")?;
-                        WireSubscriptionStart::Resume
+                        SubscriptionStart::Resume
                     }
                     START_SNAPSHOT => {
                         let epoch = r.u64("snapshot epoch")?;
                         let threshold = f64::from_bits(r.u64("snapshot threshold")?);
                         let dataset = utf8(r.rest(), "snapshot dataset")?.to_string();
-                        WireSubscriptionStart::Snapshot {
+                        SubscriptionStart::Snapshot {
                             epoch,
-                            threshold,
                             dataset,
+                            threshold,
                         }
                     }
                     other => {
@@ -876,7 +853,7 @@ impl Response {
 /// Bytes of one `STATS_OK` shard record (`docs/PROTOCOL.md` §5.6).
 const STATS_RECORD_LEN: usize = 37;
 
-/// Wire tags for [`WireSubscriptionStart`] in a `SUBSCRIBE_OK` payload.
+/// Wire tags for [`SubscriptionStart`] in a `SUBSCRIBE_OK` payload.
 const START_RESUME: u8 = 0;
 const START_SNAPSHOT: u8 = 1;
 
@@ -1093,13 +1070,13 @@ mod tests {
                 ],
             },
             Response::SubscribeOk {
-                start: WireSubscriptionStart::Resume,
+                start: SubscriptionStart::Resume,
             },
             Response::SubscribeOk {
-                start: WireSubscriptionStart::Snapshot {
+                start: SubscriptionStart::Snapshot {
                     epoch: 41,
-                    threshold: 0.5,
                     dataset: "#corrfuse v1\nS\tA\n".to_string(),
+                    threshold: 0.5,
                 },
             },
             Response::Batch {
@@ -1194,6 +1171,44 @@ mod tests {
             std::str::from_utf8(&frame.payload[8..]).unwrap(),
             "+C\t1\t2\n+B\n"
         );
+    }
+
+    #[test]
+    fn subscribe_payloads_are_the_spec_bytes() {
+        // `docs/PROTOCOL.md` §4.6: the shard, then `from_epoch`, both
+        // little-endian.
+        let subscribe = Request::Subscribe {
+            shard: 2,
+            from_epoch: 0x0102_0304_0506_0708,
+        }
+        .to_frame();
+        assert_eq!(subscribe.kind, FrameType::Subscribe);
+        assert_eq!(subscribe.payload, [2, 0, 0, 0, 8, 7, 6, 5, 4, 3, 2, 1]);
+
+        // §5.11: tag 0 (RESUME) and nothing after it.
+        let resume = Response::SubscribeOk {
+            start: SubscriptionStart::Resume,
+        }
+        .to_frame();
+        assert_eq!(resume.kind, FrameType::SubscribeOk);
+        assert_eq!(resume.payload, [0]);
+
+        // Tag 1 (SNAPSHOT), the epoch, the threshold's bits
+        // (0.5 = 0x3FE0_0000_0000_0000), both little-endian, then the
+        // dataset as UTF-8.
+        let snapshot = Response::SubscribeOk {
+            start: SubscriptionStart::Snapshot {
+                epoch: 0x0102_0304_0506_0708,
+                dataset: "#corrfuse v1\nS\tA\n".to_string(),
+                threshold: 0.5,
+            },
+        }
+        .to_frame();
+        let mut want = vec![1, 8, 7, 6, 5, 4, 3, 2, 1];
+        want.extend([0, 0, 0, 0, 0, 0, 0xE0, 0x3F]);
+        want.extend(b"#corrfuse v1\nS\tA\n");
+        assert_eq!(snapshot.kind, FrameType::SubscribeOk);
+        assert_eq!(snapshot.payload, want);
     }
 
     #[test]

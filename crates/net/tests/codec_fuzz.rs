@@ -109,7 +109,7 @@ fn random_metrics(g: &mut Gen) -> Vec<WireMetric> {
 }
 
 fn random_response(g: &mut Gen) -> Response {
-    use corrfuse_net::WireSubscriptionStart;
+    use corrfuse_serve::SubscriptionStart;
     match g.usize_in(0, 12) {
         0 => Response::HelloOk {
             version: g.u64_below(4) as u8,
@@ -152,9 +152,9 @@ fn random_response(g: &mut Gen) -> Response {
         },
         9 => Response::SubscribeOk {
             start: if g.bool(0.5) {
-                WireSubscriptionStart::Resume
+                SubscriptionStart::Resume
             } else {
-                WireSubscriptionStart::Snapshot {
+                SubscriptionStart::Snapshot {
                     epoch: g.u64_below(1 << 40),
                     threshold: g.vec_f64(1, 0.0, 1.0)[0],
                     dataset: format!("#corrfuse v1\nS\tsrc-{}\n", g.u64_below(100)),

@@ -521,6 +521,7 @@ fn metrics_without_registry_still_answers() {
     // No registry anywhere: only the router-derived series, still a
     // valid non-empty reply.
     assert!(metrics.iter().any(|m| m.name == "serve_batches"));
+    assert!(metrics.iter().any(|m| m.name == "serve_migrations_active"));
     assert!(!metrics.iter().any(|m| m.name.starts_with("net_")));
 
     handle.stop();

@@ -35,11 +35,14 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use corrfuse_core::error::FusionError;
 use corrfuse_core::TripleId;
-use corrfuse_net::frame::VERSION;
-use corrfuse_net::{Frame, NetError, Request, Response, WireSubscriptionStart};
+use corrfuse_net::client::{hello, read_response};
+use corrfuse_net::{Client, ClientConfig, Frame, NetError, Request, Response};
 use corrfuse_obs::{Counter, Histogram};
-use corrfuse_serve::{derive_tenant_maps, extend_tenant_maps, ServeError, TenantId, TenantMap};
+use corrfuse_serve::{
+    derive_tenant_maps, extend_tenant_maps, ServeError, SubscriptionStart, TenantId, TenantMap,
+};
 use corrfuse_stream::StreamSession;
 
 use crate::config::FollowerConfig;
@@ -119,7 +122,8 @@ pub struct FollowerShardStats {
     pub batches_applied: u64,
     /// Events inside those batches.
     pub events_applied: u64,
-    /// Batches that failed to apply (each discards the shard state and
+    /// Batches that failed to apply, and follower journals that would
+    /// not open at a cold restart (each discards the shard state and
     /// forces a fresh snapshot bootstrap).
     pub apply_errors: u64,
     /// Subscriptions established (1 = the initial link never broke).
@@ -153,11 +157,19 @@ impl Follower {
     /// Connect to a leader: probe its shard count over a throwaway
     /// `STATS` exchange, recover any follower-side journals from
     /// [`FollowerConfig::journal_dir`], and start one replication link
-    /// per shard. Returns immediately; reads gate on catch-up via
+    /// per shard. A journal that does not decode or replay counts one
+    /// apply error, and its shard bootstraps from a snapshot, which
+    /// rewrites the file. Returns immediately; reads gate on catch-up via
     /// `min_epoch` (or poll [`Follower::applied_epochs`]).
     pub fn connect(addr: impl Into<String>, config: FollowerConfig) -> Result<Follower> {
         let addr = addr.into();
-        let n_shards = probe_shards(&addr)?;
+        let probe = ClientConfig::new().with_connect_retries(0, Duration::ZERO);
+        let n_shards = Client::connect_with(&addr, probe)?.stats()?.shards.len();
+        if n_shards == 0 {
+            return Err(ReplicaError::Protocol(
+                "leader reports zero shards".to_string(),
+            ));
+        }
         if let Some(dir) = &config.journal_dir {
             std::fs::create_dir_all(dir)
                 .map_err(|e| NetError::Io(format!("create journal dir: {e}")))?;
@@ -170,12 +182,20 @@ impl Follower {
                 if path.exists() {
                     // Cold restart: rebuild from the local journal and
                     // resubscribe from the recovered epoch instead of
-                    // pulling a full snapshot again.
-                    let (session, _report) =
-                        StreamSession::recover(config.fuser.clone(), &path, config.fsync)?;
-                    let session = session.with_threshold(config.threshold);
-                    state.maps = derive_tenant_maps(session.dataset());
-                    state.session = Some(session);
+                    // pulling a full snapshot again. A journal that will
+                    // not decode or replay counts as a failed apply: the
+                    // shard starts without a session, so its link
+                    // bootstraps and rewrites the file. An I/O error
+                    // stays fatal, as the rewrite needs the same file.
+                    match StreamSession::recover(config.fuser.clone(), &path, config.fsync) {
+                        Ok((session, _)) => {
+                            let session = session.with_threshold(config.threshold);
+                            state.maps = derive_tenant_maps(session.dataset());
+                            state.session = Some(session);
+                        }
+                        Err(e @ FusionError::Io(_)) => return Err(e.into()),
+                        Err(_) => state.apply_errors += 1,
+                    }
                 }
             }
             slots.push(Slot {
@@ -398,59 +418,6 @@ fn journal_path(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("shard-{shard}.journal"))
 }
 
-/// The `HELLO` handshake on a fresh connection (the follower side speaks
-/// the raw frame primitives: unlike [`corrfuse_net::Client`] it must
-/// read unsolicited `BATCH` frames, so the pipelined request/response
-/// machinery does not fit).
-fn hello(stream: &mut TcpStream) -> Result<()> {
-    use std::io::Write as _;
-    stream.set_nodelay(true).ok();
-    Request::Hello {
-        min_version: VERSION,
-        max_version: VERSION,
-        credential: None,
-    }
-    .to_frame()
-    .write_to(stream)?;
-    stream.flush()?;
-    match read_response(stream)? {
-        Response::HelloOk { version } if version == VERSION => Ok(()),
-        Response::Error { code, message } => Err(NetError::Remote { code, message }.into()),
-        other => Err(ReplicaError::Protocol(format!(
-            "expected HELLO_OK, got {other:?}"
-        ))),
-    }
-}
-
-fn read_response(stream: &mut TcpStream) -> Result<Response> {
-    match Frame::read_from(stream)? {
-        Some(frame) => Ok(Response::from_frame(&frame).map_err(NetError::Frame)?),
-        None => Err(NetError::Io("connection closed by leader".to_string()).into()),
-    }
-}
-
-/// One `STATS` exchange on a throwaway connection, to learn the
-/// leader's shard count.
-fn probe_shards(addr: &str) -> Result<usize> {
-    use std::io::Write as _;
-    let mut stream = TcpStream::connect(addr)?;
-    hello(&mut stream)?;
-    Request::Stats { min_epoch: None }
-        .to_frame()
-        .write_to(&mut stream)?;
-    stream.flush()?;
-    match read_response(&mut stream)? {
-        Response::StatsOk { stats } if !stats.shards.is_empty() => Ok(stats.shards.len()),
-        Response::StatsOk { .. } => Err(ReplicaError::Protocol(
-            "leader reports zero shards".to_string(),
-        )),
-        Response::Error { code, message } => Err(NetError::Remote { code, message }.into()),
-        other => Err(ReplicaError::Protocol(format!(
-            "expected STATS_OK, got {other:?}"
-        ))),
-    }
-}
-
 /// The link thread: dial–subscribe–apply until stopped, with doubling
 /// (capped) backoff between failed links and a reset on progress.
 fn run_link_loop(shared: &Shared, shard: usize) {
@@ -485,6 +452,7 @@ fn run_link_loop(shared: &Shared, shard: usize) {
 fn run_link(shared: &Shared, shard: usize) -> Result<u64> {
     let slot = &shared.slots[shard];
     let mut stream = TcpStream::connect(&shared.addr)?;
+    stream.set_nodelay(true).ok();
     *slot.conn.lock().expect("conn lock") = Some(stream.try_clone().map_err(NetError::from)?);
     let result = link(shared, shard, &mut stream);
     slot.conn.lock().expect("conn lock").take();
@@ -493,7 +461,8 @@ fn run_link(shared: &Shared, shard: usize) -> Result<u64> {
 
 /// Handshake, subscribe from the applied epoch (or bootstrap), then
 /// apply `BATCH` frames and acknowledge each applied epoch, until the
-/// connection ends.
+/// connection ends. Past the handshake it reads frames itself, not
+/// through [`Client`]: the leader pushes `BATCH` frames unasked.
 fn link(shared: &Shared, shard: usize, stream: &mut TcpStream) -> Result<u64> {
     use std::io::Write as _;
     let slot = &shared.slots[shard];
@@ -501,7 +470,7 @@ fn link(shared: &Shared, shard: usize, stream: &mut TcpStream) -> Result<u64> {
     if shared.stop.load(Ordering::SeqCst) {
         return Ok(0);
     }
-    hello(stream)?;
+    hello(stream, None)?;
     let from_epoch = {
         let st = slot.state.lock().expect("shard state lock");
         match &st.session {
@@ -518,7 +487,7 @@ fn link(shared: &Shared, shard: usize, stream: &mut TcpStream) -> Result<u64> {
     stream.flush()?;
     match read_response(stream)? {
         Response::SubscribeOk {
-            start: WireSubscriptionStart::Resume,
+            start: SubscriptionStart::Resume,
         } => {
             if from_epoch == BOOTSTRAP_EPOCH {
                 return Err(ReplicaError::Protocol(
@@ -528,10 +497,10 @@ fn link(shared: &Shared, shard: usize, stream: &mut TcpStream) -> Result<u64> {
         }
         Response::SubscribeOk {
             start:
-                WireSubscriptionStart::Snapshot {
+                SubscriptionStart::Snapshot {
                     epoch,
-                    threshold,
                     dataset,
+                    threshold,
                 },
         } => bootstrap(shared, shard, epoch, threshold, &dataset)?,
         Response::Error { code, message } => return Err(NetError::Remote { code, message }.into()),
@@ -679,6 +648,7 @@ mod tests {
     use std::sync::mpsc;
 
     use corrfuse_core::fuser::{FuserConfig, Method};
+    use corrfuse_net::frame::VERSION;
     use corrfuse_net::wire::{WireShardStats, WireStats};
 
     /// A leader that answers the shard probe, then accepts the link and

@@ -2,7 +2,8 @@
 //! last batch it holds whole. A crash can cut the journal inside a
 //! batch (one append is one `write_all`, not one atomic disk write);
 //! what survives of that batch must not count as the batch, or the
-//! follower would resubscribe past events it never applied.
+//! follower would resubscribe past events it never applied. A journal
+//! that will not open at all is rebuilt from a leader snapshot.
 
 use std::time::Duration;
 
@@ -103,6 +104,84 @@ fn a_torn_follower_journal_resumes_from_its_last_whole_batch() {
         stats.shards[0].batches_applied, 1,
         "only the torn batch came again"
     );
+
+    follower.shutdown();
+    drop(client);
+    handle.stop();
+    join.join().unwrap().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_follower_journal_that_will_not_open_is_rebuilt_from_a_snapshot() {
+    let tenant = TenantId(0);
+    let config = FuserConfig::new(Method::PrecRec);
+    let router = ShardRouter::new(
+        config.clone(),
+        RouterConfig::new(1)
+            .with_threshold(0.5)
+            .with_replication(ReplicationConfig::new()),
+        vec![(tenant, seed())],
+    )
+    .unwrap();
+    let server = Server::bind("127.0.0.1:0", router, ServerConfig::new()).unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let (handle, join) = spawn(server).unwrap();
+
+    let dir =
+        std::env::temp_dir().join(format!("corrfuse-unopened-follower-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let follower_config = FollowerConfig::new(config)
+        .with_threshold(0.5)
+        .with_catchup_timeout(Duration::from_secs(10))
+        .with_journal_dir(&dir, FsyncPolicy::Never);
+    let claim = |s: u32, t: u32| Event::claim(SourceId(s), TripleId(t));
+    let mut client = Client::connect(&addr).unwrap();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+    let follower = Follower::connect(&addr, follower_config.clone()).unwrap();
+    for batch in [
+        [claim(1, 8), claim(2, 9)],
+        [claim(0, 10), claim(2, 11)],
+        [claim(0, 12), claim(1, 13)],
+    ] {
+        client.ingest(tenant, &batch).unwrap();
+        client.flush().unwrap();
+    }
+    let leader = client.scores(tenant).unwrap();
+    assert_eq!(bits(&follower.scores_at(tenant, 3).unwrap()), bits(&leader));
+    follower.shutdown();
+    drop(follower);
+
+    // Cut the journal inside its seed snapshot, before `#events`, as a
+    // crash while a bootstrap writes the snapshot can.
+    let path = dir.join("shard-0.journal");
+    let text = std::fs::read_to_string(&path).unwrap();
+    std::fs::write(&path, &text[..text.find("#events").unwrap() / 2]).unwrap();
+
+    let follower = Follower::connect(&addr, follower_config.clone())
+        .expect("a journal that will not open does not stop the follower");
+    let replica = follower.scores_at(tenant, 3).unwrap();
+    assert_eq!(
+        bits(&replica),
+        bits(&leader),
+        "the rebuilt follower at epoch 3"
+    );
+    let stats = &follower.stats().shards[0];
+    assert_eq!((stats.snapshots, stats.apply_errors), (1, 1));
+    follower.shutdown();
+    drop(follower);
+
+    // The bootstrap rewrote the journal: the next restart resumes it and
+    // applies the leader's next batch on top.
+    let follower = Follower::connect(&addr, follower_config).unwrap();
+    client.ingest(tenant, &[claim(1, 11)]).unwrap();
+    client.flush().unwrap();
+    let leader = client.scores(tenant).unwrap();
+    assert_eq!(bits(&follower.scores_at(tenant, 4).unwrap()), bits(&leader));
+    let stats = &follower.stats().shards[0];
+    assert_eq!((stats.snapshots, stats.apply_errors), (0, 0));
+    assert_eq!(stats.batches_applied, 1);
 
     follower.shutdown();
     drop(client);

@@ -614,6 +614,15 @@ impl ShardRouter {
         RouterStats { shards }
     }
 
+    /// Tenant migrations in flight: route entries claimed, not committed.
+    pub fn migrations_active(&self) -> usize {
+        let routes = self.routes.read().expect("route table lock");
+        routes
+            .values()
+            .filter(|r| !matches!(r, RouteState::Moved { .. }))
+            .count()
+    }
+
     /// A tenant's self-contained journal slice: its full accumulated
     /// state re-expressed as tenant-local events (sources, triples with
     /// domains, claims, labels, all in tenant-local registration order),
@@ -726,9 +735,6 @@ impl ShardRouter {
             routes.insert(tenant, RouteState::Migrating { from });
             (from, prior)
         };
-        if let Some(reg) = &self.config.metrics {
-            reg.gauge("serve_migrations_active").add(1);
-        }
         if abort_after == Some(MigrationStage::Planning) {
             return Err(self.roll_back(
                 tenant,
@@ -877,9 +883,6 @@ impl ShardRouter {
             .expect("shard core lock")
             .stats
             .migrations_in += 1;
-        if let Some(reg) = &self.config.metrics {
-            reg.gauge("serve_migrations_active").add(-1);
-        }
         Ok(MigrationReport {
             tenant,
             from,
@@ -970,9 +973,6 @@ impl ShardRouter {
             .expect("shard core lock")
             .stats
             .migrations_failed += 1;
-        if let Some(reg) = &self.config.metrics {
-            reg.gauge("serve_migrations_active").add(-1);
-        }
         ServeError::MigrationFailed {
             tenant,
             stage,

@@ -36,7 +36,8 @@
 //! or through the `#events` line when no batch closed — and reports its
 //! byte length, so [`crate::StreamSession::recover`] replays it and
 //! truncates the file to it before appending again. A cut before the
-//! whole `#events` line leaves no seed to start from and is an error.
+//! whole `#events` line leaves no seed to start from and is an error
+//! (a replication follower then rebuilds that journal from a snapshot).
 //! How eagerly writes reach the disk is the writer's
 //! [`FsyncPolicy`]; [`JournalWriter::seal`] forces a full sync at
 //! shutdown regardless of policy, and [`JournalWriter::rotate`] compacts
@@ -133,9 +134,9 @@ impl JournalWriter {
     /// Create (or truncate) a journal at `path` with `seed` as its
     /// snapshot, ready to append batches under the durability policy
     /// `fsync`. The snapshot is stamped with `epoch`, the replication
-    /// epoch at which `seed` was captured: [`read`]/[`recover`] report
-    /// it back so a restored session (or a cold-restarting follower)
-    /// resumes epoch numbering where the snapshot left off instead of
+    /// epoch at which `seed` was captured: [`recover`] reports it back
+    /// so a restored session (or a cold-restarting follower) resumes
+    /// epoch numbering where the snapshot left off instead of
     /// restarting from zero.
     pub fn create(
         path: impl AsRef<Path>,
@@ -261,16 +262,6 @@ impl JournalWriter {
     }
 }
 
-/// Read a journal: the snapshot's base epoch, the seed snapshot and the
-/// committed event batches (see [`recover`]). The base epoch is the
-/// replication epoch at which the seed was captured (0 for journals
-/// without an `#epoch` line); the session's epoch after replay is
-/// `base_epoch + batches.len()`.
-pub fn read(path: impl AsRef<Path>) -> Result<(u64, Dataset, Vec<Vec<Event>>)> {
-    let text = fs::read_to_string(path)?;
-    parse(&text)
-}
-
 /// A journal's committed prefix, decoded ([`recover`]).
 #[derive(Debug, Clone)]
 pub struct Recovered {
@@ -280,13 +271,13 @@ pub struct Recovered {
     /// The seed snapshot.
     pub seed: Dataset,
     /// The committed event batches, each closed by its whole `+B` line.
+    /// The session's epoch after replaying them is
+    /// `base_epoch + batches.len()`.
     pub batches: Vec<Vec<Event>>,
-    /// Byte length of the committed prefix. Truncate the file to this
-    /// length before resuming appends.
+    /// Byte length of the committed prefix. Bytes past it (a torn line,
+    /// or events whose `+B` never landed) are no batch; truncate the
+    /// file to this length before resuming appends.
     pub good_len: u64,
-    /// Whether the text held bytes past the committed prefix: a torn
-    /// line, or events whose `+B` never landed.
-    pub torn: bool,
 }
 
 /// Decode journal text up to its committed prefix: the seed snapshot
@@ -364,21 +355,12 @@ pub fn recover(text: &str) -> Result<Recovered> {
     // rule.
     let first_line = seed_offset + seed_lines + 2;
     let (batches, committed) = codec::parse_batch_lines(&text[events..], first_line)?;
-    let good_len = events + committed;
     Ok(Recovered {
         base_epoch,
         seed,
         batches,
-        good_len: good_len as u64,
-        torn: good_len < text.len(),
+        good_len: (events + committed) as u64,
     })
-}
-
-/// Parse journal text into `(base_epoch, seed, batches)`: [`recover`]
-/// without the prefix report (see [`read`]).
-pub fn parse(text: &str) -> Result<(u64, Dataset, Vec<Vec<Event>>)> {
-    let r = recover(text)?;
-    Ok((r.base_epoch, r.seed, r.batches))
 }
 
 #[cfg(test)]
@@ -397,6 +379,11 @@ mod tests {
         b.label(t1, true);
         b.label(t2, false);
         b.build().unwrap()
+    }
+
+    /// A journal file's committed prefix.
+    fn read(path: &Path) -> Recovered {
+        recover(&fs::read_to_string(path).unwrap()).unwrap()
     }
 
     fn batches() -> Vec<Vec<Event>> {
@@ -421,15 +408,15 @@ mod tests {
         for b in batches() {
             w.append_batch(&b).unwrap();
         }
-        let (_, back_seed, back_batches) = read(&path).unwrap();
-        assert_eq!(back_seed.n_triples(), 2);
-        assert_eq!(back_seed.n_sources(), 2);
+        let back = read(&path);
+        assert_eq!(back.seed.n_triples(), 2);
+        assert_eq!(back.seed.n_sources(), 2);
         assert_eq!(
-            back_seed.triple(TripleId(1)).subject,
+            back.seed.triple(TripleId(1)).subject,
             "weird\tfield",
             "seed escaping survives"
         );
-        assert_eq!(back_batches, batches());
+        assert_eq!(back.batches, batches());
         std::fs::remove_file(&path).ok();
     }
 
@@ -439,13 +426,13 @@ mod tests {
             "{HEADER}\n{SEED_MARK}\n{}{EVENTS_MARK}\n+C\t0\t0\n+B\n+C\t1\t0\n",
             corrfuse_core::io::to_string(&seed())
         );
-        let (_, _, batches) = parse(&text).unwrap();
-        assert_eq!(batches, vec![vec![Event::claim(SourceId(0), TripleId(0))]]);
-        // Recovery keeps the committed prefix only.
         let rec = recover(&text).unwrap();
-        assert!(rec.torn);
+        assert_eq!(
+            rec.batches,
+            vec![vec![Event::claim(SourceId(0), TripleId(0))]]
+        );
+        // Recovery keeps the committed prefix only.
         assert_eq!(rec.good_len as usize, text.len() - "+C\t1\t0\n".len());
-        assert_eq!(rec.batches, batches);
     }
 
     #[test]
@@ -456,7 +443,7 @@ mod tests {
         let good = snapshot_string(&seed(), 0);
         let bad = good.replace("\t1\t0,1\n", "\t9\t0,1\n");
         assert_ne!(good, bad);
-        match parse(&bad).unwrap_err() {
+        match recover(&bad).unwrap_err() {
             FusionError::Parse { line, msg } => {
                 assert_eq!(line, 6, "{msg}");
                 assert!(msg.contains("bad label"));
@@ -472,7 +459,7 @@ mod tests {
             corrfuse_core::io::to_string(&seed())
         );
         let events_line = text.lines().count();
-        match parse(&text).unwrap_err() {
+        match recover(&text).unwrap_err() {
             FusionError::Parse { line, msg } => {
                 assert_eq!(line, events_line, "{msg}");
                 assert!(msg.contains("0 or 1"));
@@ -483,14 +470,14 @@ mod tests {
 
     #[test]
     fn malformed_headers_rejected() {
-        assert!(parse("").is_err());
-        assert!(parse("#wrong\n").is_err());
-        assert!(parse(&format!("{HEADER}\nnot-seed\n")).is_err());
+        assert!(recover("").is_err());
+        assert!(recover("#wrong\n").is_err());
+        assert!(recover(&format!("{HEADER}\nnot-seed\n")).is_err());
         let no_events = format!(
             "{HEADER}\n{SEED_MARK}\n{}",
             corrfuse_core::io::to_string(&seed())
         );
-        match parse(&no_events).unwrap_err() {
+        match recover(&no_events).unwrap_err() {
             FusionError::Parse { msg, .. } => assert!(msg.contains("#events")),
             other => panic!("unexpected error {other:?}"),
         }
@@ -512,12 +499,12 @@ mod tests {
         // accumulated dataset): the events must be gone afterwards.
         let after = w.rotate(&seed(), 0).unwrap();
         assert!(after < before, "rotation shrank the journal");
-        let (_, _, back) = read(&path).unwrap();
+        let back = read(&path).batches;
         assert!(back.is_empty(), "rotation dropped the replayed events");
         // Appending keeps working post-rotation, and the tmp file is gone.
         w.append_batch(&batches()[0]).unwrap();
         w.seal().unwrap();
-        let (_, _, back) = read(&path).unwrap();
+        let back = read(&path).batches;
         assert_eq!(back, vec![batches()[0].clone()]);
         assert!(!dir.join("rotate.journal.rotate.tmp").exists());
         std::fs::remove_file(&path).ok();
@@ -530,7 +517,6 @@ mod tests {
             corrfuse_core::io::to_string(&seed())
         );
         let whole = recover(&text).unwrap();
-        assert!(!whole.torn);
         assert_eq!(whole.good_len, text.len() as u64);
         assert_eq!(
             whole.batches,
@@ -541,7 +527,7 @@ mod tests {
         // not misread as a different event.
         text.push_str("+C\t1\t0");
         let torn = recover(&text).unwrap();
-        assert!(torn.torn);
+        assert!(torn.good_len < text.len() as u64);
         assert_eq!(torn.good_len, whole.good_len);
         assert_eq!(torn.batches, whole.batches);
 
@@ -596,16 +582,16 @@ mod tests {
         for b in batches() {
             w.append_batch(&b).unwrap();
         }
-        let (base, _, back) = read(&path).unwrap();
-        assert_eq!(base, 7);
-        assert_eq!(back, batches());
+        let back = read(&path);
+        assert_eq!(back.base_epoch, 7);
+        assert_eq!(back.batches, batches());
 
         // Rotation re-stamps: the compacted snapshot carries the epoch
         // of the accumulated state.
         w.rotate(&seed(), 9).unwrap();
-        let (base, _, back) = read(&path).unwrap();
-        assert_eq!(base, 9);
-        assert!(back.is_empty());
+        let back = read(&path);
+        assert_eq!(back.base_epoch, 9);
+        assert!(back.batches.is_empty());
 
         // `recover` reports the base epoch too.
         w.append_batch(&batches()[0]).unwrap();
@@ -623,7 +609,7 @@ mod tests {
         let good = snapshot_string(&seed(), 3);
         let bad = good.replace("\t1\t0,1\n", "\t9\t0,1\n");
         assert_ne!(good, bad);
-        match parse(&bad).unwrap_err() {
+        match recover(&bad).unwrap_err() {
             FusionError::Parse { line, msg } => {
                 assert_eq!(line, 7, "{msg}");
                 assert!(msg.contains("bad label"));
@@ -635,7 +621,7 @@ mod tests {
     #[test]
     fn malformed_epoch_line_rejected() {
         let text = format!("{HEADER}\n{EPOCH_MARK} not-a-number\n{SEED_MARK}\n");
-        match parse(&text).unwrap_err() {
+        match recover(&text).unwrap_err() {
             FusionError::Parse { line, msg } => {
                 assert_eq!(line, 2, "{msg}");
                 assert!(msg.contains("#epoch"));
@@ -650,6 +636,6 @@ mod tests {
             "{HEADER}\n{SEED_MARK}\n{}{EVENTS_MARK}\n+X\tboom\n",
             corrfuse_core::io::to_string(&seed())
         );
-        assert!(parse(&text).is_err());
+        assert!(recover(&text).is_err());
     }
 }

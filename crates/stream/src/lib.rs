@@ -33,10 +33,10 @@
 //!   seed snapshot plus its event batches, so it can be restored and
 //!   replayed. Journals carry an [`journal::FsyncPolicy`], rotate in
 //!   place (atomic snapshot compaction, [`StreamSession::rotate_journal`])
-//!   so they do not grow without bound, and recover from arbitrary-byte
-//!   truncation ([`StreamSession::recover`] replays the batches whose
-//!   `+B` line is whole, the [`codec`]'s commit rule, and trims the
-//!   rest). The
+//!   so they do not grow without bound, and recover from a cut at any
+//!   byte past the seed snapshot ([`StreamSession::recover`] replays
+//!   the batches whose `+B` line is whole, the [`codec`]'s commit rule,
+//!   and trims the rest; a cut inside the snapshot is an error). The
 //!   journal is a session's only record of its history. Snapshots may
 //!   carry an `#epoch <n>` stamp so a session's replication epoch
 //!   ([`StreamSession::epoch`], one increment per committed batch)

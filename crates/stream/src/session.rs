@@ -79,12 +79,9 @@ pub struct StreamSession {
 /// What [`StreamSession::recover`] found in a journal.
 #[derive(Debug, Clone, Copy)]
 pub struct RecoveryReport {
-    /// Whether the journal held bytes past its last commit record (a
-    /// torn line, or events whose `+B` line never landed). They were
-    /// trimmed off, never replayed.
-    pub torn: bool,
     /// Bytes trimmed off the journal file to end it at its last commit
-    /// record.
+    /// record: a torn line, or events whose `+B` line never landed.
+    /// They were never replayed. 0 when the journal ended on a commit.
     pub dropped_bytes: u64,
     /// Committed batches replayed: each was closed by a whole `+B` line.
     pub batches_replayed: usize,
@@ -146,7 +143,9 @@ impl StreamSession {
     /// counts whole batches. A crash mid-append (a killed shard worker,
     /// power loss) can leave a torn line or events whose `+B` never
     /// landed; they are dropped, not replayed, and recovery writes
-    /// nothing to the journal but that truncation.
+    /// nothing to the journal but that truncation. A journal cut inside
+    /// its seed snapshot, or whose committed batches do not decode or
+    /// replay, is an error.
     pub fn recover(
         config: FuserConfig,
         path: impl AsRef<Path>,
@@ -168,7 +167,6 @@ impl StreamSession {
         }
         session.journal = Some(JournalWriter::append(path, fsync)?);
         let report = RecoveryReport {
-            torn: recovered.torn,
             dropped_bytes,
             batches_replayed: recovered.batches.len(),
         };

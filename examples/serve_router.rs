@@ -109,10 +109,10 @@ fn main() {
     let (restored, report) = StreamSession::recover(config, &shard0_journal, FsyncPolicy::Never)
         .expect("journal recovers");
     println!(
-        "\nrestored shard 0 from its journal: {} triples, {} batches replayed, torn tail: {}",
+        "\nrestored shard 0 from its journal: {} triples, {} batches replayed, torn tail: {} bytes",
         restored.dataset().n_triples(),
         report.batches_replayed,
-        report.torn,
+        report.dropped_bytes,
     );
     std::fs::remove_dir_all(&dir).ok();
 }
