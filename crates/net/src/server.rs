@@ -82,7 +82,7 @@ use corrfuse_serve::{RouterStats, ServeError, ShardRouter, Subscription, Subscri
 use crate::acl::AclTable;
 use crate::error::{code_of, ErrorCode, NetError, Result};
 use crate::frame::{Frame, FrameType};
-use crate::session::{MonotonicClock, Output, SessionConfig, SessionStateMachine};
+use crate::session::{Output, SessionConfig, SessionStateMachine};
 use crate::transport::{FlushProgress, Interest, Poller, Token, WriteBuf};
 use crate::wire::{Request, Response, WireMetric, WireStats};
 
@@ -185,13 +185,10 @@ fn session_config(config: &ServerConfig) -> SessionConfig {
     sc
 }
 
+/// A connection's session machine, timed when the server records
+/// metrics.
 fn new_session(config: &ServerConfig) -> SessionStateMachine {
-    let sm = SessionStateMachine::new(session_config(config));
-    if config.metrics.is_some() {
-        sm.with_clock(MonotonicClock::new())
-    } else {
-        sm
-    }
+    SessionStateMachine::new(session_config(config)).with_timing(config.metrics.is_some())
 }
 
 /// An endpoint's application logic: everything between a decoded

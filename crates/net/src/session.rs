@@ -22,9 +22,10 @@
 //! No sockets, no threads, no clocks: behaviour is a pure function of
 //! the byte stream and the [`SessionConfig`], which is what lets the
 //! byte-at-a-time property in `tests/codec_fuzz.rs` drive it with
-//! random chunk splits and demand identical outputs. (An optional
-//! [`SessionClock`] can be injected for latency *attribution*; it never
-//! influences behaviour.) Every server endpoint — the leader and each
+//! random chunk splits and demand identical outputs. (A machine built
+//! [`SessionStateMachine::with_timing`] reads the monotonic clock around
+//! decode and encode for latency *attribution*; the readings never
+//! influence behaviour.) Every server endpoint — the leader and each
 //! read-only follower, all on the one `poll(2)` loop
 //! ([`crate::server::Endpoint::serve`]) — drives this same machine,
 //! which is what pins them to identical wire behaviour.
@@ -42,7 +43,8 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Instant;
+
+use corrfuse_obs::Span;
 
 use crate::acl::{Access, AclTable};
 use crate::error::ErrorCode;
@@ -77,49 +79,6 @@ impl SessionConfig {
     }
 }
 
-/// Optional monotonic time source for latency attribution. The machine
-/// never *acts* on time — no timeouts, no scheduling — so the default
-/// [`NoClock`] keeps it fully deterministic; servers with metrics
-/// enabled inject [`MonotonicClock`] to get real decode/encode
-/// nanoseconds on the emitted outputs.
-pub trait SessionClock: Send {
-    /// Nanoseconds from an arbitrary fixed origin.
-    fn now_ns(&self) -> u64;
-}
-
-/// The default clock: always zero (pure machine, zero-cost).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoClock;
-
-impl SessionClock for NoClock {
-    fn now_ns(&self) -> u64 {
-        0
-    }
-}
-
-/// A real monotonic clock for metrics-enabled servers.
-#[derive(Debug, Clone, Copy)]
-pub struct MonotonicClock(Instant);
-
-impl MonotonicClock {
-    /// A clock anchored now.
-    pub fn new() -> MonotonicClock {
-        MonotonicClock(Instant::now())
-    }
-}
-
-impl Default for MonotonicClock {
-    fn default() -> Self {
-        MonotonicClock::new()
-    }
-}
-
-impl SessionClock for MonotonicClock {
-    fn now_ns(&self) -> u64 {
-        self.0.elapsed().as_nanos() as u64
-    }
-}
-
 /// One instruction from the session machine to its driver.
 #[derive(Debug)]
 pub enum Output {
@@ -132,7 +91,7 @@ pub enum Output {
         /// The decoded request.
         request: Request,
         /// Decode nanoseconds: the frame's CRC check and payload copy
-        /// plus the request decode (0 under [`NoClock`]).
+        /// plus the request decode (0 unless the machine is timed).
         decode_ns: u64,
     },
     /// Flush pending writes, then close the connection.
@@ -151,7 +110,8 @@ enum Phase {
 /// The per-connection session state machine; see the module docs.
 pub struct SessionStateMachine {
     config: SessionConfig,
-    clock: Box<dyn SessionClock>,
+    /// Time decode and encode ([`SessionStateMachine::with_timing`]).
+    timed: bool,
     phase: Phase,
     buf: Vec<u8>,
     cursor: usize,
@@ -190,7 +150,7 @@ impl SessionStateMachine {
         };
         SessionStateMachine {
             config,
-            clock: Box::new(NoClock),
+            timed: false,
             phase: Phase::AwaitHello,
             buf: Vec::new(),
             cursor: 0,
@@ -203,9 +163,12 @@ impl SessionStateMachine {
         }
     }
 
-    /// Inject a clock for decode/encode latency attribution.
-    pub fn with_clock(mut self, clock: impl SessionClock + 'static) -> SessionStateMachine {
-        self.clock = Box::new(clock);
+    /// Time each decode and encode on the monotonic clock, for latency
+    /// attribution: [`Output::App`]'s `decode_ns` and
+    /// [`SessionStateMachine::respond`]'s encode nanoseconds. Untimed
+    /// (the default), both are 0 and the machine reads no clock.
+    pub fn with_timing(mut self, timed: bool) -> SessionStateMachine {
+        self.timed = timed;
         self
     }
 
@@ -306,12 +269,12 @@ impl SessionStateMachine {
             }
             // Decode time starts before the frame's CRC check and
             // payload copy, as encode time ends after the reply's.
-            let t0 = self.clock.now_ns();
+            let decode = Span::start(self.timed);
             match Frame::decode(avail) {
                 Ok((frame, used)) => {
                     self.cursor += used;
                     self.frames += 1;
-                    self.on_frame(&frame, t0);
+                    self.on_frame(&frame, decode);
                 }
                 Err(FrameError::Truncated { .. }) => break,
                 Err(e) => {
@@ -328,11 +291,11 @@ impl SessionStateMachine {
         self.compact();
     }
 
-    /// Handle one complete frame; `t0` is the clock reading taken
-    /// before [`Frame::decode`].
-    fn on_frame(&mut self, frame: &Frame, t0: u64) {
+    /// Handle one complete frame; `decode` was started before
+    /// [`Frame::decode`].
+    fn on_frame(&mut self, frame: &Frame, decode: Span) {
         let decoded = Request::from_frame(frame);
-        let decode_ns = self.clock.now_ns().saturating_sub(t0);
+        let decode_ns = decode.elapsed_ns();
         match self.phase {
             Phase::AwaitHello => self.on_handshake(decoded),
             Phase::Ready => match decoded {
@@ -435,7 +398,7 @@ impl SessionStateMachine {
     /// Encode `response` into one buffer and queue it; the timing
     /// covers the CRC.
     fn push_response(&mut self, response: &Response) -> (FrameType, u64) {
-        let t0 = self.clock.now_ns();
+        let encode = Span::start(self.timed);
         let (mut kind, mut bytes) = response.encode();
         if let Some(e) = oversize(bytes.len() - HEADER_LEN) {
             // Never put a frame on the wire the peer must reject (the
@@ -447,7 +410,7 @@ impl SessionStateMachine {
             }
             .encode();
         }
-        let ns = self.clock.now_ns().saturating_sub(t0);
+        let ns = encode.elapsed_ns();
         self.out.push_back(Output::Write(bytes));
         (kind, ns)
     }

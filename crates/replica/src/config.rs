@@ -13,17 +13,14 @@ use corrfuse_stream::FsyncPolicy;
 /// The fuser configuration **must match the leader's** — the trust
 /// anchor (follower scores bitwise identical to the leader at the same
 /// epoch) holds because both sides run the same model over the same
-/// accumulated dataset; a config mismatch silently breaks it.
+/// accumulated dataset; a config mismatch silently breaks it. The
+/// decision threshold is not configured here: each shard takes the
+/// leader's from its snapshot, and after a cold restart from its own
+/// journal, which recorded it.
 #[derive(Debug, Clone)]
 pub struct FollowerConfig {
     /// The fusion model configuration, identical to the leader's.
     pub fuser: FuserConfig,
-    /// Decision threshold used until (and unless) a snapshot bootstrap
-    /// delivers the leader's — snapshots carry the authoritative value.
-    /// Only matters for a cold restart that resumes without a snapshot:
-    /// set it to the leader's [`corrfuse_serve::RouterConfig::threshold`]
-    /// when that is not the default 0.5.
-    pub threshold: f64,
     /// How long a bounded-staleness read (`min_epoch`) waits for the
     /// shard to catch up before answering with the retryable
     /// [`corrfuse_serve::ServeError::Stale`].
@@ -49,24 +46,17 @@ pub struct FollowerConfig {
 }
 
 impl FollowerConfig {
-    /// Defaults around `fuser`: threshold 0.5, 2 s catch-up timeout,
-    /// 10 ms reconnect backoff, no journal, no metrics.
+    /// Defaults around `fuser`: 2 s catch-up timeout, 10 ms reconnect
+    /// backoff, no journal, no metrics.
     pub fn new(fuser: FuserConfig) -> FollowerConfig {
         FollowerConfig {
             fuser,
-            threshold: 0.5,
             catchup_timeout: Duration::from_secs(2),
             reconnect_backoff: Duration::from_millis(10),
             journal_dir: None,
             fsync: FsyncPolicy::Never,
             metrics: None,
         }
-    }
-
-    /// Set the fallback decision threshold (see the field docs).
-    pub fn with_threshold(mut self, threshold: f64) -> FollowerConfig {
-        self.threshold = threshold;
-        self
     }
 
     /// Set the bounded-staleness catch-up timeout.

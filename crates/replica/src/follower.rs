@@ -36,7 +36,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use corrfuse_core::error::FusionError;
-use corrfuse_core::TripleId;
 use corrfuse_net::client::{hello, read_response};
 use corrfuse_net::{Client, ClientConfig, Frame, NetError, Request, Response};
 use corrfuse_obs::{Counter, Histogram};
@@ -189,7 +188,6 @@ impl Follower {
                     // stays fatal, as the rewrite needs the same file.
                     match StreamSession::recover(config.fuser.clone(), &path, config.fsync) {
                         Ok((session, _)) => {
-                            let session = session.with_threshold(config.threshold);
                             state.maps = derive_tenant_maps(session.dataset());
                             state.session = Some(session);
                         }
@@ -300,10 +298,11 @@ impl Follower {
             .get(&tenant)
             .ok_or(ServeError::UnknownTenant(tenant))?;
         let scores = st.session.as_ref().expect("caught-up session").scores();
-        Ok(tenant_rows(map, scores, |x| x))
+        Ok(map.project(scores, |p| p))
     }
 
-    /// Accept/reject decisions of `tenant` at the replicated threshold.
+    /// Accept/reject decisions of `tenant` at the leader's threshold,
+    /// which the shard took from its snapshot or its journal.
     pub fn decisions(&self, tenant: TenantId) -> Result<Vec<bool>> {
         self.decisions_at(tenant, 0)
     }
@@ -318,7 +317,7 @@ impl Follower {
             .ok_or(ServeError::UnknownTenant(tenant))?;
         let session = st.session.as_ref().expect("caught-up session");
         let threshold = session.threshold();
-        Ok(tenant_rows(map, session.scores(), |x| x > threshold))
+        Ok(map.project(session.scores(), |p| p > threshold))
     }
 
     /// Follower statistics once **every** shard has reached `min_epoch`
@@ -400,18 +399,6 @@ impl Drop for Follower {
     fn drop(&mut self) {
         self.stop_and_join();
     }
-}
-
-/// Project shard-space scores onto one tenant's dense local id space.
-fn tenant_rows<T>(map: &TenantMap, scores: &[f64], f: impl Fn(f64) -> T) -> Vec<T> {
-    (0..map.n_triples())
-        .map(|k| {
-            let t = map
-                .triple(TripleId(k as u32))
-                .expect("tenant maps are dense");
-            f(scores[t.index()])
-        })
-        .collect()
 }
 
 fn journal_path(dir: &Path, shard: usize) -> PathBuf {

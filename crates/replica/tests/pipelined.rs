@@ -52,9 +52,7 @@ fn a_follower_keeps_its_subscription_through_a_pipelined_burst() {
     let follower = Arc::new(
         Follower::connect(
             &addr,
-            FollowerConfig::new(config)
-                .with_threshold(0.5)
-                .with_catchup_timeout(Duration::from_secs(20)),
+            FollowerConfig::new(config).with_catchup_timeout(Duration::from_secs(20)),
         )
         .unwrap(),
     );

@@ -3,7 +3,8 @@
 //! batch (one append is one `write_all`, not one atomic disk write);
 //! what survives of that batch must not count as the batch, or the
 //! follower would resubscribe past events it never applied. A journal
-//! that will not open at all is rebuilt from a leader snapshot.
+//! that will not open at all is rebuilt from a leader snapshot. A
+//! resumed journal also restores the leader's decision threshold.
 
 use std::time::Duration;
 
@@ -56,7 +57,6 @@ fn a_torn_follower_journal_resumes_from_its_last_whole_batch() {
     let dir = std::env::temp_dir().join(format!("corrfuse-torn-follower-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let follower_config = FollowerConfig::new(config)
-        .with_threshold(0.5)
         .with_catchup_timeout(Duration::from_secs(10))
         .with_journal_dir(&dir, FsyncPolicy::Always);
     let follower = Follower::connect(&addr, follower_config.clone()).unwrap();
@@ -132,7 +132,6 @@ fn a_follower_journal_that_will_not_open_is_rebuilt_from_a_snapshot() {
         std::env::temp_dir().join(format!("corrfuse-unopened-follower-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let follower_config = FollowerConfig::new(config)
-        .with_threshold(0.5)
         .with_catchup_timeout(Duration::from_secs(10))
         .with_journal_dir(&dir, FsyncPolicy::Never);
     let claim = |s: u32, t: u32| Event::claim(SourceId(s), TripleId(t));
@@ -182,6 +181,73 @@ fn a_follower_journal_that_will_not_open_is_rebuilt_from_a_snapshot() {
     let stats = &follower.stats().shards[0];
     assert_eq!((stats.snapshots, stats.apply_errors), (0, 0));
     assert_eq!(stats.batches_applied, 1);
+
+    follower.shutdown();
+    drop(client);
+    handle.stop();
+    join.join().unwrap().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A follower keeps no threshold of its own: a cold restart that
+/// resumes its journal, with no snapshot to carry the leader's
+/// threshold, decides at the one its journal recorded.
+#[test]
+fn a_cold_restarted_follower_decides_at_the_leaders_threshold() {
+    let tenant = TenantId(0);
+    let config = FuserConfig::new(Method::PrecRec);
+    let threshold = 0.8;
+    let router = ShardRouter::new(
+        config.clone(),
+        RouterConfig::new(1)
+            .with_threshold(threshold)
+            .with_replication(ReplicationConfig::new()),
+        vec![(tenant, seed())],
+    )
+    .unwrap();
+    let server = Server::bind("127.0.0.1:0", router, ServerConfig::new()).unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let (handle, join) = spawn(server).unwrap();
+
+    let dir = std::env::temp_dir().join(format!(
+        "corrfuse-threshold-follower-{}",
+        std::process::id()
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+    let follower_config = FollowerConfig::new(config)
+        .with_catchup_timeout(Duration::from_secs(10))
+        .with_journal_dir(&dir, FsyncPolicy::Never);
+    let claim = |s: u32, t: u32| Event::claim(SourceId(s), TripleId(t));
+    let mut client = Client::connect(&addr).unwrap();
+
+    let follower = Follower::connect(&addr, follower_config.clone()).unwrap();
+    for batch in [[claim(1, 8), claim(2, 9)], [claim(0, 10), claim(2, 11)]] {
+        client.ingest(tenant, &batch).unwrap();
+        client.flush().unwrap();
+    }
+    // Some score is accepted at 0.5 and rejected at the leader's
+    // threshold, so deciding at the wrong one shows.
+    let scores = client.scores(tenant).unwrap();
+    assert!(
+        scores.iter().any(|&p| 0.5 < p && p <= threshold),
+        "{scores:?}"
+    );
+    let leader = client.decisions(tenant).unwrap();
+    assert_eq!(follower.decisions_at(tenant, 2).unwrap(), leader);
+    follower.shutdown();
+    drop(follower);
+
+    let follower = Follower::connect(&addr, follower_config).unwrap();
+    assert_eq!(
+        follower.decisions_at(tenant, 2).unwrap(),
+        leader,
+        "the restarted follower decides as the leader"
+    );
+    assert_eq!(
+        follower.stats().shards[0].snapshots,
+        0,
+        "the restart resumed its journal"
+    );
 
     follower.shutdown();
     drop(client);

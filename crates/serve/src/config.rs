@@ -31,10 +31,8 @@ pub struct JournalConfig {
     pub dir: PathBuf,
     /// Durability policy for snapshot and batch writes.
     pub fsync: FsyncPolicy,
-    /// Rotate (compact) a shard's journal once it exceeds this many
-    /// bytes.
-    pub rotate_max_bytes: Option<u64>,
-    /// Rotate after this many appended batches since the last snapshot.
+    /// Rotate (compact) a shard's journal after this many appended
+    /// batches since the last snapshot.
     pub rotate_max_batches: Option<u64>,
 }
 
@@ -44,7 +42,6 @@ impl JournalConfig {
         JournalConfig {
             dir: dir.into(),
             fsync: FsyncPolicy::Never,
-            rotate_max_bytes: None,
             rotate_max_batches: None,
         }
     }
@@ -52,12 +49,6 @@ impl JournalConfig {
     /// Set the durability policy.
     pub fn with_fsync(mut self, fsync: FsyncPolicy) -> JournalConfig {
         self.fsync = fsync;
-        self
-    }
-
-    /// Rotate once the journal file exceeds `bytes`.
-    pub fn with_rotate_max_bytes(mut self, bytes: u64) -> JournalConfig {
-        self.rotate_max_bytes = Some(bytes);
         self
     }
 
@@ -140,12 +131,10 @@ pub struct RouterConfig {
     pub max_batch_events: usize,
     /// Optional per-shard journaling (with rotation and fsync policy).
     pub journal: Option<JournalConfig>,
-    /// Decision threshold for every shard session.
+    /// Decision threshold for every shard session. Each session keeps
+    /// it from here on, stamps it into its journal and hands it to
+    /// followers in their snapshot.
     pub threshold: f64,
-    /// Scoring threads per shard session. Default 1: the shards
-    /// themselves are the parallelism; raise it for few-shard deployments
-    /// on wide machines.
-    pub shard_threads: usize,
     /// Observability registry. When set, shard workers record queue
     /// wait, batch assembly, per-[`corrfuse_stream::RefitLevel`] refit,
     /// rescore, sketch and journal latencies into named histograms (see
@@ -163,8 +152,10 @@ pub struct RouterConfig {
 
 impl RouterConfig {
     /// Defaults: bounded queue of 1024 messages, blocking backpressure,
-    /// micro-batches of up to 256 events, no journaling, threshold 0.5,
-    /// serial per-shard scoring.
+    /// micro-batches of up to 256 events, no journaling, threshold 0.5.
+    /// Every shard session scores serially, as the shards themselves
+    /// are the parallelism; [`crate::ShardRouter::set_shard_threads`]
+    /// resizes one at run time.
     pub fn new(n_shards: usize) -> RouterConfig {
         RouterConfig {
             n_shards,
@@ -173,7 +164,6 @@ impl RouterConfig {
             max_batch_events: 256,
             journal: None,
             threshold: 0.5,
-            shard_threads: 1,
             metrics: None,
             replication: None,
         }
@@ -206,12 +196,6 @@ impl RouterConfig {
     /// Set the decision threshold.
     pub fn with_threshold(mut self, threshold: f64) -> RouterConfig {
         self.threshold = threshold;
-        self
-    }
-
-    /// Set the per-shard scoring thread count.
-    pub fn with_shard_threads(mut self, threads: usize) -> RouterConfig {
-        self.shard_threads = threads;
         self
     }
 
@@ -290,11 +274,9 @@ mod tests {
     fn journal_paths_are_per_shard() {
         let j = JournalConfig::new("/tmp/j")
             .with_fsync(FsyncPolicy::EveryBatch)
-            .with_rotate_max_bytes(1 << 20)
             .with_rotate_max_batches(100);
         assert_eq!(j.shard_path(3), PathBuf::from("/tmp/j/shard-3.journal"));
         assert_eq!(j.fsync, FsyncPolicy::EveryBatch);
-        assert_eq!(j.rotate_max_bytes, Some(1 << 20));
         assert_eq!(j.rotate_max_batches, Some(100));
     }
 }

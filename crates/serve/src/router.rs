@@ -42,6 +42,7 @@ use corrfuse_core::dataset::{Dataset, DatasetBuilder, Domain};
 use corrfuse_core::engine::ScoringEngine;
 use corrfuse_core::error::{FusionError, Result as CoreResult};
 use corrfuse_core::fuser::FuserConfig;
+use corrfuse_obs::Span;
 use corrfuse_stream::{Event, StreamSession};
 
 use crate::config::RouterConfig;
@@ -132,14 +133,10 @@ impl ShardRouter {
                 return Err(ServeError::ShardSeedMissing { shard: i });
             }
             let (ds, tenants, next_domain) = merge_seeds(&shard_seeds)?;
-            let engine = if config.shard_threads > 1 {
-                ScoringEngine::with_threads(config.shard_threads)
-            } else {
-                ScoringEngine::serial()
-            };
-            let mut session = StreamSession::with_engine(fuser.clone(), ds, engine)
-                .map_err(ServeError::Fusion)?
-                .with_threshold(config.threshold);
+            let mut session =
+                StreamSession::with_engine(fuser.clone(), ds, ScoringEngine::serial())
+                    .map_err(ServeError::Fusion)?
+                    .with_threshold(config.threshold);
             if let Some(j) = &config.journal {
                 session
                     .journal_to(j.shard_path(i), j.fsync)
@@ -247,11 +244,10 @@ impl ShardRouter {
     /// **retryable** [`ServeError::TenantMigrating`] (`MIGRATING` over
     /// the wire) — the window closes within one flush of the target.
     pub fn ingest(&self, tenant: TenantId, events: Vec<Event>) -> Result<()> {
-        let enqueued_at = self.config.metrics.is_some().then(std::time::Instant::now);
         let msg = Msg {
             tenant,
             events,
-            enqueued_at,
+            queued: Span::start(self.config.metrics.is_some()),
         };
         {
             let routes = self.routes.read().expect("route table lock");
@@ -342,8 +338,7 @@ impl ShardRouter {
     /// the shard's last consistent state explicitly.
     pub fn scores(&self, tenant: TenantId) -> Result<Vec<f64>> {
         self.with_tenant_at(tenant, None, |core, map| {
-            let scores = core.session.scores();
-            map.triples.iter().map(|&t| scores[t.index()]).collect()
+            map.project(core.session.scores(), |p| p)
         })
     }
 
@@ -356,35 +351,26 @@ impl ShardRouter {
     /// fresh from any replica.
     pub fn scores_at(&self, tenant: TenantId, min_epoch: u64) -> Result<Vec<f64>> {
         self.with_tenant_at(tenant, Some(min_epoch), |core, map| {
-            let scores = core.session.scores();
-            map.triples.iter().map(|&t| scores[t.index()]).collect()
+            map.project(core.session.scores(), |p| p)
         })
     }
 
-    /// Accept/reject decisions per tenant-local triple at the router
-    /// threshold. Fails with [`ServeError::ShardPoisoned`] on a poisoned
-    /// shard; see [`ShardRouter::scores`].
+    /// Accept/reject decisions per tenant-local triple at the shard
+    /// session's threshold. Fails with [`ServeError::ShardPoisoned`] on a
+    /// poisoned shard; see [`ShardRouter::scores`].
     pub fn decisions(&self, tenant: TenantId) -> Result<Vec<bool>> {
-        let threshold = self.config.threshold;
         self.with_tenant_at(tenant, None, |core, map| {
-            let scores = core.session.scores();
-            map.triples
-                .iter()
-                .map(|&t| scores[t.index()] > threshold)
-                .collect()
+            let threshold = core.session.threshold();
+            map.project(core.session.scores(), |p| p > threshold)
         })
     }
 
     /// [`ShardRouter::decisions`] with a bounded-staleness floor; see
     /// [`ShardRouter::scores_at`].
     pub fn decisions_at(&self, tenant: TenantId, min_epoch: u64) -> Result<Vec<bool>> {
-        let threshold = self.config.threshold;
         self.with_tenant_at(tenant, Some(min_epoch), |core, map| {
-            let scores = core.session.scores();
-            map.triples
-                .iter()
-                .map(|&t| scores[t.index()] > threshold)
-                .collect()
+            let threshold = core.session.threshold();
+            map.project(core.session.scores(), |p| p > threshold)
         })
     }
 
@@ -909,13 +895,12 @@ impl ShardRouter {
             .expect("shard core lock")
             .stats
             .ingest_errors;
-        let enqueued_at = self.config.metrics.is_some().then(std::time::Instant::now);
         self.push_to(
             to,
             Msg {
                 tenant,
                 events: slice,
-                enqueued_at,
+                queued: Span::start(self.config.metrics.is_some()),
             },
         )?;
         self.flush_shard(to)?;
@@ -989,16 +974,11 @@ impl ShardRouter {
             .shards
             .get(shard)
             .ok_or(ServeError::InvalidConfig("shard index out of range"))?;
-        let engine = if threads > 1 {
-            ScoringEngine::with_threads(threads)
-        } else {
-            ScoringEngine::serial()
-        };
         h.core
             .lock()
             .expect("shard core lock")
             .session
-            .set_engine(engine);
+            .set_engine(ScoringEngine::with_threads(threads));
         Ok(())
     }
 

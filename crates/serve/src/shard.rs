@@ -55,9 +55,10 @@ use crate::tenant::{scoped_source_name, scoped_triple, TenantId, TenantMap};
 pub(crate) struct Msg {
     pub tenant: TenantId,
     pub events: Vec<Event>,
-    /// Front-door enqueue time; `Some` only when the router records
-    /// metrics, so the unobserved path never reads the clock.
-    pub enqueued_at: Option<Instant>,
+    /// Started at the front-door enqueue, read at the worker's pop;
+    /// live only when the router records metrics, so the unobserved
+    /// path never reads the clock.
+    pub queued: Span,
 }
 
 /// Pre-resolved metric handles for one shard worker. Built once at
@@ -222,7 +223,9 @@ pub(crate) fn run_worker(p: WorkerParams) {
             Pop::TimedOut => unreachable!("pop without deadline cannot time out"),
         };
         let assembly = Span::start(spans.is_some());
-        record_queue_wait(spans, &first);
+        if let Some(sp) = spans {
+            first.queued.record(&sp.queue_wait);
+        }
         let mut n_events = first.events.len();
         let mut msgs = vec![first];
         // A deadline that has already passed never waits: an empty queue
@@ -232,7 +235,9 @@ pub(crate) fn run_worker(p: WorkerParams) {
             let Pop::Item(m) = p.queue.pop_deadline(Some(now)) else {
                 break;
             };
-            record_queue_wait(spans, &m);
+            if let Some(sp) = spans {
+                m.queued.record(&sp.queue_wait);
+            }
             n_events += m.events.len();
             msgs.push(m);
         }
@@ -317,15 +322,6 @@ fn contain_panic(core: &mut ShardCore, n_msgs: usize, apply: impl FnOnce(&mut Sh
         .unwrap_or_else(|| "non-string panic payload".to_string());
     let _ = core.poison.set(format!("batch apply panicked: {message}"));
     refuse_poisoned(core, n_msgs);
-}
-
-/// Record a message's front-door-to-pop latency, when both the shard
-/// records metrics and the message carries its enqueue stamp.
-fn record_queue_wait(spans: Option<&ShardSpans>, msg: &Msg) {
-    if let (Some(sp), Some(t)) = (spans, msg.enqueued_at) {
-        let ns = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        sp.queue_wait.record(ns);
-    }
 }
 
 fn record_error(core: &mut ShardCore, tenant: TenantId, e: &FusionError) {
@@ -462,17 +458,10 @@ fn try_apply(core: &mut ShardCore, msgs: &[Msg], spans: Option<&ShardSpans>) -> 
 }
 
 fn maybe_rotate(core: &mut ShardCore, journal: Option<&JournalConfig>) -> CoreResult<()> {
-    let Some(cfg) = journal else {
-        return Ok(());
-    };
-    let Some(bytes) = core.session.journal_bytes() else {
-        return Ok(());
-    };
-    let by_bytes = cfg.rotate_max_bytes.is_some_and(|max| bytes >= max);
-    let by_batches = cfg
-        .rotate_max_batches
+    let due = journal
+        .and_then(|cfg| cfg.rotate_max_batches)
         .is_some_and(|max| core.batches_since_rotation >= max);
-    if by_bytes || by_batches {
+    if due && core.session.journal_bytes().is_some() {
         core.session.rotate_journal()?;
         core.stats.rotations += 1;
         core.batches_since_rotation = 0;
@@ -661,7 +650,7 @@ mod tests {
         Msg {
             tenant: TenantId(tenant),
             events,
-            enqueued_at: None,
+            queued: Span::disabled(),
         }
     }
 

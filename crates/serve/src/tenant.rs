@@ -144,6 +144,16 @@ impl TenantMap {
     pub fn source(&self, s: SourceId) -> Option<SourceId> {
         self.sources.get(s.index()).copied()
     }
+
+    /// Project per-triple shard values (scores, in shard `TripleId`
+    /// order) onto the tenant's local triple order: entry `k` is `f` of
+    /// the value of the tenant's `k`-th triple.
+    pub fn project<T>(&self, shard_values: &[f64], f: impl Fn(f64) -> T) -> Vec<T> {
+        self.triples
+            .iter()
+            .map(|&t| f(shard_values[t.index()]))
+            .collect()
+    }
 }
 
 #[cfg(test)]

@@ -70,13 +70,14 @@ use corrfuse_core::cluster::{Clustering, LiftGraph, LiftGraphStats};
 use corrfuse_core::dataset::{Dataset, Domain, SourceId};
 use corrfuse_core::engine::ScoringEngine;
 use corrfuse_core::error::{FusionError, Result};
-use corrfuse_core::fuser::{ClusterReconcile, ClusterStrategy, Fuser, FuserConfig};
+use corrfuse_core::fuser::{ClusterStrategy, Fuser, FuserConfig};
 use corrfuse_core::joint::{CacheStats, JointDeltaStats};
 use corrfuse_core::quality::{quality_from_counts, SourceQuality};
 use corrfuse_core::triple::TripleId;
 use corrfuse_obs::Span;
 
 use crate::event::Event;
+use crate::session::ScoredDelta;
 
 /// How much of the fitted model one batch forced to be rebuilt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -123,27 +124,6 @@ pub struct StageTimings {
     pub rescore_ns: u64,
 }
 
-/// What one [`IncrementalFuser::ingest`] call did.
-#[derive(Debug, Clone)]
-pub struct IngestOutcome {
-    /// The refit level the batch forced.
-    pub refit: RefitLevel,
-    /// Every triple whose score was recomputed, with before/after values.
-    pub rescored: Vec<ScoredTriple>,
-    /// Pattern hits/misses of this batch: each distinct dirtied pattern
-    /// counts once, a hit if its score was current, a miss if it was
-    /// solved.
-    pub cache: CacheStats,
-    /// On a [`RefitLevel::Cluster`] batch, how many cluster units were
-    /// reused vs. refitted by the re-clustering.
-    pub reconcile: Option<ClusterReconcile>,
-    /// End-to-end ingest time in nanoseconds, so callers can attribute
-    /// slow ingests to their [`RefitLevel`].
-    pub elapsed_ns: u64,
-    /// Per-stage breakdown, read off the same clock as `elapsed_ns`.
-    pub stages: StageTimings,
-}
-
 /// Dirt accumulated while applying one batch of events.
 #[derive(Debug, Default)]
 struct Dirt {
@@ -178,7 +158,7 @@ struct PatternTable {
     slots: Vec<Pattern>,
     index: HashMap<(Domain, BitSet), u32>,
     free: Vec<u32>,
-    /// Cumulative hits/misses (see [`IngestOutcome::cache`]).
+    /// Cumulative hits/misses (see [`ScoredDelta::cache`]).
     stats: CacheStats,
 }
 
@@ -314,7 +294,7 @@ impl IncrementalFuser {
         &self.scores
     }
 
-    /// Cumulative pattern hit/miss counters (see [`IngestOutcome::cache`]).
+    /// Cumulative pattern hit/miss counters (see [`ScoredDelta::cache`]).
     pub fn score_cache_stats(&self) -> CacheStats {
         self.patterns.stats
     }
@@ -359,7 +339,7 @@ impl IncrementalFuser {
     /// after a relabel), surface after the dataset has already absorbed
     /// the batch; treat the session as poisoned then and rebuild it from
     /// the journal or a snapshot.
-    pub fn ingest(&mut self, batch: &[Event], engine: &ScoringEngine) -> Result<IngestOutcome> {
+    pub fn ingest(&mut self, batch: &[Event], engine: &ScoringEngine) -> Result<ScoredDelta> {
         let total_span = Span::start(true);
         self.validate_batch(batch)?;
         let stats_before = self.patterns.stats;
@@ -434,15 +414,17 @@ impl IncrementalFuser {
         };
         let rescore_ns = rescore_span.elapsed_ns();
         let stats_after = self.patterns.stats;
-        Ok(IngestOutcome {
+        Ok(ScoredDelta {
             refit,
             rescored,
+            flips: Vec::new(),
             cache: CacheStats {
                 hits: stats_after.hits - stats_before.hits,
                 misses: stats_after.misses - stats_before.misses,
             },
             reconcile,
             elapsed_ns: total_span.elapsed_ns(),
+            journal_ns: 0,
             stages: StageTimings {
                 sketch_ns,
                 refit_ns,

@@ -7,6 +7,8 @@
 //!
 //! ```text
 //! #corrfuse-journal v1
+//! #epoch n                                            (optional)
+//! #threshold t                                        (optional)
 //! #seed
 //! #corrfuse-dataset v1
 //! S<TAB>source-name
@@ -18,6 +20,9 @@
 //! +L<TAB>triple-index<TAB>0|1                         (Label)
 //! +B                                                  (batch boundary)
 //! ```
+//!
+//! The optional lines stamp the snapshot with the session's replication
+//! epoch and decision threshold, each only off its default (0 and 0.5).
 //!
 //! Field escaping is shared with the dataset dialect
 //! ([`corrfuse_core::io::escape`]). Appending is the only mutation — a
@@ -68,6 +73,14 @@ const EVENTS_MARK: &str = "#events";
 /// existed — and journals from un-replicated sessions — are byte-for-byte
 /// unchanged. A missing line reads as epoch 0.
 const EPOCH_MARK: &str = "#epoch";
+/// Optional threshold line after the epoch line: `#threshold <t>`
+/// records the session's decision threshold, so a restored session
+/// decides as the one that wrote the journal. Emitted only when the
+/// threshold is not [`DEFAULT_THRESHOLD`]; a missing line reads as it.
+const THRESHOLD_MARK: &str = "#threshold";
+/// The decision threshold a journal without a `#threshold` line
+/// records: 0.5, the paper's setting and a session's default.
+pub const DEFAULT_THRESHOLD: f64 = 0.5;
 
 // The event-line encoding and the commit rule live in [`crate::codec`],
 // shared with the wire protocol (`corrfuse-net`); this module owns the
@@ -92,21 +105,21 @@ pub enum FsyncPolicy {
 }
 
 /// The snapshot prefix of a journal: header, epoch line (omitted when
-/// `epoch` is zero), seed section, events marker.
-fn snapshot_string(seed: &Dataset, epoch: u64) -> String {
+/// `epoch` is zero), threshold line (omitted at [`DEFAULT_THRESHOLD`]),
+/// seed section, events marker.
+fn snapshot_string(seed: &Dataset, epoch: u64, threshold: f64) -> String {
+    let mut out = format!("{HEADER}\n");
+    if epoch != 0 {
+        out += &format!("{EPOCH_MARK} {epoch}\n");
+    }
+    // `f64`'s `Display` is the shortest text that parses back to the
+    // same bits.
+    if threshold != DEFAULT_THRESHOLD {
+        out += &format!("{THRESHOLD_MARK} {threshold}\n");
+    }
     // `io::to_string` ends with a newline, so the marker lands on its own
     // line.
-    if epoch == 0 {
-        format!(
-            "{HEADER}\n{SEED_MARK}\n{}{EVENTS_MARK}\n",
-            corrfuse_core::io::to_string(seed)
-        )
-    } else {
-        format!(
-            "{HEADER}\n{EPOCH_MARK} {epoch}\n{SEED_MARK}\n{}{EVENTS_MARK}\n",
-            corrfuse_core::io::to_string(seed)
-        )
-    }
+    out + SEED_MARK + "\n" + &corrfuse_core::io::to_string(seed) + EVENTS_MARK + "\n"
 }
 
 /// Sync the directory that holds `path`. A file created or renamed
@@ -134,18 +147,20 @@ impl JournalWriter {
     /// Create (or truncate) a journal at `path` with `seed` as its
     /// snapshot, ready to append batches under the durability policy
     /// `fsync`. The snapshot is stamped with `epoch`, the replication
-    /// epoch at which `seed` was captured: [`recover`] reports it back
-    /// so a restored session (or a cold-restarting follower) resumes
-    /// epoch numbering where the snapshot left off instead of
-    /// restarting from zero.
+    /// epoch at which `seed` was captured, and with the session's
+    /// decision `threshold`: [`recover`] reports both back, so a
+    /// restored session (or a cold-restarting follower) resumes epoch
+    /// numbering where the snapshot left off instead of restarting from
+    /// zero, and decides as before.
     pub fn create(
         path: impl AsRef<Path>,
         seed: &Dataset,
         fsync: FsyncPolicy,
         epoch: u64,
+        threshold: f64,
     ) -> Result<JournalWriter> {
         let path = path.as_ref();
-        fs::write(path, snapshot_string(seed, epoch))?;
+        fs::write(path, snapshot_string(seed, epoch, threshold))?;
         let w = Self::append(path, fsync)?;
         if w.fsync != FsyncPolicy::Never {
             w.file.sync_all()?;
@@ -231,8 +246,9 @@ impl JournalWriter {
     /// committed into `seed` — so epoch numbering survives compaction
     /// exactly as it survives a plain restart, and a follower
     /// bootstrapping from the rotated file does not re-request batches
-    /// the snapshot already contains.
-    pub fn rotate(&mut self, seed: &Dataset, epoch: u64) -> Result<u64> {
+    /// the snapshot already contains. It keeps the decision `threshold`
+    /// as [`JournalWriter::create`] does.
+    pub fn rotate(&mut self, seed: &Dataset, epoch: u64, threshold: f64) -> Result<u64> {
         let file_name = self
             .path
             .file_name()
@@ -247,7 +263,7 @@ impl JournalWriter {
         let tmp = self.path.with_file_name(format!("{file_name}.rotate.tmp"));
         {
             let mut f = fs::File::create(&tmp)?;
-            f.write_all(snapshot_string(seed, epoch).as_bytes())?;
+            f.write_all(snapshot_string(seed, epoch, threshold).as_bytes())?;
             f.flush()?;
             // Always sync the snapshot before the rename: renaming an
             // unsynced file over the journal could lose both copies.
@@ -268,6 +284,9 @@ pub struct Recovered {
     /// The base epoch of the seed snapshot (0 when the journal predates
     /// epochs or was written by an un-replicated session).
     pub base_epoch: u64,
+    /// The decision threshold of the session that wrote the journal
+    /// ([`DEFAULT_THRESHOLD`] when the journal has no `#threshold` line).
+    pub threshold: f64,
     /// The seed snapshot.
     pub seed: Dataset,
     /// The committed event batches, each closed by its whole `+B` line.
@@ -301,34 +320,35 @@ pub fn recover(text: &str) -> Result<Recovered> {
             })
         }
     }
-    // An optional `#epoch <n>` line may sit between the header and the
-    // seed marker; its presence shifts every subsequent line by one.
+    // Optional `#epoch <n>` and `#threshold <t>` lines may sit between
+    // the header and the seed marker; each one present shifts every
+    // later line by one. `seed_offset` ends as the seed marker's line.
     let mut base_epoch = 0u64;
-    let mut seed_offset = 2;
-    let mut next = lines.next();
-    if let Some((_, l)) = next {
-        if let Some(rest) = l.trim_end().strip_prefix(EPOCH_MARK) {
-            base_epoch = rest.trim().parse().map_err(|_| FusionError::Parse {
-                line: 2,
-                msg: format!("bad `{EPOCH_MARK}` value `{}`", rest.trim()),
-            })?;
-            seed_offset = 3;
-            next = lines.next();
+    let mut threshold = DEFAULT_THRESHOLD;
+    let mut seed_offset = 1;
+    let seed_start = loop {
+        seed_offset += 1;
+        let Some((end, l)) = lines.next() else {
+            break None;
+        };
+        let l = l.trim_end();
+        if l == SEED_MARK {
+            break Some(end);
+        } else if let Some(v) = l.strip_prefix(EPOCH_MARK) {
+            base_epoch = header_value(EPOCH_MARK, v, seed_offset)?;
+        } else if let Some(v) = l.strip_prefix(THRESHOLD_MARK) {
+            threshold = header_value(THRESHOLD_MARK, v, seed_offset)?;
+        } else {
+            break None;
         }
     }
-    let seed_start = match next {
-        Some((end, l)) if l.trim_end() == SEED_MARK => end,
-        _ => {
-            return Err(FusionError::Parse {
-                line: seed_offset,
-                msg: format!("expected `{SEED_MARK}` section"),
-            })
-        }
-    };
+    .ok_or_else(|| FusionError::Parse {
+        line: seed_offset,
+        msg: format!("expected `{SEED_MARK}` section"),
+    })?;
     // The seed section runs until the whole events marker line; its
     // first line is the file line just past the seed marker, so dataset
-    // parse errors are offset by `seed_offset` (2, or 3 with an epoch
-    // line).
+    // parse errors are offset by `seed_offset`.
     let mut seed_lines = 0;
     let (seed_end, events) = loop {
         match lines.next() {
@@ -357,9 +377,18 @@ pub fn recover(text: &str) -> Result<Recovered> {
     let (batches, committed) = codec::parse_batch_lines(&text[events..], first_line)?;
     Ok(Recovered {
         base_epoch,
+        threshold,
         seed,
         batches,
         good_len: (events + committed) as u64,
+    })
+}
+
+/// The value `v` of the optional header line `mark` on file line `line`.
+fn header_value<T: std::str::FromStr>(mark: &str, v: &str, line: usize) -> Result<T> {
+    v.trim().parse().map_err(|_| FusionError::Parse {
+        line,
+        msg: format!("bad `{mark}` value `{}`", v.trim()),
     })
 }
 
@@ -404,7 +433,7 @@ mod tests {
         let dir = std::env::temp_dir().join("corrfuse-journal-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("roundtrip.journal");
-        let mut w = JournalWriter::create(&path, &seed(), FsyncPolicy::Never, 0).unwrap();
+        let mut w = JournalWriter::create(&path, &seed(), FsyncPolicy::Never, 0, 0.5).unwrap();
         for b in batches() {
             w.append_batch(&b).unwrap();
         }
@@ -440,7 +469,7 @@ mod tests {
         // Corrupt the label field of the seed's first T record. The seed
         // section starts at line 3; its header is line 3, S lines 4-5, so
         // the broken T record sits on line 6 of the journal file.
-        let good = snapshot_string(&seed(), 0);
+        let good = snapshot_string(&seed(), 0, 0.5);
         let bad = good.replace("\t1\t0,1\n", "\t9\t0,1\n");
         assert_ne!(good, bad);
         match recover(&bad).unwrap_err() {
@@ -489,7 +518,7 @@ mod tests {
         let dir = std::env::temp_dir().join("corrfuse-journal-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("rotate.journal");
-        let mut w = JournalWriter::create(&path, &seed(), FsyncPolicy::EveryBatch, 0).unwrap();
+        let mut w = JournalWriter::create(&path, &seed(), FsyncPolicy::EveryBatch, 0, 0.5).unwrap();
         for b in batches() {
             w.append_batch(&b).unwrap();
         }
@@ -497,7 +526,7 @@ mod tests {
         assert_eq!(before, std::fs::metadata(&path).unwrap().len());
         // Rotate onto the *original* seed here (a real caller passes the
         // accumulated dataset): the events must be gone afterwards.
-        let after = w.rotate(&seed(), 0).unwrap();
+        let after = w.rotate(&seed(), 0, 0.5).unwrap();
         assert!(after < before, "rotation shrank the journal");
         let back = read(&path).batches;
         assert!(back.is_empty(), "rotation dropped the replayed events");
@@ -542,7 +571,7 @@ mod tests {
         let dir = std::env::temp_dir().join("corrfuse-journal-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bytes.journal");
-        let mut w = JournalWriter::create(&path, &seed(), FsyncPolicy::Always, 0).unwrap();
+        let mut w = JournalWriter::create(&path, &seed(), FsyncPolicy::Always, 0, 0.5).unwrap();
         w.append_batch(&batches()[0]).unwrap();
         let bytes = w.bytes();
         drop(w);
@@ -571,14 +600,14 @@ mod tests {
         // Epoch 0 omits the line entirely: byte-identical to the
         // pre-epoch format.
         assert_eq!(
-            snapshot_string(&seed(), 0),
+            snapshot_string(&seed(), 0, 0.5),
             format!(
                 "{HEADER}\n{SEED_MARK}\n{}{EVENTS_MARK}\n",
                 corrfuse_core::io::to_string(&seed())
             )
         );
 
-        let mut w = JournalWriter::create(&path, &seed(), FsyncPolicy::Never, 7).unwrap();
+        let mut w = JournalWriter::create(&path, &seed(), FsyncPolicy::Never, 7, 0.5).unwrap();
         for b in batches() {
             w.append_batch(&b).unwrap();
         }
@@ -588,7 +617,7 @@ mod tests {
 
         // Rotation re-stamps: the compacted snapshot carries the epoch
         // of the accumulated state.
-        w.rotate(&seed(), 9).unwrap();
+        w.rotate(&seed(), 9, 0.5).unwrap();
         let back = read(&path);
         assert_eq!(back.base_epoch, 9);
         assert!(back.batches.is_empty());
@@ -606,7 +635,7 @@ mod tests {
     fn epoch_line_shifts_seed_error_offsets() {
         // With the `#epoch` line the seed section starts one line later,
         // so the broken T record sits on line 7 instead of 6.
-        let good = snapshot_string(&seed(), 3);
+        let good = snapshot_string(&seed(), 3, 0.5);
         let bad = good.replace("\t1\t0,1\n", "\t9\t0,1\n");
         assert_ne!(good, bad);
         match recover(&bad).unwrap_err() {
@@ -625,6 +654,88 @@ mod tests {
             FusionError::Parse { line, msg } => {
                 assert_eq!(line, 2, "{msg}");
                 assert!(msg.contains("#epoch"));
+            }
+            other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn threshold_line_roundtrips_through_create_and_rotate() {
+        let dir = std::env::temp_dir().join("corrfuse-journal-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("threshold.journal");
+
+        let mut w = JournalWriter::create(&path, &seed(), FsyncPolicy::Never, 4, 0.7).unwrap();
+        w.append_batch(&batches()[0]).unwrap();
+        let back = read(&path);
+        assert_eq!(back.threshold.to_bits(), 0.7f64.to_bits());
+        assert_eq!(back.base_epoch, 4);
+        assert_eq!(back.batches, vec![batches()[0].clone()]);
+
+        // Rotation stamps the threshold it is given, bit for bit.
+        let odd = 0.1 + 0.2;
+        w.rotate(&seed(), 5, odd).unwrap();
+        let back = read(&path);
+        assert_eq!(back.threshold.to_bits(), odd.to_bits());
+        assert_eq!(back.base_epoch, 5);
+        assert!(back.batches.is_empty());
+
+        // Back at the default, the line goes and the value reads as 0.5.
+        w.rotate(&seed(), 6, DEFAULT_THRESHOLD).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(!text.contains(THRESHOLD_MARK), "{text}");
+        assert_eq!(recover(&text).unwrap().threshold, DEFAULT_THRESHOLD);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn the_default_threshold_writes_the_bytes_it_always_did() {
+        // The snapshot prefixes as journals without a threshold line
+        // spelled them, with and without an epoch.
+        let dataset = corrfuse_core::io::to_string(&seed());
+        assert_eq!(
+            snapshot_string(&seed(), 0, DEFAULT_THRESHOLD),
+            format!("#corrfuse-journal v1\n#seed\n{dataset}#events\n")
+        );
+        assert_eq!(
+            snapshot_string(&seed(), 7, DEFAULT_THRESHOLD),
+            format!("#corrfuse-journal v1\n#epoch 7\n#seed\n{dataset}#events\n")
+        );
+        assert_eq!(
+            snapshot_string(&seed(), 7, 0.25),
+            format!("#corrfuse-journal v1\n#epoch 7\n#threshold 0.25\n#seed\n{dataset}#events\n")
+        );
+    }
+
+    #[test]
+    fn both_header_lines_shift_error_offsets() {
+        // With `#epoch` and `#threshold` the seed section starts two
+        // lines later: the broken T record sits on line 8, not 6.
+        let good = snapshot_string(&seed(), 3, 0.7);
+        let bad = good.replace("\t1\t0,1\n", "\t9\t0,1\n");
+        assert_ne!(good, bad);
+        match recover(&bad).unwrap_err() {
+            FusionError::Parse { line, msg } => {
+                assert_eq!(line, 8, "{msg}");
+                assert!(msg.contains("bad label"));
+            }
+            other => panic!("unexpected error {other:?}"),
+        }
+        // An event error counts both lines too.
+        let text = format!("{good}+L\t0\t7\n");
+        match recover(&text).unwrap_err() {
+            FusionError::Parse { line, msg } => {
+                assert_eq!(line, text.lines().count(), "{msg}");
+                assert!(msg.contains("0 or 1"));
+            }
+            other => panic!("unexpected error {other:?}"),
+        }
+        // A bad threshold value is reported on its own line.
+        let text = format!("{HEADER}\n{EPOCH_MARK} 3\n{THRESHOLD_MARK} high\n{SEED_MARK}\n");
+        match recover(&text).unwrap_err() {
+            FusionError::Parse { line, msg } => {
+                assert_eq!(line, 3, "{msg}");
+                assert!(msg.contains("#threshold"));
             }
             other => panic!("unexpected error {other:?}"),
         }

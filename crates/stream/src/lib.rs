@@ -41,7 +41,10 @@
 //!   carry an `#epoch <n>` stamp so a session's replication epoch
 //!   ([`StreamSession::epoch`], one increment per committed batch)
 //!   survives restore, recovery and rotation — the ordering backbone of
-//!   `corrfuse-replica` followers.
+//!   `corrfuse-replica` followers — and a `#threshold <t>` stamp so its
+//!   decision threshold ([`StreamSession::threshold`]) survives them
+//!   too. Each line is written only off its default (epoch 0,
+//!   threshold 0.5).
 //!
 //! The subsystem inherits the workspace trust anchor (stated once in
 //! `docs/ARCHITECTURE.md`), enforced here by unit and property tests:
@@ -97,6 +100,6 @@ pub mod replay;
 pub mod session;
 
 pub use event::Event;
-pub use incremental::{IncrementalFuser, IngestOutcome, RefitLevel, ScoredTriple, StageTimings};
+pub use incremental::{IncrementalFuser, RefitLevel, ScoredTriple, StageTimings};
 pub use journal::{FsyncPolicy, JournalWriter};
 pub use session::{RecoveryReport, ScoredDelta, StreamSession};

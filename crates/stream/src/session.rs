@@ -15,7 +15,10 @@ use crate::event::Event;
 use crate::incremental::{IncrementalFuser, RefitLevel, ScoredTriple, StageTimings};
 use crate::journal::{FsyncPolicy, JournalWriter};
 
-/// What one ingested batch changed, from the caller's point of view.
+/// What one ingested batch changed, from the caller's point of view:
+/// the outcome of [`StreamSession::ingest`] and of
+/// [`IncrementalFuser::ingest`], which has no threshold and no journal
+/// and so leaves `flips` empty and `journal_ns` 0.
 #[derive(Debug, Clone)]
 pub struct ScoredDelta {
     /// How much of the model the batch forced to be rebuilt.
@@ -26,8 +29,9 @@ pub struct ScoredDelta {
     /// the session threshold (new triples have no prior decision and are
     /// never flips).
     pub flips: Vec<ScoredTriple>,
-    /// Observation-pattern hits/misses of this batch (see
-    /// [`crate::IngestOutcome::cache`]).
+    /// Observation-pattern hits/misses of this batch: each distinct
+    /// dirtied pattern counts once, a hit if its score was current, a
+    /// miss if it was solved.
     pub cache: CacheStats,
     /// On a [`RefitLevel::Cluster`] batch, how many cluster units the
     /// re-clustering reused vs. refitted.
@@ -106,12 +110,14 @@ impl StreamSession {
             inc,
             engine,
             journal: None,
-            threshold: 0.5,
+            threshold: crate::journal::DEFAULT_THRESHOLD,
             epoch: 0,
         })
     }
 
-    /// Override the decision threshold (default 0.5, the paper's setting).
+    /// Override the decision threshold (default 0.5, the paper's
+    /// setting). The session's journal records it, so a session
+    /// recovered from that journal decides at the same threshold.
     pub fn with_threshold(mut self, threshold: f64) -> StreamSession {
         self.threshold = threshold;
         self
@@ -136,7 +142,8 @@ impl StreamSession {
     /// Open a session from a `#corrfuse-journal v1` file: rebuild the
     /// seed, replay every committed batch through the incremental path,
     /// truncate the file to its committed prefix, and resume appending
-    /// with the given durability policy.
+    /// with the given durability policy. The session takes its epoch and
+    /// decision threshold from the journal.
     ///
     /// A batch is committed once its `+B` line is whole
     /// ([`crate::codec`]'s commit rule), so the session's epoch always
@@ -154,7 +161,8 @@ impl StreamSession {
         let path = path.as_ref();
         let text = std::fs::read_to_string(path)?;
         let recovered = crate::journal::recover(&text)?;
-        let mut session = StreamSession::new(config, recovered.seed)?;
+        let mut session =
+            StreamSession::new(config, recovered.seed)?.with_threshold(recovered.threshold);
         for batch in &recovered.batches {
             session.inc.ingest(batch, &session.engine)?;
         }
@@ -177,14 +185,15 @@ impl StreamSession {
     /// Writes a snapshot of the *current* accumulated dataset as the
     /// journal's seed (compacting any batches ingested so far) and
     /// appends every subsequent batch. The snapshot is stamped with the
-    /// session's current epoch, so a restore resumes epoch numbering
-    /// where this session stands now.
+    /// session's current epoch and threshold, so a restore resumes epoch
+    /// numbering where this session stands now and decides as it does.
     pub fn journal_to(&mut self, path: impl AsRef<Path>, fsync: FsyncPolicy) -> Result<()> {
         self.journal = Some(JournalWriter::create(
             path,
             self.inc.dataset(),
             fsync,
             self.epoch,
+            self.threshold,
         )?);
         Ok(())
     }
@@ -195,16 +204,16 @@ impl StreamSession {
     /// returns the new journal size in bytes.
     ///
     /// The compacted snapshot is stamped with the session's current
-    /// epoch, so restore/recover — and any replication follower
-    /// bootstrapping from the rotated file — resume epoch numbering
-    /// rather than restarting it at zero.
+    /// epoch and threshold, so restore/recover — and any replication
+    /// follower bootstrapping from the rotated file — resume epoch
+    /// numbering rather than restarting it at zero.
     pub fn rotate_journal(&mut self) -> Result<u64> {
         let Some(journal) = &mut self.journal else {
             return Err(corrfuse_core::error::FusionError::Io(
                 "rotate_journal called with no active journal".to_string(),
             ));
         };
-        journal.rotate(self.inc.dataset(), self.epoch)
+        journal.rotate(self.inc.dataset(), self.epoch, self.threshold)
     }
 
     /// Size in bytes of the active journal, if journaling.
@@ -267,15 +276,14 @@ impl StreamSession {
     /// assert_eq!(session.dataset().n_triples(), 3);
     /// ```
     pub fn ingest(&mut self, batch: &[Event]) -> Result<ScoredDelta> {
-        let outcome = self.inc.ingest(batch, &self.engine)?;
+        let mut delta = self.inc.ingest(batch, &self.engine)?;
         self.epoch += 1;
-        let mut journal_ns = 0;
         if let Some(journal) = &mut self.journal {
             let journal_span = Span::start(true);
             journal.append_batch(batch)?;
-            journal_ns = journal_span.elapsed_ns();
+            delta.journal_ns = journal_span.elapsed_ns();
         }
-        let flips = outcome
+        delta.flips = delta
             .rescored
             .iter()
             .filter(|st| {
@@ -284,16 +292,7 @@ impl StreamSession {
             })
             .copied()
             .collect();
-        Ok(ScoredDelta {
-            refit: outcome.refit,
-            rescored: outcome.rescored,
-            flips,
-            cache: outcome.cache,
-            reconcile: outcome.reconcile,
-            elapsed_ns: outcome.elapsed_ns,
-            journal_ns,
-            stages: outcome.stages,
-        })
+        Ok(delta)
     }
 
     /// The scoring engine driving batch re-scores.

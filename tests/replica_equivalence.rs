@@ -116,7 +116,6 @@ fn follower_reads_equal_leader_fit() {
         let journal_dir = g.bool(0.7).then(|| case_dir.join("follower"));
         let follower_config = || {
             let mut cfg = FollowerConfig::new(config.clone())
-                .with_threshold(threshold)
                 .with_catchup_timeout(Duration::from_millis(200))
                 .with_reconnect_backoff(Duration::from_millis(2));
             if let Some(d) = &journal_dir {
@@ -229,6 +228,8 @@ fn follower_reads_equal_leader_fit() {
                 );
                 assert_eq!(a.to_bits(), c.to_bits(), "wire read diverged");
             }
+            // At the leader's random threshold, which the follower
+            // took from its snapshot or from its own journal.
             let decisions = follower
                 .decisions(TenantId(*tenant))
                 .expect("in-process decisions");

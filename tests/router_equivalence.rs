@@ -80,8 +80,8 @@ fn routed_shards_equal_batch_fit_on_random_multi_tenant_streams() {
                 JournalConfig::new(&case_dir)
                     .with_fsync(random_fsync(g))
                     .with_rotate_max_batches(rotate_batches),
-            )
-            .with_shard_threads(if g.bool(0.3) { 3 } else { 1 });
+            );
+        let shard_threads = if g.bool(0.3) { 3 } else { 1 };
         let seeds = s
             .seeds
             .iter()
@@ -89,6 +89,11 @@ fn routed_shards_equal_batch_fit_on_random_multi_tenant_streams() {
             .collect();
         let router =
             ShardRouter::new(config.clone(), router_cfg, seeds).expect("router constructs");
+        for shard in 0..router.n_shards() {
+            router
+                .set_shard_threads(shard, shard_threads)
+                .expect("shard exists");
+        }
         for (tenant, events) in &s.messages {
             // Under Reject/Timeout a full queue refuses the message;
             // retry until the worker catches up so the whole stream is
