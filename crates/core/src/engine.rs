@@ -43,13 +43,6 @@ pub struct ScoringEngine {
     chunk_size: usize,
 }
 
-impl Default for ScoringEngine {
-    /// The default engine is parallel over the machine's available cores.
-    fn default() -> Self {
-        Self::parallel()
-    }
-}
-
 impl ScoringEngine {
     /// Engine that scores on the calling thread only.
     pub fn serial() -> Self {
@@ -239,8 +232,8 @@ mod tests {
     }
 
     #[test]
-    fn default_is_parallel() {
-        assert!(ScoringEngine::default().threads() >= 1);
-        assert_eq!(ScoringEngine::default().chunk_size(), DEFAULT_CHUNK_SIZE);
+    fn parallel_uses_the_default_chunk() {
+        assert!(ScoringEngine::parallel().threads() >= 1);
+        assert_eq!(ScoringEngine::parallel().chunk_size(), DEFAULT_CHUNK_SIZE);
     }
 }

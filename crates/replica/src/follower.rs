@@ -89,6 +89,15 @@ struct Slot {
     conn: Mutex<Option<TcpStream>>,
 }
 
+impl Slot {
+    /// Lock the shard's state. A poisoned lock panics. A panicking batch
+    /// apply leaves it unpoisoned (`contain_apply`), so only a panic in
+    /// another holder poisons it.
+    fn state(&self) -> MutexGuard<'_, ShardState> {
+        self.state.lock().expect("shard state lock")
+    }
+}
+
 /// Replication counters shared by every link thread (present only when
 /// the follower runs with a metrics registry).
 #[derive(Debug)]
@@ -240,10 +249,13 @@ impl Follower {
         self.shared.slots.len()
     }
 
-    /// The shard serving `tenant` (the same routing as the leader's
-    /// [`corrfuse_serve::ShardRouter::shard_of`]).
+    /// The shard a read of `tenant` goes to: its static placement,
+    /// [`TenantId::home_shard`]. A follower does not see migrations, so
+    /// this is the leader's
+    /// [`corrfuse_serve::ShardRouter::shard_of`] only for a tenant that
+    /// was never migrated.
     pub fn shard_of(&self, tenant: TenantId) -> usize {
-        tenant.0 as usize % self.n_shards()
+        tenant.home_shard(self.n_shards())
     }
 
     /// Each shard's fully-applied epoch, in shard order.
@@ -251,7 +263,7 @@ impl Follower {
         self.shared
             .slots
             .iter()
-            .map(|s| s.state.lock().expect("shard state lock").epoch())
+            .map(|s| s.state().epoch())
             .collect()
     }
 
@@ -263,7 +275,7 @@ impl Follower {
             .iter()
             .enumerate()
             .map(|(shard, slot)| {
-                let st = slot.state.lock().expect("shard state lock");
+                let st = slot.state();
                 FollowerShardStats {
                     shard,
                     applied_epoch: st.epoch(),
@@ -358,7 +370,7 @@ impl Follower {
     fn state_at(&self, shard: usize, min_epoch: u64) -> Result<MutexGuard<'_, ShardState>> {
         let slot = &self.shared.slots[shard];
         let deadline = Instant::now() + self.shared.config.catchup_timeout;
-        let mut st = slot.state.lock().expect("shard state lock");
+        let mut st = slot.state();
         loop {
             if st.session.is_some() && st.epoch() >= min_epoch {
                 return Ok(st);
@@ -387,7 +399,7 @@ impl Follower {
             let _ = link.join();
         }
         for slot in &self.shared.slots {
-            let mut st = slot.state.lock().expect("shard state lock");
+            let mut st = slot.state();
             if let Some(session) = st.session.as_mut() {
                 let _ = session.seal_journal();
             }
@@ -458,12 +470,9 @@ fn link(shared: &Shared, shard: usize, stream: &mut TcpStream) -> Result<u64> {
         return Ok(0);
     }
     hello(stream, None)?;
-    let from_epoch = {
-        let st = slot.state.lock().expect("shard state lock");
-        match &st.session {
-            Some(session) => session.epoch(),
-            None => BOOTSTRAP_EPOCH,
-        }
+    let from_epoch = match &slot.state().session {
+        Some(session) => session.epoch(),
+        None => BOOTSTRAP_EPOCH,
     };
     Request::Subscribe {
         shard: shard as u32,
@@ -498,7 +507,7 @@ fn link(shared: &Shared, shard: usize, stream: &mut TcpStream) -> Result<u64> {
         }
     }
     {
-        let mut st = slot.state.lock().expect("shard state lock");
+        let mut st = slot.state();
         st.subscriptions += 1;
         if st.subscriptions > 1 {
             if let Some(m) = &shared.metrics {
@@ -559,7 +568,7 @@ fn bootstrap(
     }
     let maps = derive_tenant_maps(session.dataset());
     let slot = &shared.slots[shard];
-    let mut st = slot.state.lock().expect("shard state lock");
+    let mut st = slot.state();
     st.session = Some(session);
     st.maps = maps;
     st.snapshots += 1;
@@ -577,7 +586,7 @@ fn apply_batch(shared: &Shared, shard: usize, epoch: u64, text: &str) -> Result<
     let events = corrfuse_stream::codec::parse_batch(text)
         .map_err(|e| ReplicaError::Protocol(format!("undecodable BATCH payload: {e}")))?;
     let slot = &shared.slots[shard];
-    let mut st = slot.state.lock().expect("shard state lock");
+    let mut st = slot.state();
     let Some(session) = st.session.as_ref() else {
         return Err(ReplicaError::Protocol(
             "BATCH received before any snapshot bootstrap".to_string(),

@@ -116,8 +116,8 @@ pub struct MigrationReport {
     pub buffered_messages: usize,
 }
 
-/// One tenant's dynamic route, overriding the static
-/// `tenant.0 % n_shards` placement. Absence means static routing.
+/// One tenant's dynamic route, overriding its static placement
+/// ([`TenantId::home_shard`]). Absence means static routing.
 #[derive(Debug)]
 pub(crate) enum RouteState {
     /// Bulk replay in flight: the source still serves ingest and reads.
@@ -145,11 +145,12 @@ pub(crate) enum RouteState {
 }
 
 impl RouteState {
-    /// The shard currently serving the tenant's reads.
-    pub(crate) fn serving(&self) -> usize {
+    /// The shard currently serving the tenant, and the epoch fence that
+    /// reads there demand (committed routes only).
+    pub(crate) fn serving(&self) -> (usize, Option<u64>) {
         match self {
-            RouteState::Migrating { from } | RouteState::CutOver { from, .. } => *from,
-            RouteState::Moved { shard, .. } => *shard,
+            RouteState::Migrating { from } | RouteState::CutOver { from, .. } => (*from, None),
+            RouteState::Moved { shard, fence } => (*shard, Some(*fence)),
         }
     }
 }

@@ -1,7 +1,7 @@
 //! [`ShardRouter`]: the multi-tenant front door.
 //!
 //! Construction partitions the seeded tenants across `n_shards` by
-//! `tenant.0 % n_shards`, merges each shard's seeds into one namespaced
+//! [`TenantId::home_shard`], merges each shard's seeds into one namespaced
 //! dataset, fits a [`StreamSession`] per shard and spawns its worker
 //! thread. [`ShardRouter::ingest`] then routes tenant messages to the
 //! owning shard's bounded queue and returns without waiting for the
@@ -35,7 +35,7 @@
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread::JoinHandle;
 
 use corrfuse_core::dataset::{Dataset, DatasetBuilder, Domain};
@@ -58,6 +58,10 @@ use crate::shard::{
 };
 use crate::stats::{RouterStats, ShardStats};
 use crate::tenant::{scoped_source_name, scoped_triple, TenantId, TenantMap};
+
+/// The dynamic routes: one entry per tenant whose route a migration
+/// claimed or committed.
+type Routes = HashMap<TenantId, RouteState>;
 
 /// A snapshot-consistent copy of one shard's state.
 #[derive(Debug, Clone)]
@@ -86,13 +90,14 @@ pub struct ShardRouter {
     config: RouterConfig,
     shards: Vec<ShardHandle>,
     workers: Vec<Option<JoinHandle<()>>>,
-    /// Dynamic per-tenant routes overriding the static `tenant % N`
-    /// placement; written only by migration state transitions, read by
-    /// every ingest/query. Ingest resolves **and enqueues** under the
-    /// read lock, so a transition (write lock) can never slip between
-    /// routing a message and its enqueue — whatever state a message was
-    /// routed under, the migration's subsequent source flush covers it.
-    routes: RwLock<HashMap<TenantId, RouteState>>,
+    /// Dynamic per-tenant routes overriding the static placement
+    /// ([`TenantId::home_shard`]); written only by migration state
+    /// transitions, read by every ingest/query. Ingest resolves **and
+    /// enqueues** under the read lock, so a transition (write lock) can
+    /// never slip between routing a message and its enqueue — whatever
+    /// state a message was routed under, the migration's subsequent
+    /// source flush covers it.
+    routes: RwLock<Routes>,
 }
 
 impl ShardRouter {
@@ -121,7 +126,7 @@ impl ShardRouter {
         }
         let mut per_shard: Vec<Vec<(TenantId, Dataset)>> = (0..n).map(|_| Vec::new()).collect();
         for (t, ds) in seeds {
-            per_shard[t.0 as usize % n].push((t, ds));
+            per_shard[t.home_shard(n)].push((t, ds));
         }
         if let Some(j) = &config.journal {
             std::fs::create_dir_all(&j.dir).map_err(FusionError::from)?;
@@ -133,10 +138,9 @@ impl ShardRouter {
                 return Err(ServeError::ShardSeedMissing { shard: i });
             }
             let (ds, tenants, next_domain) = merge_seeds(&shard_seeds)?;
-            let mut session =
-                StreamSession::with_engine(fuser.clone(), ds, ScoringEngine::serial())
-                    .map_err(ServeError::Fusion)?
-                    .with_threshold(config.threshold);
+            let mut session = StreamSession::new(fuser.clone(), ds)
+                .map_err(ServeError::Fusion)?
+                .with_threshold(config.threshold);
             if let Some(j) = &config.journal {
                 session
                     .journal_to(j.shard_path(i), j.fsync)
@@ -201,28 +205,58 @@ impl ShardRouter {
         &self.config
     }
 
-    /// The shard currently serving a tenant: its dynamic route if it was
-    /// ever migrated ([`ShardRouter::migrate_tenant`]), else the static
-    /// `tenant.0 % n_shards` placement.
-    pub fn shard_of(&self, tenant: TenantId) -> usize {
-        let routes = self.routes.read().expect("route table lock");
+    /// Lock one shard's core. A poisoned lock panics. The shard worker
+    /// catches a panicking batch apply without poisoning this lock
+    /// (`shard::contain_panic`), so only a panic in another holder (a
+    /// read, a stats pass, a migration step) poisons it.
+    fn core(&self, shard: usize) -> MutexGuard<'_, ShardCore> {
+        self.shards[shard].core.lock().expect("shard core lock")
+    }
+
+    /// Read the route table. A poisoned lock panics, as in `core`.
+    fn routes(&self) -> RwLockReadGuard<'_, Routes> {
+        self.routes.read().expect("route table lock")
+    }
+
+    /// Write the route table. A poisoned lock panics, as in `core`.
+    fn routes_mut(&self) -> RwLockWriteGuard<'_, Routes> {
+        self.routes.write().expect("route table lock")
+    }
+
+    /// The shard serving `tenant` under `routes`, and the epoch fence
+    /// reads there demand: its route entry's while it has one, else its
+    /// static home with no fence.
+    fn serving(&self, routes: &Routes, tenant: TenantId) -> (usize, Option<u64>) {
         match routes.get(&tenant) {
-            Some(r) => r.serving(),
-            None => tenant.0 as usize % self.config.n_shards,
+            Some(route) => route.serving(),
+            None => (tenant.home_shard(self.config.n_shards), None),
         }
     }
 
-    /// Whether `shard` is the one serving `tenant` under `routes`.
-    fn serves(
-        &self,
-        routes: &HashMap<TenantId, RouteState>,
-        tenant: TenantId,
-        shard: usize,
-    ) -> bool {
-        match routes.get(&tenant) {
-            Some(r) => r.serving() == shard,
-            None => tenant.0 as usize % self.config.n_shards == shard,
+    /// `shard`'s handle, or [`ServeError::InvalidConfig`] for an index
+    /// out of range.
+    fn handle(&self, shard: usize) -> Result<&ShardHandle> {
+        self.shards
+            .get(shard)
+            .ok_or(ServeError::InvalidConfig("shard index out of range"))
+    }
+
+    /// Refuse with [`ServeError::ShardPoisoned`] if `shard` is poisoned.
+    fn unpoisoned(&self, shard: usize) -> Result<()> {
+        match self.shards[shard].poison.get() {
+            Some(reason) => Err(ServeError::ShardPoisoned {
+                shard,
+                reason: reason.clone(),
+            }),
+            None => Ok(()),
         }
+    }
+
+    /// The shard currently serving a tenant: its dynamic route if it was
+    /// ever migrated ([`ShardRouter::migrate_tenant`]), else its static
+    /// placement, [`TenantId::home_shard`].
+    pub fn shard_of(&self, tenant: TenantId) -> usize {
+        self.serving(&self.routes(), tenant).0
     }
 
     /// Enqueue one tenant message (a micro-batch of tenant-local events)
@@ -250,31 +284,23 @@ impl ShardRouter {
             queued: Span::start(self.config.metrics.is_some()),
         };
         {
-            let routes = self.routes.read().expect("route table lock");
-            match routes.get(&tenant) {
-                Some(RouteState::CutOver { .. }) => {} // fall through to the write path
-                Some(r) => return self.push_to(r.serving(), msg),
-                None => return self.push_to(tenant.0 as usize % self.config.n_shards, msg),
+            let routes = self.routes();
+            if !matches!(routes.get(&tenant), Some(RouteState::CutOver { .. })) {
+                return self.push_to(self.serving(&routes, tenant).0, msg);
             }
         }
         // Cut-over window: buffering mutates the route entry, so
         // re-resolve under the write lock (the window may have closed or
         // rolled back between the two lock acquisitions).
-        let mut routes = self.routes.write().expect("route table lock");
-        match routes.get_mut(&tenant) {
-            Some(RouteState::CutOver { buffer, .. }) => {
-                if buffer.len() >= self.config.queue_capacity {
-                    return Err(ServeError::TenantMigrating { tenant });
-                }
-                buffer.push(msg);
-                Ok(())
+        let mut routes = self.routes_mut();
+        if let Some(RouteState::CutOver { buffer, .. }) = routes.get_mut(&tenant) {
+            if buffer.len() >= self.config.queue_capacity {
+                return Err(ServeError::TenantMigrating { tenant });
             }
-            Some(r) => {
-                let shard = r.serving();
-                self.push_to(shard, msg)
-            }
-            None => self.push_to(tenant.0 as usize % self.config.n_shards, msg),
+            buffer.push(msg);
+            return Ok(());
         }
+        self.push_to(self.serving(&routes, tenant).0, msg)
     }
 
     /// Enqueue one message on a specific shard: poison check, push under
@@ -282,13 +308,8 @@ impl ShardRouter {
     /// with the route lock held (read or write) so routing and enqueue
     /// are atomic with respect to migration state transitions.
     fn push_to(&self, shard: usize, msg: Msg) -> Result<()> {
+        self.unpoisoned(shard)?;
         let h = &self.shards[shard];
-        if let Some(reason) = h.poison.get() {
-            return Err(ServeError::ShardPoisoned {
-                shard,
-                reason: reason.clone(),
-            });
-        }
         match h.queue.push(msg, self.config.backpressure) {
             Ok(()) => {
                 h.enqueued.fetch_add(1, Ordering::SeqCst);
@@ -386,20 +407,10 @@ impl ShardRouter {
         // state older than what the old shard served before the
         // repoint — and since the target was flushed past the fence
         // before the route flipped, the floor never spuriously trips.
-        let (shard, fence) = {
-            let routes = self.routes.read().expect("route table lock");
-            match routes.get(&tenant) {
-                Some(RouteState::Moved { shard, fence }) => (*shard, Some(*fence)),
-                Some(r) => (r.serving(), None),
-                None => (tenant.0 as usize % self.config.n_shards, None),
-            }
-        };
-        let min_epoch = match (min_epoch, fence) {
-            (Some(m), Some(f)) => Some(m.max(f)),
-            (m, f) => m.or(f),
-        };
-        let h = &self.shards[shard];
-        let core = h.core.lock().expect("shard core lock");
+        let (shard, fence) = self.serving(&self.routes(), tenant);
+        // The stricter floor wins; `None` (no floor) orders below `Some`.
+        let min_epoch = min_epoch.max(fence);
+        let core = self.core(shard);
         // Membership first (an unknown tenant is the caller's bug, not
         // the shard's — reporting ShardPoisoned for it would send the
         // operator on a pointless rebuild), then the poison check,
@@ -408,12 +419,7 @@ impl ShardRouter {
         let Some(map) = core.tenants.get(&tenant) else {
             return Err(ServeError::UnknownTenant(tenant));
         };
-        if let Some(reason) = h.poison.get() {
-            return Err(ServeError::ShardPoisoned {
-                shard,
-                reason: reason.clone(),
-            });
-        }
+        self.unpoisoned(shard)?;
         if let Some(min) = min_epoch {
             let epoch = core.session.epoch();
             if epoch < min {
@@ -432,8 +438,8 @@ impl ShardRouter {
     /// [`crate::migration`]), but the tenant is listed once.
     pub fn tenants(&self) -> Vec<TenantId> {
         let mut set: HashSet<TenantId> = HashSet::new();
-        for h in &self.shards {
-            set.extend(h.core.lock().expect("shard core lock").tenants.keys());
+        for shard in 0..self.shards.len() {
+            set.extend(self.core(shard).tenants.keys());
         }
         let mut out: Vec<TenantId> = set.into_iter().collect();
         out.sort_unstable();
@@ -449,12 +455,9 @@ impl ShardRouter {
     /// the state as of the last successful batch) and the starting
     /// point for rebuilding the shard from its journal.
     pub fn shard_snapshot(&self, shard: usize) -> Result<ShardSnapshot> {
-        let h = self
-            .shards
-            .get(shard)
-            .ok_or(ServeError::InvalidConfig("shard index out of range"))?;
-        let routes = self.routes.read().expect("route table lock");
-        let core = h.core.lock().expect("shard core lock");
+        self.handle(shard)?;
+        let routes = self.routes();
+        let core = self.core(shard);
         // A migrated-away tenant's residue stays in the dataset (that is
         // what keeps re-migration idempotent) but the tenant is no
         // longer *served* here, so it is not listed.
@@ -462,7 +465,7 @@ impl ShardRouter {
             .tenants
             .keys()
             .copied()
-            .filter(|t| self.serves(&routes, *t, shard))
+            .filter(|t| self.serving(&routes, *t).0 == shard)
             .collect();
         tenants.sort_unstable();
         Ok(ShardSnapshot {
@@ -495,9 +498,8 @@ impl ShardRouter {
 
     /// Each shard's current replication epoch, in shard order.
     pub fn epochs(&self) -> Vec<u64> {
-        self.shards
-            .iter()
-            .map(|h| h.core.lock().expect("shard core lock").session.epoch())
+        (0..self.shards.len())
+            .map(|shard| self.core(shard).session.epoch())
             .collect()
     }
 
@@ -524,17 +526,9 @@ impl ShardRouter {
         shard: usize,
         from_epoch: u64,
     ) -> Result<(SubscriptionStart, Subscription)> {
-        let h = self
-            .shards
-            .get(shard)
-            .ok_or(ServeError::InvalidConfig("shard index out of range"))?;
-        let mut core = h.core.lock().expect("shard core lock");
-        if let Some(reason) = h.poison.get() {
-            return Err(ServeError::ShardPoisoned {
-                shard,
-                reason: reason.clone(),
-            });
-        }
+        self.handle(shard)?;
+        let mut core = self.core(shard);
+        self.unpoisoned(shard)?;
         let ShardCore { session, tap, .. } = &mut *core;
         let Some(tap) = tap.as_mut() else {
             return Err(ServeError::InvalidConfig(
@@ -555,23 +549,21 @@ impl ShardRouter {
     /// regresses the mark); feeds [`ShardStats::replica_acked_epoch`]
     /// and the `replica_*` metrics gauges.
     pub fn record_ack(&self, shard: usize, epoch: u64) -> Result<()> {
-        let h = self
-            .shards
-            .get(shard)
-            .ok_or(ServeError::InvalidConfig("shard index out of range"))?;
-        h.acked_epoch.fetch_max(epoch, Ordering::SeqCst);
+        self.handle(shard)?
+            .acked_epoch
+            .fetch_max(epoch, Ordering::SeqCst);
         Ok(())
     }
 
     /// Per-shard and aggregate statistics.
     pub fn stats(&self) -> RouterStats {
-        let routes = self.routes.read().expect("route table lock");
+        let routes = self.routes();
         let shards = self
             .shards
             .iter()
             .enumerate()
             .map(|(i, h)| {
-                let core = h.core.lock().expect("shard core lock");
+                let core = self.core(i);
                 let mut s = core.stats.clone();
                 s.queue_depth = h.queue.depth();
                 s.max_queue_depth = h.queue.max_depth();
@@ -580,7 +572,7 @@ impl ShardRouter {
                 s.tenants = core
                     .tenants
                     .keys()
-                    .filter(|t| self.serves(&routes, **t, i))
+                    .filter(|t| self.serving(&routes, **t).0 == i)
                     .count();
                 s.scoring_threads = core.session.engine().threads();
                 s.journal_bytes = core.session.journal_bytes();
@@ -602,8 +594,7 @@ impl ShardRouter {
 
     /// Tenant migrations in flight: route entries claimed, not committed.
     pub fn migrations_active(&self) -> usize {
-        let routes = self.routes.read().expect("route table lock");
-        routes
+        self.routes()
             .values()
             .filter(|r| !matches!(r, RouteState::Moved { .. }))
             .count()
@@ -623,17 +614,11 @@ impl ShardRouter {
     }
 
     fn slice_from(&self, shard: usize, tenant: TenantId) -> Result<Vec<Event>> {
-        let h = &self.shards[shard];
-        let core = h.core.lock().expect("shard core lock");
+        let core = self.core(shard);
         let Some(map) = core.tenants.get(&tenant) else {
             return Err(ServeError::UnknownTenant(tenant));
         };
-        if let Some(reason) = h.poison.get() {
-            return Err(ServeError::ShardPoisoned {
-                shard,
-                reason: reason.clone(),
-            });
-        }
+        self.unpoisoned(shard)?;
         Ok(extract_slice(core.session.dataset(), map))
     }
 
@@ -682,193 +667,97 @@ impl ShardRouter {
         to: usize,
         abort_after: Option<MigrationStage>,
     ) -> Result<MigrationReport> {
-        // ---- Planning: validate, then claim the tenant's route entry
-        // (the in-flight marker doubles as the concurrency guard).
+        let (from, prior_fence) = self.claim_route(tenant, to)?;
+        let report = self
+            .move_tenant(tenant, from, to, abort_after)
+            .map_err(|(stage, reason)| self.roll_back(tenant, from, prior_fence, stage, reason))?;
+        // Past the flip the tenant lives on `to`: nothing rolls back.
+        self.flush_shard(to)?;
+        self.core(from).stats.migrations_out += 1;
+        self.core(to).stats.migrations_in += 1;
+        Ok(report)
+    }
+
+    /// Planning: validate the move, then claim the tenant's route entry
+    /// (the in-flight marker doubles as the concurrency guard). Returns
+    /// the source shard and, for a tenant that moved before, the fence of
+    /// the route the claim replaced.
+    fn claim_route(&self, tenant: TenantId, to: usize) -> Result<(usize, Option<u64>)> {
         if to >= self.config.n_shards {
             return Err(ServeError::InvalidConfig(
                 "migration target shard out of range",
             ));
         }
-        let (from, prior) = {
-            let mut routes = self.routes.write().expect("route table lock");
-            let (from, prior) = match routes.get(&tenant) {
-                Some(RouteState::Moved { shard, fence }) => (*shard, Some((*shard, *fence))),
-                Some(_) => return Err(ServeError::TenantMigrating { tenant }),
-                None => (tenant.0 as usize % self.config.n_shards, None),
-            };
-            if from == to {
-                return Err(ServeError::InvalidConfig(
-                    "tenant already lives on the target shard",
-                ));
-            }
-            for shard in [from, to] {
-                if let Some(reason) = self.shards[shard].poison.get() {
-                    return Err(ServeError::ShardPoisoned {
-                        shard,
-                        reason: reason.clone(),
-                    });
-                }
-            }
-            if !self.shards[from]
-                .core
-                .lock()
-                .expect("shard core lock")
-                .tenants
-                .contains_key(&tenant)
-            {
-                return Err(ServeError::UnknownTenant(tenant));
-            }
-            routes.insert(tenant, RouteState::Migrating { from });
-            (from, prior)
-        };
-        if abort_after == Some(MigrationStage::Planning) {
-            return Err(self.roll_back(
-                tenant,
-                from,
-                prior,
-                MigrationStage::Planning,
-                "chaos: aborted after planning".into(),
+        let mut routes = self.routes_mut();
+        if matches!(
+            routes.get(&tenant),
+            Some(RouteState::Migrating { .. } | RouteState::CutOver { .. })
+        ) {
+            return Err(ServeError::TenantMigrating { tenant });
+        }
+        let (from, fence) = self.serving(&routes, tenant);
+        if from == to {
+            return Err(ServeError::InvalidConfig(
+                "tenant already lives on the target shard",
             ));
         }
+        for shard in [from, to] {
+            self.unpoisoned(shard)?;
+        }
+        if !self.core(from).tenants.contains_key(&tenant) {
+            return Err(ServeError::UnknownTenant(tenant));
+        }
+        routes.insert(tenant, RouteState::Migrating { from });
+        Ok((from, fence))
+    }
+
+    /// Bulk replay, cut-over and commit, from the claimed route entry to
+    /// the flipped route. A failure names its stage; the caller rolls
+    /// back. The chaos hook fails right after `abort_after` completes.
+    fn move_tenant(
+        &self,
+        tenant: TenantId,
+        from: usize,
+        to: usize,
+        abort_after: Option<MigrationStage>,
+    ) -> std::result::Result<MigrationReport, (MigrationStage, String)> {
+        let chaos = |stage: MigrationStage, when: &str| match abort_after {
+            Some(abort) if abort == stage => Err((stage, format!("chaos: aborted {when}"))),
+            _ => Ok(()),
+        };
+        // Tags a stage's error for the rollback.
+        let at = |stage: MigrationStage| move |e: ServeError| (stage, e.to_string());
+        chaos(MigrationStage::Planning, "after planning")?;
         // ---- Bulk replay, while the source keeps serving ingest and
         // reads. The copy may be stale by whatever lands during it —
         // replay is idempotent, so the cut-over pass simply re-sends
         // everything and only the delta is new.
-        let bulk_events = match self.replay_into(tenant, from, to) {
-            Ok(n) => n,
-            Err(e) => {
-                return Err(self.roll_back(
-                    tenant,
-                    from,
-                    prior,
-                    MigrationStage::BulkReplay,
-                    e.to_string(),
-                ))
-            }
-        };
-        if abort_after == Some(MigrationStage::BulkReplay) {
-            return Err(self.roll_back(
-                tenant,
-                from,
-                prior,
-                MigrationStage::BulkReplay,
-                "chaos: aborted after bulk replay".into(),
-            ));
-        }
+        let bulk_events = self
+            .replay_into(tenant, from, to)
+            .map_err(at(MigrationStage::BulkReplay))?;
+        chaos(MigrationStage::BulkReplay, "after bulk replay")?;
         // ---- Cut-over: the tenant's new ingest buffers on the route
         // entry while the source drains and its final state replays into
         // the target. Reads still resolve at the (complete) source.
-        self.routes.write().expect("route table lock").insert(
+        self.routes_mut().insert(
             tenant,
             RouteState::CutOver {
                 from,
                 buffer: Vec::new(),
             },
         );
-        let delta_events = match self.replay_into(tenant, from, to) {
-            Ok(n) => n,
-            Err(e) => {
-                return Err(self.roll_back(
-                    tenant,
-                    from,
-                    prior,
-                    MigrationStage::CutOver,
-                    e.to_string(),
-                ))
-            }
-        };
+        let delta_events = self
+            .replay_into(tenant, from, to)
+            .map_err(at(MigrationStage::CutOver))?;
         // The fence: the target's epoch now that it provably holds
         // everything the source ever absorbed for this tenant.
-        let fence = self.shards[to]
-            .core
-            .lock()
-            .expect("shard core lock")
-            .session
-            .epoch();
-        if abort_after == Some(MigrationStage::CutOver)
-            || abort_after == Some(MigrationStage::Commit)
-        {
-            let stage = abort_after.unwrap_or(MigrationStage::CutOver);
-            return Err(self.roll_back(
-                tenant,
-                from,
-                prior,
-                stage,
-                format!("chaos: aborted during {stage}"),
-            ));
-        }
-        // ---- Commit: persist the fence, drain the window into the
-        // target, flip the route — all under the route write lock, so no
-        // ingest can interleave with the repoint and the buffered window
-        // lands ahead of any post-commit message (labels are
-        // last-write-wins; order matters).
-        let buffered_messages = {
-            let mut routes = self.routes.write().expect("route table lock");
-            if let Some(j) = &self.config.journal {
-                let mut persisted: Vec<PersistedRoute> = routes
-                    .iter()
-                    .filter_map(|(t, r)| match r {
-                        RouteState::Moved { shard, fence } => Some(PersistedRoute {
-                            tenant: *t,
-                            shard: *shard,
-                            fence: *fence,
-                        }),
-                        _ => None,
-                    })
-                    .collect();
-                persisted.push(PersistedRoute {
-                    tenant,
-                    shard: to,
-                    fence,
-                });
-                persisted.sort_unstable_by_key(|r| r.tenant);
-                // The file is written *before* the in-memory flip and
-                // *after* the target journal holds the full slice:
-                // recovery resolving this route against the recovered
-                // target epoch (`migration::resolve_route`) either
-                // proves the cut-over or rolls back to the source —
-                // never a split route.
-                if let Err(e) = store_routes(&j.dir, &persisted) {
-                    drop(routes);
-                    return Err(self.roll_back(
-                        tenant,
-                        from,
-                        prior,
-                        MigrationStage::Commit,
-                        e.to_string(),
-                    ));
-                }
-            }
-            let buffer = match routes.insert(tenant, RouteState::Moved { shard: to, fence }) {
-                Some(RouteState::CutOver { buffer, .. }) => buffer,
-                _ => Vec::new(),
-            };
-            let n = buffer.len();
-            for msg in buffer {
-                if let Err(e) = self.push_to(to, msg) {
-                    // Past the atomic flip; a drain failure (the target
-                    // closing mid-shutdown) drops the message exactly
-                    // like any shutdown race, and is counted as such.
-                    let mut core = self.shards[to].core.lock().expect("shard core lock");
-                    core.stats.ingest_errors += 1;
-                    core.stats.last_error = Some(format!("cut-over drain failed: {e}"));
-                }
-            }
-            n
-        };
-        self.flush_shard(to)?;
-        self.shards[from]
-            .core
-            .lock()
-            .expect("shard core lock")
-            .stats
-            .migrations_out += 1;
-        self.shards[to]
-            .core
-            .lock()
-            .expect("shard core lock")
-            .stats
-            .migrations_in += 1;
+        let fence = self.core(to).session.epoch();
+        // Commit is the atomic flip, so its chaos point is just before it.
+        chaos(MigrationStage::CutOver, "during cut-over")?;
+        chaos(MigrationStage::Commit, "during commit")?;
+        let buffered_messages = self
+            .commit_route(tenant, to, fence)
+            .map_err(at(MigrationStage::Commit))?;
         Ok(MigrationReport {
             tenant,
             from,
@@ -880,6 +769,65 @@ impl ShardRouter {
         })
     }
 
+    /// Commit: persist the fence, flip the route and drain the cut-over
+    /// window into the target, all under the route write lock, so no
+    /// ingest can interleave with the repoint and the buffered window
+    /// lands ahead of any post-commit message (labels are
+    /// last-write-wins; order matters). A failed persist returns before
+    /// the flip and releases the lock. Returns the window's length.
+    fn commit_route(&self, tenant: TenantId, to: usize, fence: u64) -> Result<usize> {
+        let mut routes = self.routes_mut();
+        if let Some(j) = &self.config.journal {
+            let mut persisted: Vec<PersistedRoute> = routes
+                .iter()
+                .filter_map(|(t, r)| match r {
+                    RouteState::Moved { shard, fence } => Some(PersistedRoute {
+                        tenant: *t,
+                        shard: *shard,
+                        fence: *fence,
+                    }),
+                    _ => None,
+                })
+                .collect();
+            persisted.push(PersistedRoute {
+                tenant,
+                shard: to,
+                fence,
+            });
+            persisted.sort_unstable_by_key(|r| r.tenant);
+            // The file is written *before* the in-memory flip and
+            // *after* the target journal holds the full slice:
+            // recovery resolving this route against the recovered
+            // target epoch (`migration::resolve_route`) either
+            // proves the cut-over or rolls back to the source —
+            // never a split route.
+            store_routes(&j.dir, &persisted)?;
+        }
+        match routes.insert(tenant, RouteState::Moved { shard: to, fence }) {
+            Some(RouteState::CutOver { buffer, .. }) => {
+                Ok(self.drain_window(to, buffer, "cut-over drain"))
+            }
+            _ => Ok(0),
+        }
+    }
+
+    /// Queue a cut-over window on `shard` in arrival order. The caller
+    /// holds the route write lock, so no new ingest of the tenant
+    /// interleaves. A message the shard refuses (it is closing
+    /// mid-shutdown) is dropped like any shutdown race and counted as an
+    /// ingest error there. Returns the window's length.
+    fn drain_window(&self, shard: usize, window: Vec<Msg>, what: &str) -> usize {
+        let n = window.len();
+        for msg in window {
+            if let Err(e) = self.push_to(shard, msg) {
+                let mut core = self.core(shard);
+                core.stats.ingest_errors += 1;
+                core.stats.last_error = Some(format!("{what} failed: {e}"));
+            }
+        }
+        n
+    }
+
     /// One replay pass of the migration: flush the source, extract the
     /// tenant's slice, enqueue it on the target as one ordinary message
     /// (the worker's idempotent translation absorbs whatever the target
@@ -889,12 +837,7 @@ impl ShardRouter {
         self.flush_shard(from)?;
         let slice = self.slice_from(from, tenant)?;
         let n = slice.len();
-        let errors_before = self.shards[to]
-            .core
-            .lock()
-            .expect("shard core lock")
-            .stats
-            .ingest_errors;
+        let errors_before = self.core(to).stats.ingest_errors;
         self.push_to(
             to,
             Msg {
@@ -904,13 +847,8 @@ impl ShardRouter {
             },
         )?;
         self.flush_shard(to)?;
-        let core = self.shards[to].core.lock().expect("shard core lock");
-        if let Some(reason) = core.poison.get() {
-            return Err(ServeError::ShardPoisoned {
-                shard: to,
-                reason: reason.clone(),
-            });
-        }
+        let core = self.core(to);
+        self.unpoisoned(to)?;
         if core.stats.ingest_errors > errors_before {
             return Err(ServeError::Fusion(FusionError::Io(format!(
                 "target shard {to} refused the replayed slice: {}",
@@ -920,44 +858,34 @@ impl ShardRouter {
         Ok(n)
     }
 
-    /// Undo a failed migration: restore the route (drop the in-flight
-    /// entry, or re-point a previously-migrated tenant back at its prior
-    /// home), re-queue any cut-over-buffered ingest at the source in
-    /// arrival order, count the failure. The tenant never stopped being
-    /// served by the source; the target keeps an inert namespaced
-    /// residue that a retry's idempotent replay absorbs. Returns the
-    /// typed error for the caller to propagate.
+    /// Undo a failed migration, the one rollback of every stage: restore
+    /// the route (drop the in-flight entry, or re-point a
+    /// previously-migrated tenant back at `from` behind its
+    /// `prior_fence`), re-queue any cut-over-buffered ingest at the
+    /// source in arrival order, count the failure. The tenant never
+    /// stopped being served by the source; the target keeps an inert
+    /// namespaced residue that a retry's idempotent replay absorbs.
+    /// Returns the typed error for the caller to propagate.
     fn roll_back(
         &self,
         tenant: TenantId,
         from: usize,
-        prior: Option<(usize, u64)>,
+        prior_fence: Option<u64>,
         stage: MigrationStage,
         reason: String,
     ) -> ServeError {
-        let mut routes = self.routes.write().expect("route table lock");
-        let removed = match prior {
-            Some((shard, fence)) => routes.insert(tenant, RouteState::Moved { shard, fence }),
+        let mut routes = self.routes_mut();
+        let removed = match prior_fence {
+            Some(fence) => routes.insert(tenant, RouteState::Moved { shard: from, fence }),
             None => routes.remove(&tenant),
         };
         if let Some(RouteState::CutOver { buffer, .. }) = removed {
             // Drain back into the source while the write lock still
             // excludes new ingest, preserving arrival order.
-            for msg in buffer {
-                if let Err(e) = self.push_to(from, msg) {
-                    let mut core = self.shards[from].core.lock().expect("shard core lock");
-                    core.stats.ingest_errors += 1;
-                    core.stats.last_error = Some(format!("rollback re-queue failed: {e}"));
-                }
-            }
+            self.drain_window(from, buffer, "rollback re-queue");
         }
         drop(routes);
-        self.shards[from]
-            .core
-            .lock()
-            .expect("shard core lock")
-            .stats
-            .migrations_failed += 1;
+        self.core(from).stats.migrations_failed += 1;
         ServeError::MigrationFailed {
             tenant,
             stage,
@@ -970,13 +898,8 @@ impl ShardRouter {
     /// state between batches, and parallel scoring is bitwise identical
     /// to serial, so this changes throughput only — never a score.
     pub fn set_shard_threads(&self, shard: usize, threads: usize) -> Result<()> {
-        let h = self
-            .shards
-            .get(shard)
-            .ok_or(ServeError::InvalidConfig("shard index out of range"))?;
-        h.core
-            .lock()
-            .expect("shard core lock")
+        self.handle(shard)?;
+        self.core(shard)
             .session
             .set_engine(ScoringEngine::with_threads(threads));
         Ok(())
@@ -1007,21 +930,20 @@ impl ShardRouter {
     /// `placement()[shard]` lists the `(tenant, n_triples)` pairs served
     /// by each shard, tenants ascending.
     fn placement(&self) -> Vec<Vec<(TenantId, usize)>> {
-        let routes = self.routes.read().expect("route table lock");
-        let mut out: Vec<Vec<(TenantId, usize)>> =
-            (0..self.config.n_shards).map(|_| Vec::new()).collect();
-        for (i, h) in self.shards.iter().enumerate() {
-            let core = h.core.lock().expect("shard core lock");
-            let mut served: Vec<(TenantId, usize)> = core
-                .tenants
-                .iter()
-                .filter(|(t, _)| self.serves(&routes, **t, i))
-                .map(|(t, m)| (*t, m.n_triples()))
-                .collect();
-            served.sort_unstable_by_key(|(t, _)| *t);
-            out[i] = served;
-        }
-        out
+        let routes = self.routes();
+        (0..self.shards.len())
+            .map(|i| {
+                let core = self.core(i);
+                let mut served: Vec<(TenantId, usize)> = core
+                    .tenants
+                    .iter()
+                    .filter(|(t, _)| self.serving(&routes, **t).0 == i)
+                    .map(|(t, m)| (*t, m.n_triples()))
+                    .collect();
+                served.sort_unstable_by_key(|(t, _)| *t);
+                served
+            })
+            .collect()
     }
 
     /// Graceful shutdown: refuse new messages, drain every queue, seal
@@ -1095,4 +1017,87 @@ pub(crate) fn merge_seeds(
         tenants.insert(*tenant, map);
     }
     Ok((b.build()?, tenants, next_domain))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use corrfuse_core::dataset::SourceId;
+    use corrfuse_core::fuser::{Fuser, Method};
+    use corrfuse_core::triple::TripleId;
+
+    /// Two sources and two labelled triples.
+    fn seed() -> Dataset {
+        let mut b = DatasetBuilder::new();
+        let (s0, t0) = b.observe_named("S0", "x", "p", "0");
+        let s1 = b.source("S1");
+        let t1 = b.triple("x", "p", "1");
+        b.observe(s0, t1);
+        b.observe(s1, t1);
+        b.label(t0, true);
+        b.label(t1, false);
+        b.build().unwrap()
+    }
+
+    /// A rollback re-queues the cut-over window at the source in arrival
+    /// order. The window's second message labels the triple its first
+    /// one adds: re-queued in reverse, the label would fail translation;
+    /// dropped, the triple would be missing from the scores.
+    #[test]
+    fn a_rolled_back_cut_over_requeues_its_window_in_arrival_order() {
+        let config = FuserConfig::new(Method::PrecRec);
+        let (tenant, source) = (TenantId(0), 0);
+        let seeds = vec![(tenant, seed()), (TenantId(1), seed())];
+        let router = ShardRouter::new(config.clone(), RouterConfig::new(2), seeds).unwrap();
+        assert_eq!(router.shard_of(tenant), source);
+        let added = vec![
+            Event::add_triple("y", "p", "2"),
+            Event::claim(SourceId(1), TripleId(2)),
+        ];
+        let labelled = vec![Event::label(TripleId(2), true)];
+        let buffer = [&added, &labelled]
+            .map(|events| Msg {
+                tenant,
+                events: events.clone(),
+                queued: Span::disabled(),
+            })
+            .into();
+        router.routes_mut().insert(
+            tenant,
+            RouteState::CutOver {
+                from: source,
+                buffer,
+            },
+        );
+
+        let err = router.roll_back(tenant, source, None, MigrationStage::CutOver, "test".into());
+        assert!(matches!(
+            err,
+            ServeError::MigrationFailed {
+                stage: MigrationStage::CutOver,
+                ..
+            }
+        ));
+        router.flush().unwrap();
+
+        assert!(router.routes().is_empty(), "the route is static again");
+        let stats = &router.stats().shards[source];
+        assert_eq!(stats.ingest_errors, 0, "{:?}", stats.last_error);
+        assert_eq!(stats.migrations_failed, 1);
+        let mut solo = StreamSession::new(config.clone(), seed()).unwrap();
+        solo.ingest(&added).unwrap();
+        solo.ingest(&labelled).unwrap();
+        let ds = solo.dataset();
+        let fresh = Fuser::fit(&config, ds, ds.gold().unwrap()).unwrap();
+        let expected = fresh.score_all(ds).unwrap();
+        let scores = router.scores(tenant).unwrap();
+        assert_eq!(scores.len(), 3);
+        for (i, (a, b)) in scores.iter().zip(&expected).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "triple {i}: routed {a} vs fresh {b}"
+            );
+        }
+    }
 }

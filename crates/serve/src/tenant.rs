@@ -24,10 +24,18 @@ use std::fmt;
 use corrfuse_core::dataset::{Dataset, Domain, SourceId};
 use corrfuse_core::triple::{Triple, TripleId};
 
-/// A tenant (routing key). Dense ids; `tenant.0 % n_shards` picks the
-/// shard.
+/// A tenant (routing key). Dense ids; [`TenantId::home_shard`] picks
+/// the shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TenantId(pub u32);
+
+impl TenantId {
+    /// The static placement, shard `self.0 % n_shards`: where the router
+    /// seeds the tenant and serves it until a migration moves it.
+    pub fn home_shard(self, n_shards: usize) -> usize {
+        self.0 as usize % n_shards
+    }
+}
 
 impl fmt::Display for TenantId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

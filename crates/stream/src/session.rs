@@ -92,11 +92,12 @@ pub struct RecoveryReport {
 }
 
 impl StreamSession {
-    /// Open a session on a seed snapshot with the default (parallel)
-    /// scoring engine. Parallel and serial scoring are bitwise identical,
-    /// so the choice is purely about throughput.
+    /// Open a session on a seed snapshot with the serial scoring engine
+    /// ([`StreamSession::with_engine`] picks another). Parallel and
+    /// serial scoring are bitwise identical, so the choice is purely
+    /// about throughput.
     pub fn new(config: FuserConfig, seed: Dataset) -> Result<StreamSession> {
-        Self::with_engine(config, seed, ScoringEngine::default())
+        Self::with_engine(config, seed, ScoringEngine::serial())
     }
 
     /// Open a session with an explicit scoring engine.
