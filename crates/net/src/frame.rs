@@ -16,7 +16,7 @@
 //! and error code — lives in `docs/PROTOCOL.md`; this module is its
 //! reference implementation. Decoding is total: any byte sequence
 //! yields either a [`Frame`] or a typed [`FrameError`], never a panic
-//! (pinned by the fuzz-style property test in `tests/codec.rs`).
+//! (pinned by the property test in `crates/net/tests/codec_fuzz.rs`).
 
 use std::fmt;
 use std::io::{Read, Write};

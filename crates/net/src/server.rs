@@ -76,7 +76,6 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use corrfuse_obs::{Counter, Gauge, Histogram, MetricSample, MetricValue, Registry, Span};
-use corrfuse_serve::queue::Pop;
 use corrfuse_serve::{RouterStats, ServeError, ShardRouter, Subscription, SubscriptionStart};
 
 use crate::acl::AclTable;
@@ -1108,7 +1107,7 @@ fn replicate(
     let pusher = std::thread::Builder::new()
         .name("corrfuse-net-push".to_string())
         .spawn(move || {
-            while let Pop::Item(b) = push_sub.recv_deadline(None) {
+            while let Some(b) = push_sub.recv() {
                 let (_, bytes) = Response::Batch {
                     epoch: b.epoch,
                     text: b.text,

@@ -96,6 +96,11 @@ impl Slot {
     fn state(&self) -> MutexGuard<'_, ShardState> {
         self.state.lock().expect("shard state lock")
     }
+
+    /// Lock the live link socket. A poisoned lock panics, as in `state`.
+    fn conn(&self) -> MutexGuard<'_, Option<TcpStream>> {
+        self.conn.lock().expect("conn lock")
+    }
 }
 
 /// Replication counters shared by every link thread (present only when
@@ -352,7 +357,7 @@ impl Follower {
     /// epochs; replicated state is untouched.
     pub fn disconnect_all(&self) {
         for slot in &self.shared.slots {
-            if let Some(conn) = slot.conn.lock().expect("conn lock").take() {
+            if let Some(conn) = slot.conn().take() {
                 let _ = conn.shutdown(std::net::Shutdown::Both);
             }
         }
@@ -452,9 +457,9 @@ fn run_link(shared: &Shared, shard: usize) -> Result<u64> {
     let slot = &shared.slots[shard];
     let mut stream = TcpStream::connect(&shared.addr)?;
     stream.set_nodelay(true).ok();
-    *slot.conn.lock().expect("conn lock") = Some(stream.try_clone().map_err(NetError::from)?);
+    *slot.conn() = Some(stream.try_clone().map_err(NetError::from)?);
     let result = link(shared, shard, &mut stream);
-    slot.conn.lock().expect("conn lock").take();
+    slot.conn().take();
     result
 }
 

@@ -34,6 +34,10 @@
 //!   so co-tenants never collide. Translation is deterministic.
 //! * `shard` (internal) — the worker loop: batch, translate, ingest,
 //!   rotate the journal on size/age triggers, seal on shutdown.
+//! * `queue` (internal) — each shard's bounded queue, which is also its
+//!   message ledger (accepted, refused, done) and the barrier that
+//!   [`ShardRouter::flush`] joins. A worker that dies abandons its
+//!   queue, which wakes every flush waiting on that shard.
 //! * [`stats`] — per-shard + aggregate queue depths, batch sizes,
 //!   ingest latency, flips, cache hit rates, rotations. With a
 //!   [`corrfuse_obs::Registry`] on the config
@@ -115,7 +119,7 @@
 pub mod config;
 pub mod error;
 pub mod migration;
-pub mod queue;
+mod queue;
 pub mod replica;
 pub mod router;
 mod shard;

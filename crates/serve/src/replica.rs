@@ -31,12 +31,11 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Instant;
 
 use corrfuse_stream::Event;
 
 use crate::config::{Backpressure, ReplicationConfig};
-use crate::queue::{Pop, PushError, Queue};
+use crate::queue::{PushError, Queue};
 
 /// One committed batch as published to subscribers: the shard epoch it
 /// committed at, plus its shard-space events in the shared
@@ -83,23 +82,22 @@ pub struct Subscription {
 }
 
 impl Subscription {
-    /// Receive the next committed batch, waiting until `deadline` (or
-    /// forever when `None`). [`Pop::Closed`] means the subscription
-    /// ended — the router shut down, or this subscriber fell behind and
-    /// was disconnected — and the follower should resubscribe.
-    pub fn recv_deadline(&self, deadline: Option<Instant>) -> Pop<ReplicaBatch> {
-        self.queue.pop_deadline(deadline)
+    /// Receive the next committed batch, waiting as long as it takes.
+    /// `None` means the subscription ended — the router shut down, or
+    /// this subscriber fell behind and was disconnected — and the
+    /// follower should resubscribe.
+    pub fn recv(&self) -> Option<ReplicaBatch> {
+        self.queue.pop()
     }
 
     /// Batches currently buffered and not yet received.
     pub fn depth(&self) -> usize {
-        self.queue.depth()
+        self.queue.counts().depth
     }
 
     /// End the subscription now, as dropping it would, from any thread
-    /// holding it: a receiver blocked in
-    /// [`Subscription::recv_deadline`] wakes and, once the buffered
-    /// batches are received, gets [`Pop::Closed`].
+    /// holding it: a receiver blocked in [`Subscription::recv`] wakes
+    /// and, once the buffered batches are received, gets `None`.
     pub fn close(&self) {
         self.queue.close();
     }
@@ -259,7 +257,7 @@ mod tests {
             let sub = Arc::clone(&sub);
             std::thread::spawn(move || {
                 ready_tx.send(()).unwrap();
-                tx.send(sub.recv_deadline(None)).unwrap();
+                tx.send(sub.recv()).unwrap();
             })
         };
         ready_rx.recv().unwrap();
@@ -268,7 +266,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(50));
         sub.close();
         let got = rx.recv_timeout(Duration::from_secs(10));
-        assert!(matches!(got, Ok(Pop::Closed)), "{got:?}");
+        assert!(matches!(got, Ok(None)), "{got:?}");
         receiver.join().unwrap();
     }
 
@@ -284,13 +282,9 @@ mod tests {
         assert_eq!(sub.depth(), 2);
         tap.publish(4, &batch(4));
         for want in 2..=4u32 {
-            match sub.recv_deadline(None) {
-                Pop::Item(b) => {
-                    assert_eq!(b.epoch, want as u64);
-                    assert_eq!(b.text, text_of(&batch(want)));
-                }
-                other => panic!("expected item, got {other:?}"),
-            }
+            let b = sub.recv().expect("a batch");
+            assert_eq!(b.epoch, want as u64);
+            assert_eq!(b.text, text_of(&batch(want)));
         }
     }
 
@@ -333,9 +327,9 @@ mod tests {
         // its queue closed, but the buffered batches still drain.
         tap.publish(3, &batch(3));
         assert_eq!(tap.n_subscribers(), 0);
-        assert!(matches!(sub.recv_deadline(None), Pop::Item(b) if b.epoch == 1));
-        assert!(matches!(sub.recv_deadline(None), Pop::Item(b) if b.epoch == 2));
-        assert!(matches!(sub.recv_deadline(None), Pop::Closed));
+        assert!(matches!(sub.recv(), Some(b) if b.epoch == 1));
+        assert!(matches!(sub.recv(), Some(b) if b.epoch == 2));
+        assert!(sub.recv().is_none());
     }
 
     #[test]
@@ -348,7 +342,7 @@ mod tests {
         // possible even with no backlog.
         assert_eq!(start, SubscriptionStart::Resume);
         tap.publish(2, &batch(2));
-        assert!(matches!(sub.recv_deadline(None), Pop::Item(b) if b.epoch == 2));
+        assert!(matches!(sub.recv(), Some(b) if b.epoch == 2));
         // But any gap at all requires a snapshot.
         let (start, _) = tap.subscribe(1, 2, || ("D".to_string(), 0.5));
         assert!(matches!(
@@ -366,7 +360,7 @@ mod tests {
         drop(dropped);
         tap.publish(1, &batch(1));
         assert_eq!(tap.n_subscribers(), 1, "the dropped queue is pruned");
-        assert!(matches!(kept.recv_deadline(None), Pop::Item(b) if b.epoch == 1));
+        assert!(matches!(kept.recv(), Some(b) if b.epoch == 1));
     }
 
     #[test]
@@ -375,8 +369,8 @@ mod tests {
         let (_, a) = tap.subscribe(0, 0, || (String::new(), 0.5));
         let (_, b) = tap.subscribe(0, 0, || (String::new(), 0.5));
         tap.close();
-        assert!(matches!(a.recv_deadline(None), Pop::Closed));
-        assert!(matches!(b.recv_deadline(None), Pop::Closed));
+        assert!(a.recv().is_none());
+        assert!(b.recv().is_none());
         assert_eq!(tap.n_subscribers(), 0);
     }
 }

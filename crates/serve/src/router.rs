@@ -54,7 +54,7 @@ use crate::migration::{
 use crate::queue::{PushError, Queue};
 use crate::replica::{ReplicaTap, Subscription, SubscriptionStart};
 use crate::shard::{
-    run_worker, Msg, PoisonCell, Progress, ShardCore, ShardHandle, ShardSpans, WorkerParams,
+    lock_core, run_worker, Msg, PoisonCell, ShardCore, ShardHandle, ShardSpans, WorkerParams,
 };
 use crate::stats::{RouterStats, ShardStats};
 use crate::tenant::{scoped_source_name, scoped_triple, TenantId, TenantMap};
@@ -160,11 +160,9 @@ impl ShardRouter {
                 tap: config.replication.clone().map(|r| ReplicaTap::new(r, 0)),
             }));
             let queue = Arc::new(Queue::new(config.queue_capacity));
-            let progress = Arc::new(Progress::default());
             let params = WorkerParams {
                 queue: Arc::clone(&queue),
                 core: Arc::clone(&core),
-                progress: Arc::clone(&progress),
                 max_batch_events: config.max_batch_events,
                 journal: config.journal.clone(),
                 spans: config
@@ -179,10 +177,7 @@ impl ShardRouter {
             shards.push(ShardHandle {
                 queue,
                 core,
-                progress,
                 poison,
-                enqueued: AtomicU64::new(0),
-                rejected: AtomicU64::new(0),
                 acked_epoch: AtomicU64::new(0),
             });
             workers.push(Some(join));
@@ -205,20 +200,18 @@ impl ShardRouter {
         &self.config
     }
 
-    /// Lock one shard's core. A poisoned lock panics. The shard worker
-    /// catches a panicking batch apply without poisoning this lock
-    /// (`shard::contain_panic`), so only a panic in another holder (a
-    /// read, a stats pass, a migration step) poisons it.
+    /// Lock one shard's core through [`lock_core`], which states its
+    /// poison policy.
     fn core(&self, shard: usize) -> MutexGuard<'_, ShardCore> {
-        self.shards[shard].core.lock().expect("shard core lock")
+        lock_core(&self.shards[shard].core)
     }
 
-    /// Read the route table. A poisoned lock panics, as in `core`.
+    /// Read the route table. A poisoned lock panics, as `lock_core` does.
     fn routes(&self) -> RwLockReadGuard<'_, Routes> {
         self.routes.read().expect("route table lock")
     }
 
-    /// Write the route table. A poisoned lock panics, as in `core`.
+    /// Write the route table. A poisoned lock panics, as `lock_core` does.
     fn routes_mut(&self) -> RwLockWriteGuard<'_, Routes> {
         self.routes.write().expect("route table lock")
     }
@@ -303,25 +296,20 @@ impl ShardRouter {
         self.push_to(self.serving(&routes, tenant).0, msg)
     }
 
-    /// Enqueue one message on a specific shard: poison check, push under
-    /// the configured backpressure, bump the front-door counters. Called
-    /// with the route lock held (read or write) so routing and enqueue
-    /// are atomic with respect to migration state transitions.
+    /// Enqueue one message on a specific shard: poison check, then push
+    /// under the configured backpressure (the queue counts it accepted or
+    /// refused). Called with the route lock held (read or write) so
+    /// routing and enqueue are atomic with respect to migration state
+    /// transitions.
     fn push_to(&self, shard: usize, msg: Msg) -> Result<()> {
         self.unpoisoned(shard)?;
-        let h = &self.shards[shard];
-        match h.queue.push(msg, self.config.backpressure) {
-            Ok(()) => {
-                h.enqueued.fetch_add(1, Ordering::SeqCst);
-                Ok(())
-            }
-            Err(PushError::Full) => {
-                h.rejected.fetch_add(1, Ordering::SeqCst);
-                Err(ServeError::Backpressure {
-                    shard,
-                    depth: h.queue.depth(),
-                })
-            }
+        let queue = &self.shards[shard].queue;
+        match queue.push(msg, self.config.backpressure) {
+            Ok(()) => Ok(()),
+            Err(PushError::Full) => Err(ServeError::Backpressure {
+                shard,
+                depth: queue.counts().depth,
+            }),
             Err(PushError::Closed) => Err(ServeError::ShuttingDown),
         }
     }
@@ -335,19 +323,14 @@ impl ShardRouter {
         Ok(())
     }
 
-    /// [`ShardRouter::flush`] for a single shard.
+    /// [`ShardRouter::flush`] for a single shard: join its queue, which
+    /// wakes short if the worker died.
     fn flush_shard(&self, shard: usize) -> Result<()> {
-        let h = &self.shards[shard];
-        let target = h.enqueued.load(Ordering::SeqCst);
-        let dead = || {
-            self.workers[shard]
-                .as_ref()
-                .is_none_or(JoinHandle::is_finished)
-        };
-        if !h.progress.wait_for(target, dead) {
-            return Err(ServeError::ShardPanicked { shard });
+        if self.shards[shard].queue.join() {
+            Ok(())
+        } else {
+            Err(ServeError::ShardPanicked { shard })
         }
-        Ok(())
     }
 
     /// Current posterior per tenant-local triple, in the tenant's own
@@ -565,10 +548,12 @@ impl ShardRouter {
             .map(|(i, h)| {
                 let core = self.core(i);
                 let mut s = core.stats.clone();
-                s.queue_depth = h.queue.depth();
-                s.max_queue_depth = h.queue.max_depth();
-                s.enqueued_messages = h.enqueued.load(Ordering::SeqCst);
-                s.rejected_messages = h.rejected.load(Ordering::SeqCst);
+                let queued = h.queue.counts();
+                s.enqueued_messages = queued.accepted;
+                s.rejected_messages = queued.refused;
+                s.processed_messages = queued.done;
+                s.queue_depth = queued.depth;
+                s.max_queue_depth = queued.max_depth;
                 s.tenants = core
                     .tenants
                     .keys()
@@ -1099,5 +1084,46 @@ mod tests {
                 "triple {i}: routed {a} vs fresh {b}"
             );
         }
+    }
+
+    /// A worker that dies outside a batch apply wakes the flush waiting
+    /// on it, which reports the dead shard; a sibling shard serves on.
+    /// A flush that would wait forever fails at the receive's timeout.
+    #[test]
+    fn a_flush_reports_a_dead_worker_and_the_sibling_serves_on() {
+        let config = FuserConfig::new(Method::PrecRec);
+        let seeds = vec![(TenantId(0), seed()), (TenantId(1), seed())];
+        let router = Arc::new(ShardRouter::new(config, RouterConfig::new(2), seeds).unwrap());
+        let grow = || {
+            vec![
+                Event::add_triple("y", "p", "2"),
+                Event::claim(SourceId(1), TripleId(2)),
+            ]
+        };
+        // Poison shard 0's core lock; its worker dies at its next lock.
+        let poisoner = {
+            let router = Arc::clone(&router);
+            std::thread::spawn(move || {
+                let _core = router.core(0);
+                panic!("poisoning shard 0's core lock");
+            })
+        };
+        assert!(poisoner.join().is_err());
+        router.ingest(TenantId(0), grow()).unwrap();
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        {
+            let router = Arc::clone(&router);
+            std::thread::spawn(move || tx.send(router.flush()));
+        }
+        let flushed = rx.recv_timeout(std::time::Duration::from_secs(10));
+        assert!(
+            matches!(flushed, Ok(Err(ServeError::ShardPanicked { shard: 0 }))),
+            "{flushed:?}"
+        );
+
+        router.ingest(TenantId(1), grow()).unwrap();
+        router.flush_shard(1).unwrap();
+        assert_eq!(router.scores(TenantId(1)).unwrap().len(), 3);
     }
 }

@@ -28,15 +28,16 @@
 //! rebuild the shard from its journal. A panic while applying a batch
 //! poisons the shard the same way: the worker catches it with the core
 //! lock held, so the lock itself stays usable, though the snapshot may
-//! then hold part of that batch. Journal rotation runs
-//! outside the batch path; a rotation failure is recorded but neither
-//! retries the batch nor poisons the shard.
+//! then hold part of that batch. A worker that dies anywhere else
+//! abandons its queue as it unwinds, so a flush of the shard reports
+//! [`crate::ServeError::ShardPanicked`] instead of waiting. Journal
+//! rotation runs outside the batch path; a rotation failure is recorded
+//! but neither retries the batch nor poisons the shard.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use corrfuse_core::dataset::{Dataset, Domain, SourceId};
 use corrfuse_core::error::{FusionError, Result as CoreResult};
@@ -45,7 +46,7 @@ use corrfuse_obs::{Histogram, Registry, Span};
 use corrfuse_stream::{Event, RefitLevel, StreamSession};
 
 use crate::config::JournalConfig;
-use crate::queue::{Pop, Queue};
+use crate::queue::Queue;
 use crate::replica::ReplicaTap;
 use crate::stats::ShardStats;
 use crate::tenant::{scoped_source_name, scoped_triple, TenantId, TenantMap};
@@ -143,56 +144,23 @@ pub(crate) struct ShardCore {
     pub tap: Option<ReplicaTap>,
 }
 
-/// Worker-side progress counter, used by `ShardRouter::flush` to wait
-/// until every accepted message has been applied.
-#[derive(Debug, Default)]
-pub(crate) struct Progress {
-    processed: Mutex<u64>,
-    cv: Condvar,
-}
-
-impl Progress {
-    pub fn add(&self, n: u64) {
-        let mut p = self.processed.lock().expect("progress lock");
-        *p += n;
-        self.cv.notify_all();
-    }
-
-    /// Wait until at least `target` messages were applied. Returns
-    /// `false` if `dead()` reports the worker gone before that.
-    pub fn wait_for(&self, target: u64, dead: impl Fn() -> bool) -> bool {
-        let mut p = self.processed.lock().expect("progress lock");
-        loop {
-            if *p >= target {
-                return true;
-            }
-            if dead() {
-                // Re-check after the death verdict: the worker may have
-                // finished its last batch in between.
-                return *p >= target;
-            }
-            let (p2, _) = self
-                .cv
-                .wait_timeout(p, Duration::from_millis(50))
-                .expect("progress lock");
-            p = p2;
-        }
-    }
+/// Lock one shard's core. A poisoned lock panics. The shard worker
+/// catches a panicking batch apply without poisoning this lock
+/// ([`contain_panic`]), so only a panic in another holder (a read, a
+/// stats pass, a migration step) poisons it.
+pub(crate) fn lock_core(core: &Mutex<ShardCore>) -> MutexGuard<'_, ShardCore> {
+    core.lock().expect("shard core lock")
 }
 
 /// The router-side handle of one shard.
 #[derive(Debug)]
 pub(crate) struct ShardHandle {
+    /// The shard's queue, its message ledger and its flush barrier.
     pub queue: Arc<Queue<Msg>>,
     pub core: Arc<Mutex<ShardCore>>,
-    pub progress: Arc<Progress>,
     /// Lock-free view of the shard's poison marker (shared with
     /// [`ShardCore::poison`]).
     pub poison: Arc<PoisonCell>,
-    /// Messages accepted into the queue (front-door side).
-    pub enqueued: AtomicU64,
-    /// Messages refused by backpressure (front-door side).
-    pub rejected: AtomicU64,
     /// Highest epoch any follower has acknowledged applying
     /// (monotonic `fetch_max`; 0 before the first ack). Shard epoch
     /// minus this is the shard's replication lag in batches.
@@ -203,7 +171,6 @@ pub(crate) struct ShardHandle {
 pub(crate) struct WorkerParams {
     pub queue: Arc<Queue<Msg>>,
     pub core: Arc<Mutex<ShardCore>>,
-    pub progress: Arc<Progress>,
     pub max_batch_events: usize,
     pub journal: Option<JournalConfig>,
     /// Metric handles; `Some` only when the router records metrics.
@@ -212,27 +179,24 @@ pub(crate) struct WorkerParams {
 
 /// The shard worker loop. Blocks for one message, adds the messages
 /// already queued behind it until the batch holds `max_batch_events`
-/// events, applies the batch under the core lock, and seals the journal
-/// on exit (queue closed and drained).
+/// events, applies the batch under the core lock, reports the messages
+/// done to the queue, and seals the journal on exit (queue closed and
+/// drained). However it ends, returning or unwinding, it abandons the
+/// queue, so every flush waiting on this shard wakes.
 pub(crate) fn run_worker(p: WorkerParams) {
+    let _abandon = Abandon(&p.queue);
     let spans = p.spans.as_deref();
-    loop {
-        let first = match p.queue.pop_deadline(None) {
-            Pop::Item(m) => m,
-            Pop::Closed => break,
-            Pop::TimedOut => unreachable!("pop without deadline cannot time out"),
-        };
+    while let Some(first) = p.queue.pop() {
         let assembly = Span::start(spans.is_some());
         if let Some(sp) = spans {
             first.queued.record(&sp.queue_wait);
         }
         let mut n_events = first.events.len();
         let mut msgs = vec![first];
-        // A deadline that has already passed never waits: an empty queue
-        // ends the drain (and a closed one ends the loop at the next pop).
-        let now = Instant::now();
+        // The drain never waits: an empty queue ends it (and a closed one
+        // ends the loop at the next pop).
         while n_events < p.max_batch_events {
-            let Pop::Item(m) = p.queue.pop_deadline(Some(now)) else {
+            let Some(m) = p.queue.try_pop() else {
                 break;
             };
             if let Some(sp) = spans {
@@ -244,16 +208,12 @@ pub(crate) fn run_worker(p: WorkerParams) {
         if let Some(sp) = spans {
             assembly.record(&sp.assembly);
         }
-        {
-            let mut core = p.core.lock().expect("shard core lock");
-            contain_panic(&mut core, msgs.len(), |core| {
-                apply_batch(core, &msgs, p.journal.as_ref(), spans);
-            });
-            core.stats.processed_messages += msgs.len() as u64;
-        }
-        p.progress.add(msgs.len() as u64);
+        contain_panic(&mut lock_core(&p.core), msgs.len(), |core| {
+            apply_batch(core, &msgs, p.journal.as_ref(), spans);
+        });
+        p.queue.done(msgs.len() as u64);
     }
-    let mut core = p.core.lock().expect("shard core lock");
+    let mut core = lock_core(&p.core);
     if let Err(e) = core.session.seal_journal() {
         core.stats.last_error = Some(format!("journal seal failed: {e}"));
     }
@@ -261,6 +221,17 @@ pub(crate) fn run_worker(p: WorkerParams) {
         // Followers drain what is buffered, then observe the close and
         // know the leader is gone.
         tap.close();
+    }
+}
+
+/// Abandons the worker's queue when dropped. The queue lock is never
+/// poisoned (see `queue`), so this cannot panic while a dying worker
+/// unwinds.
+struct Abandon<'a>(&'a Queue<Msg>);
+
+impl Drop for Abandon<'_> {
+    fn drop(&mut self) {
+        self.0.abandon();
     }
 }
 
@@ -672,8 +643,9 @@ mod tests {
 
     /// Run a worker over a two-tenant shard whose queue was filled with
     /// `msgs` and closed before the worker started, so every message is
-    /// already queued at its first pop; returns the core it left.
-    fn run_queued(msgs: Vec<Msg>, max_batch_events: usize) -> ShardCore {
+    /// already queued at its first pop; returns the core it left and the
+    /// queue's done count.
+    fn run_queued(msgs: Vec<Msg>, max_batch_events: usize) -> (ShardCore, u64) {
         let core = Arc::new(Mutex::new(two_tenant_core()));
         let queue = Arc::new(Queue::new(msgs.len()));
         for m in msgs {
@@ -681,22 +653,22 @@ mod tests {
         }
         queue.close();
         run_worker(WorkerParams {
-            queue,
+            queue: Arc::clone(&queue),
             core: Arc::clone(&core),
-            progress: Arc::default(),
             max_batch_events,
             journal: None,
             spans: None,
         });
-        Arc::try_unwrap(core).unwrap().into_inner().unwrap()
+        let core = Arc::try_unwrap(core).unwrap().into_inner().unwrap();
+        (core, queue.counts().done)
     }
 
     #[test]
     fn queued_messages_apply_as_one_batch() {
-        let core = run_queued(vec![grow(0, 2), grow(1, 2), grow(0, 3)], 256);
+        let (core, done) = run_queued(vec![grow(0, 2), grow(1, 2), grow(0, 3)], 256);
         assert_eq!(core.stats.batches, 1);
         assert_eq!(core.stats.merged_batches, 1);
-        assert_eq!(core.stats.processed_messages, 3);
+        assert_eq!(done, 3);
         assert_eq!(core.session.dataset().n_triples(), 4 + 3);
     }
 
@@ -704,22 +676,22 @@ mod tests {
     fn max_batch_events_splits_a_backlog() {
         // Two events per message: a batch stops after its second message.
         let msgs = (2..7).map(|local| grow(0, local)).collect();
-        let core = run_queued(msgs, 4);
+        let (core, done) = run_queued(msgs, 4);
         assert_eq!(core.stats.batches, 3);
         assert_eq!(core.stats.merged_batches, 2);
         assert_eq!(core.stats.max_batch_events, 4);
-        assert_eq!(core.stats.processed_messages, 5);
+        assert_eq!(done, 5);
     }
 
     #[test]
     fn merged_failure_retries_and_drops_only_the_bad_message() {
         let bad = msg(0, vec![Event::claim(SourceId(0), TripleId(9_999_999))]);
-        let core = run_queued(vec![bad, grow(1, 2)], 256);
+        let (core, done) = run_queued(vec![bad, grow(1, 2)], 256);
         assert_eq!(core.stats.ingest_errors, 1);
         let err = core.stats.last_error.as_deref().unwrap_or_default();
         assert!(err.contains("tenant-0"), "unexpected error: {err}");
         assert_eq!(core.stats.batches, 1);
-        assert_eq!(core.stats.processed_messages, 2);
+        assert_eq!(done, 2);
         assert_eq!(core.tenants[&TenantId(0)].triples.len(), 2);
         assert_eq!(core.tenants[&TenantId(1)].triples.len(), 3);
         assert!(core.poison.get().is_none());

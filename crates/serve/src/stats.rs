@@ -5,10 +5,10 @@ use corrfuse_core::joint::{CacheStats, JointDeltaStats};
 
 /// A point-in-time snapshot of one shard's counters.
 ///
-/// Producer-side counters (`enqueued_messages`, `rejected_messages`) are
-/// maintained by the router front door; everything else is maintained by
-/// the shard worker under its core lock, so a snapshot never shows a
-/// half-applied batch.
+/// The message counters (`enqueued_messages`, `rejected_messages`,
+/// `processed_messages`) and the queue depths are one read of the shard
+/// queue's ledger; everything else is maintained by the shard worker
+/// under its core lock, so a snapshot never shows a half-applied batch.
 #[derive(Debug, Clone, Default)]
 pub struct ShardStats {
     /// Shard index.
@@ -19,7 +19,8 @@ pub struct ShardStats {
     pub enqueued_messages: u64,
     /// Messages refused by backpressure (`Reject` / `Timeout`).
     pub rejected_messages: u64,
-    /// Messages applied by the worker.
+    /// Messages the worker finished: applied, or dropped and counted in
+    /// `ingest_errors`.
     pub processed_messages: u64,
     /// Translated events ingested into the shard session.
     pub ingested_events: u64,
