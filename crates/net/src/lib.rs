@@ -31,12 +31,14 @@
 //!   thousands of idle connections as file descriptors.
 //! * [`acl`] — per-tenant access control resolved from the optional
 //!   HELLO credential; denials surface as typed `FORBIDDEN` errors.
-//! * [`server`] — the one server loop ([`Endpoint::serve`]): a
-//!   readiness reactor driving the session machine and answering
-//!   requests through a [`Service`]. [`Server`] runs it with the
-//!   owned router; `corrfuse-replica` runs it with a read-only
-//!   follower. Backpressure surfaces as retryable `BUSY` protocol
-//!   errors, shard poisoning as fatal `SHARD_POISONED`.
+//! * [`server`] — the one server type, [`Server`], and its loop
+//!   ([`Server::run`]): a readiness reactor driving the session
+//!   machine and answering requests through a [`Service`], the owned
+//!   router on the leader or a read-only follower in
+//!   `corrfuse-replica`. A `SUBSCRIBE` the service accepts becomes a
+//!   replication link the server streams. Backpressure surfaces as
+//!   retryable `BUSY` protocol errors, shard poisoning as fatal
+//!   `SHARD_POISONED`.
 //! * [`client`] — connect/retry, pipelined ingest with at-least-once
 //!   in-order resend across reconnects, read-your-writes
 //!   [`Client::flush`].
@@ -115,7 +117,7 @@ pub use acl::{Access, AclTable};
 pub use client::{Client, ClientConfig};
 pub use error::{ErrorCode, NetError, Result};
 pub use frame::{Frame, FrameError, FrameType};
-pub use server::{Conn, Endpoint, Reply, Server, ServerConfig, ServerHandle, Service};
+pub use server::{Conn, Reply, Server, ServerConfig, ServerHandle, Service};
 pub use session::{Output, SessionConfig, SessionStateMachine};
 pub use transport::{raise_nofile_limit, Event, FlushProgress, Interest, Poller, Token, WriteBuf};
 pub use wire::{

@@ -1,11 +1,12 @@
-//! The TCP server: one readiness loop ([`Endpoint::serve`]) holding
-//! every connection as a file descriptor, driving one sans-I/O session
-//! state machine per connection, and answering application requests
-//! through a [`Service`] — the leader's [`ShardRouter`] here, the
-//! read-only follower in `corrfuse-replica`.
+//! The TCP server: one readiness loop ([`Server::run`]) holding every
+//! connection as a file descriptor, driving one sans-I/O session state
+//! machine per connection, and answering application requests through
+//! a [`Service`]. [`Server`] is the one server type: the leader runs
+//! `Server<ShardRouter>` (the default parameter), a follower
+//! `Server<Follower>` from `corrfuse-replica`.
 //!
 //! ```text
-//!  producers, readers ─TCP─▶ Endpoint::serve: one poll(2) thread,
+//!  producers, readers ─TCP─▶ Server::run: one poll(2) thread,
 //!                            10⁴ idle conns = fds (crate::transport)
 //!                                          │ bytes
 //!                                          ▼
@@ -18,10 +19,11 @@
 //!                                          ▼
 //!                            Service::handle
 //!               ┌──────────────────────────┴──────────────────────┐
-//!      ShardRouter (leader, Server)              Follower (read-only,
-//!      ingest/scores/decisions/flush/            corrfuse-replica)
-//!      stats/metrics; SUBSCRIBE ─▶ take-over     scores/decisions/stats
-//!      thread per replication link
+//!      ShardRouter (leader)                       Follower (read-only,
+//!      ingest/scores/decisions/flush/             corrfuse-replica)
+//!      stats/metrics; SUBSCRIBE ─▶                scores/decisions/stats
+//!      Reply::Replicate: the server streams
+//!      the subscription off the loop
 //! ```
 //!
 //! * Every endpoint runs this one loop, so wire behaviour — framing,
@@ -45,14 +47,16 @@
 //!   partial-write buffer ([`crate::transport::WriteBuf`]), and past a
 //!   high-water mark the connection is neither read nor answered until
 //!   the peer drains.
-//! * A successful `SUBSCRIBE` leaves the loop: the socket moves to a
-//!   dedicated blocking thread ([`Service::take_over`]) that streams
-//!   replication batches.
-//! * The [`Server`] **owns** the router (the loop and the replication
-//!   threads share it through an `Arc`); [`Server::serve`] runs until
-//!   [`ServerHandle::stop`] fires or a remote `SHUTDOWN` is honoured,
-//!   then gracefully shuts the router down and returns the final
-//!   [`RouterStats`].
+//! * Replication mode is the server's own: a service answers
+//!   `SUBSCRIBE` with [`Reply::Replicate`], and the socket leaves the
+//!   loop for a dedicated blocking thread pair that streams the
+//!   subscription's batches and records each `EPOCH_ACK` on it
+//!   ([`Subscription::ack`]).
+//! * The [`Server`] **owns** its service through an `Arc`;
+//!   [`Server::run`] runs until [`ServerHandle::stop`] fires or a remote
+//!   `SHUTDOWN` is honoured, then hands the service back. The leader's
+//!   [`Server::serve`] goes on to shut the router down gracefully and
+//!   returns the final [`RouterStats`].
 //! * An idle loop sleeps: `poll(2)` runs with no timeout. Besides the
 //!   listener and the connections, the loop registers the read end of a
 //!   doorbell, a `UnixStream` pair; [`ServerHandle::stop`] sets the
@@ -104,8 +108,8 @@ const DOORBELL: Token = Token(1);
 /// `FIRST_CONN + i`).
 const FIRST_CONN: usize = 2;
 
-/// Server configuration, shared by the leader's [`Server`] and the
-/// follower's read-only server.
+/// Server configuration, the same for every [`Server`], leader or
+/// follower.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Maximum concurrently registered connections. Accepts pause at
@@ -191,30 +195,18 @@ fn new_session(config: &ServerConfig) -> SessionStateMachine {
 }
 
 /// An endpoint's application logic: everything between a decoded
-/// [`Request`] and the [`Response`] handed back to the session machine.
+/// [`Request`] and the [`Reply`] handed back to the server.
 ///
-/// [`Endpoint::serve`] answers `HELLO`, `EPOCH_ACK`, `PING` and
-/// `SHUTDOWN` itself and routes every other request here, so a service
-/// only sees `INGEST`, `SCORES`, `DECISIONS`, `FLUSH`, `STATS`,
-/// `METRICS` and `SUBSCRIBE`. Requests run on the loop's one thread, in
-/// order per connection; see the module docs for what blocking here
-/// costs. A panic in [`Service::handle`] is caught: that request is
-/// answered with [`ErrorCode::Internal`] and the loop serves on.
+/// [`Server::run`] answers `HELLO`, `EPOCH_ACK`, `PING` and `SHUTDOWN`
+/// itself and routes every other request here, so a service only sees
+/// `INGEST`, `SCORES`, `DECISIONS`, `FLUSH`, `STATS`, `METRICS` and
+/// `SUBSCRIBE`. Requests run on the loop's one thread, in order per
+/// connection; see the module docs for what blocking here costs. A
+/// panic in [`Service::handle`] is caught: that request is answered
+/// with [`ErrorCode::Internal`] and the loop serves on.
 pub trait Service: Send + Sync + 'static {
-    /// What [`Reply::TakeOver`] hands to [`Service::take_over`]: the
-    /// leader's replication subscription, or
-    /// [`std::convert::Infallible`] for a service that never takes a
-    /// connection over.
-    type TakeOver: Send + 'static;
-
     /// Answer one request arriving on `conn`.
-    fn handle(&self, request: Request, conn: &mut Conn) -> Reply<Self::TakeOver>;
-
-    /// Own a connection taken over by [`Reply::TakeOver`] until it
-    /// ends, on a dedicated blocking thread. Responses queued before
-    /// the take-over are already on the wire; `leftover` holds the
-    /// bytes the session machine had buffered past the request.
-    fn take_over(&self, stream: TcpStream, leftover: Vec<u8>, state: Self::TakeOver);
+    fn handle(&self, request: Request, conn: &mut Conn) -> Reply;
 }
 
 /// What a [`Service`] sees of the connection a request arrived on.
@@ -239,20 +231,30 @@ pub struct Conn {
 
 /// A [`Service`]'s answer to one request.
 #[derive(Debug)]
-pub enum Reply<T> {
+pub enum Reply {
     /// Queue this response; the connection keeps serving.
     Respond(Response),
-    /// Leave request/response mode for good: nothing is queued, and
-    /// [`Service::take_over`] owns the socket from here.
-    TakeOver(T),
+    /// A successful `SUBSCRIBE`: the connection leaves request/response
+    /// mode for good. The server sends `SUBSCRIBE_OK` with `start`,
+    /// streams `sub`'s batches and records each of the follower's
+    /// `EPOCH_ACK`s for `shard` on `sub`, until the follower leaves or
+    /// the subscription closes.
+    Replicate {
+        /// The subscribed shard.
+        shard: usize,
+        /// How the follower starts.
+        start: SubscriptionStart,
+        /// The live batch feed.
+        sub: Subscription,
+    },
 }
 
-impl<T> Reply<T> {
-    /// The reply to a request [`Endpoint::serve`] answers before any
+impl Reply {
+    /// The reply to a request [`Server::run`] answers before any
     /// service sees it (`HELLO`, `EPOCH_ACK`, `PING`, `SHUTDOWN`),
     /// should one ever be routed to a service: a typed `INTERNAL`
     /// error, never a panic.
-    pub fn not_routed(request: &Request) -> Reply<T> {
+    pub fn not_routed(request: &Request) -> Reply {
         Reply::Respond(Response::Error {
             code: ErrorCode::Internal,
             message: format!(
@@ -266,7 +268,7 @@ impl<T> Reply<T> {
 /// The loop's doorbell: a connected socket pair whose read end the loop
 /// registers next to its listener. A ring writes one byte, so it wakes
 /// the loop whatever the listener's state, parked at `max_connections`
-/// included. Both ends live as long as the endpoint or any handle, so a
+/// included. Both ends live as long as the server or any handle, so a
 /// ring never meets a closed peer.
 #[derive(Debug)]
 struct Doorbell {
@@ -300,11 +302,12 @@ pub struct ServerHandle {
 impl ServerHandle {
     /// Ask the server to stop: no new connections are accepted, live
     /// connections are closed once the in-flight request finishes, and
-    /// [`Server::serve`] returns after the graceful router shutdown —
-    /// every *accepted* ingest batch is applied and journaled before
-    /// the final stats come back. Sets the stop flag, then rings the
-    /// loop's doorbell, which wakes the loop out of its untimed
-    /// `poll(2)` even while the listener is parked at capacity.
+    /// [`Server::run`] returns; the leader's [`Server::serve`] returns
+    /// after the graceful router shutdown — every *accepted* ingest
+    /// batch is applied and journaled before the final stats come back.
+    /// Sets the stop flag, then rings the loop's doorbell, which wakes
+    /// the loop out of its untimed `poll(2)` even while the listener is
+    /// parked at capacity.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
         self.doorbell.ring();
@@ -316,24 +319,34 @@ impl ServerHandle {
     }
 }
 
-/// A bound listener, its stop flag and doorbell: the part of a server
-/// that does not depend on what it serves. The leader's [`Server`] and
-/// the follower's read-only server each wrap one and run
-/// [`Endpoint::serve`] with their [`Service`].
+/// The network front door: a bound listener, its stop flag and
+/// doorbell, and the [`Service`] it answers with; see the module docs.
 #[derive(Debug)]
-pub struct Endpoint {
+pub struct Server<S: Service = ShardRouter> {
     listener: TcpListener,
     stop: Arc<AtomicBool>,
     doorbell: Arc<Doorbell>,
+    service: Arc<S>,
+    config: ServerConfig,
 }
 
-impl Endpoint {
-    /// Bind to `addr` (use port 0 for an ephemeral port).
-    pub fn bind(addr: impl ToSocketAddrs) -> Result<Endpoint> {
-        Ok(Endpoint {
+impl<S: Service> Server<S> {
+    /// Bind to `addr` (use port 0 for an ephemeral port) and serve
+    /// `service`: by value, or as an `Arc` shared with in-process
+    /// callers. An `Arc` argument needs `S` named (`Server::<S>::bind`,
+    /// or an alias such as `corrfuse_replica::FollowerServer`), as an
+    /// `Arc<S>` converts into both `Arc<S>` and `Arc<Arc<S>>`.
+    pub fn bind(
+        addr: impl ToSocketAddrs,
+        service: impl Into<Arc<S>>,
+        config: ServerConfig,
+    ) -> Result<Server<S>> {
+        Ok(Server {
             listener: TcpListener::bind(addr)?,
             stop: Arc::new(AtomicBool::new(false)),
             doorbell: Arc::new(Doorbell::new()?),
+            service: service.into(),
+            config,
         })
     }
 
@@ -351,16 +364,18 @@ impl Endpoint {
         })
     }
 
-    /// Serve connections with `service` until stopped. Blocking. One
-    /// thread, every connection a registered fd; see the module docs.
-    /// On stop, delivers what fits in a bounded blocking flush, closes
-    /// every connection and joins the take-over threads, so no clone of
-    /// `service` made here outlives the call.
-    pub fn serve<S: Service>(self, service: &Arc<S>, config: &ServerConfig) -> Result<()> {
-        let Endpoint {
+    /// Serve connections until stopped. Blocking. One thread, every
+    /// connection a registered fd; see the module docs. On stop,
+    /// delivers what fits in a bounded blocking flush, closes every
+    /// connection and joins the replication threads, then hands the
+    /// service back.
+    pub fn run(self) -> Result<Arc<S>> {
+        let Server {
             listener,
             stop,
             doorbell,
+            service,
+            config,
         } = self;
         listener.set_nonblocking(true)?;
         let mut poller = Poller::new();
@@ -371,7 +386,7 @@ impl Endpoint {
         let mut free: Vec<usize> = Vec::new();
         let mut events = Vec::new();
         let mut chunk = vec![0u8; READ_CHUNK];
-        // Taken-over connections run on dedicated blocking threads
+        // Replicating connections run on dedicated blocking threads
         // (replication links are few; request traffic stays on the
         // loop). The socket clone force-closes them at stop.
         let mut taken: Vec<(JoinHandle<()>, TcpStream)> = Vec::new();
@@ -397,7 +412,7 @@ impl Endpoint {
                         &mut conns,
                         &mut free,
                         &mut live,
-                        config,
+                        &config,
                         &stop,
                         metrics.as_ref(),
                     );
@@ -421,13 +436,13 @@ impl Endpoint {
                         Err(_) => gone = true,
                     }
                 }
-                let mut takeover = None;
+                let mut replicate = None;
                 while !gone {
-                    match drive_conn(conn, &**service, &stop) {
+                    match drive_conn(conn, &*service, &stop) {
                         Handled::Done => {}
                         Handled::StopServer => stop.store(true, Ordering::SeqCst),
-                        Handled::TakeOver(state) => {
-                            takeover = Some(state);
+                        subscribed @ Handled::Replicate { .. } => {
+                            replicate = Some(subscribed);
                             break;
                         }
                     }
@@ -438,7 +453,7 @@ impl Endpoint {
                         break;
                     }
                 }
-                if takeover.is_some() || gone {
+                if replicate.is_some() || gone {
                     poller.deregister(ev.token).ok();
                     // Dropping a closed conn closes the fd.
                     let conn = conns[slot].take().expect("live conn");
@@ -447,10 +462,8 @@ impl Endpoint {
                     if let Some(m) = &metrics {
                         m.registered.set(live as i64);
                     }
-                    if let Some(state) = takeover {
-                        if let Some(pair) = take_over(conn, service, state) {
-                            taken.push(pair);
-                        }
+                    if let Some(Handled::Replicate { shard, start, sub }) = replicate {
+                        taken.extend(take_over(conn, shard, start, sub));
                     }
                 }
                 if accept_paused && live < config.max_connections {
@@ -477,44 +490,15 @@ impl Endpoint {
         for (h, _) in taken {
             let _ = h.join();
         }
-        Ok(())
+        Ok(service)
     }
 }
 
-/// The leader's network front door: an [`Endpoint`] serving the owned
-/// [`ShardRouter`]; see the module docs.
-#[derive(Debug)]
-pub struct Server {
-    endpoint: Endpoint,
-    router: Arc<ShardRouter>,
-    config: ServerConfig,
-}
-
-impl Server {
-    /// Bind to `addr` (use port 0 for an ephemeral port) and take
-    /// ownership of the router. The router keeps serving its in-process
-    /// API through [`Server::router`] while the server runs.
-    pub fn bind(
-        addr: impl ToSocketAddrs,
-        router: ShardRouter,
-        config: ServerConfig,
-    ) -> Result<Server> {
-        Ok(Server {
-            endpoint: Endpoint::bind(addr)?,
-            router: Arc::new(router),
-            config,
-        })
-    }
-
-    /// The bound address (resolves the ephemeral port).
-    pub fn local_addr(&self) -> Result<SocketAddr> {
-        self.endpoint.local_addr()
-    }
-
+impl Server<ShardRouter> {
     /// The owned router (for in-process reads next to the network
     /// traffic).
     pub fn router(&self) -> &ShardRouter {
-        &self.router
+        &self.service
     }
 
     /// A shared handle to the owned router, for in-process operations
@@ -523,27 +507,16 @@ impl Server {
     /// rebalancer loop from another thread while [`spawn`] owns
     /// the server.
     pub fn router_handle(&self) -> Arc<ShardRouter> {
-        Arc::clone(&self.router)
+        Arc::clone(&self.service)
     }
 
-    /// A stop handle, safe to move to another thread.
-    pub fn handle(&self) -> Result<ServerHandle> {
-        self.endpoint.handle()
-    }
-
-    /// Serve until stopped. Blocking. On stop, winds down every
-    /// connection, shuts the router down gracefully (drain queues, seal
-    /// journals) and returns the final stats.
+    /// Serve until stopped ([`Server::run`]), then shut the router down
+    /// gracefully (drain queues, seal journals) and return the final
+    /// stats.
     pub fn serve(self) -> Result<RouterStats> {
-        let Server {
-            endpoint,
-            router,
-            config,
-        } = self;
-        endpoint.serve(&router, &config)?;
-        // The loop joined every replication thread, so ours is the last
-        // Arc unless an embedder still holds a `router_handle`.
-        match Arc::try_unwrap(router) {
+        // Ours is the last Arc unless an embedder still holds a
+        // `router_handle`.
+        match Arc::try_unwrap(self.run()?) {
             Ok(router) => router.shutdown().map_err(serve_to_net),
             Err(_) => Err(NetError::Protocol(
                 "router still shared after the server loop stopped".to_string(),
@@ -653,11 +626,7 @@ fn accept_ready(
 /// buffer sits at the high-water mark: an unanswered request keeps the
 /// machine from decoding more, so a peer that queries without reading
 /// pins at most one read chunk plus the mark.
-fn drive_conn<S: Service>(
-    conn: &mut ReactorConn,
-    service: &S,
-    stop: &AtomicBool,
-) -> Handled<S::TakeOver> {
+fn drive_conn<S: Service>(conn: &mut ReactorConn, service: &S, stop: &AtomicBool) -> Handled {
     let mut result = Handled::Done;
     while !(conn.sm.awaiting_response() && conn.wbuf.pending() >= WRITE_HIGH_WATER) {
         let Some(out) = conn.sm.pop_output() else {
@@ -673,7 +642,7 @@ fn drive_conn<S: Service>(
                 {
                     Handled::Done => {}
                     Handled::StopServer => result = Handled::StopServer,
-                    taken @ Handled::TakeOver(_) => return taken,
+                    subscribed @ Handled::Replicate { .. } => return subscribed,
                 }
             }
         }
@@ -719,17 +688,17 @@ fn flush_and_rearm(
     true
 }
 
-/// Move a connection off the loop onto a dedicated blocking thread
-/// running [`Service::take_over`]. Returns the join handle and a socket
-/// clone for stop-time force-close.
-fn take_over<S: Service>(
+/// Move a connection a [`Reply::Replicate`] answered off the loop onto
+/// a dedicated blocking thread running [`replicate`]. Returns the join
+/// handle and a socket clone for stop-time force-close.
+fn take_over(
     mut conn: ReactorConn,
-    service: &Arc<S>,
-    state: S::TakeOver,
+    shard: usize,
+    start: SubscriptionStart,
+    sub: Subscription,
 ) -> Option<(JoinHandle<()>, TcpStream)> {
     let leftover = conn.sm.detach();
     let socket = conn.stream.try_clone().ok()?;
-    let service = Arc::clone(service);
     let join = std::thread::Builder::new()
         .name("corrfuse-net-repl".to_string())
         .spawn(move || {
@@ -738,7 +707,7 @@ fn take_over<S: Service>(
                 return;
             }
             // Deliver any responses still queued from request mode
-            // before the service writes its own.
+            // before replication writes its own.
             while !conn.wbuf.is_empty() {
                 match conn.wbuf.flush_to(&mut stream) {
                     Ok(FlushProgress::Done) => break,
@@ -746,7 +715,7 @@ fn take_over<S: Service>(
                     Err(_) => return,
                 }
             }
-            service.take_over(stream, leftover, state);
+            let _ = replicate(stream, leftover, shard, start, sub);
         })
         .ok()?;
     Some((join, socket))
@@ -775,14 +744,19 @@ impl ConnSpans {
 }
 
 /// What [`ConnDriver::handle`] tells the loop beyond "responded".
-enum Handled<T> {
+enum Handled {
     /// The response went through [`SessionStateMachine::respond`].
     Done,
     /// An honoured `SHUTDOWN`: its `SHUTDOWN_OK` is queued; stop the
     /// server once it is flushed.
     StopServer,
-    /// The service took the connection over ([`Reply::TakeOver`]).
-    TakeOver(T),
+    /// The service answered with [`Reply::Replicate`]: the connection
+    /// leaves the loop.
+    Replicate {
+        shard: usize,
+        start: SubscriptionStart,
+        sub: Subscription,
+    },
 }
 
 /// Per-connection request handling: answers the session-level requests
@@ -814,7 +788,7 @@ impl ConnDriver {
         stop: &AtomicBool,
         request: Request,
         decode_ns: u64,
-    ) -> Handled<S::TakeOver> {
+    ) -> Handled {
         let req_kind = request.frame_type();
         if let Some(sp) = self.spans.as_mut() {
             sp.record("decode", req_kind, decode_ns);
@@ -861,7 +835,9 @@ impl ConnDriver {
         }
         let response = match reply {
             Reply::Respond(response) => response,
-            Reply::TakeOver(state) => return Handled::TakeOver(state),
+            Reply::Replicate { shard, start, sub } => {
+                return Handled::Replicate { shard, start, sub }
+            }
         };
         let (resp_kind, encode_ns) = sm.respond(response);
         if let Some(sp) = self.spans.as_mut() {
@@ -872,11 +848,9 @@ impl ConnDriver {
 }
 
 /// The leader's requests: reads and writes against the router. A
-/// successful `SUBSCRIBE` takes its connection over for replication.
+/// successful `SUBSCRIBE` turns its connection into a replication link.
 impl Service for ShardRouter {
-    type TakeOver = Replication;
-
-    fn handle(&self, request: Request, conn: &mut Conn) -> Reply<Replication> {
+    fn handle(&self, request: Request, conn: &mut Conn) -> Reply {
         let response = match request {
             Request::Ingest { .. } | Request::Subscribe { .. } if conn.stopping => {
                 Response::Error {
@@ -896,21 +870,13 @@ impl Service for ShardRouter {
                 }
             }
             Request::Scores { tenant, min_epoch } => {
-                let result = match min_epoch {
-                    Some(e) => self.scores_at(tenant, e),
-                    None => self.scores(tenant),
-                };
-                match result {
+                match self.scores_at(tenant, min_epoch.unwrap_or(0)) {
                     Ok(scores) => Response::ScoresOk { scores },
                     Err(e) => error_response(&e),
                 }
             }
             Request::Decisions { tenant, min_epoch } => {
-                let result = match min_epoch {
-                    Some(e) => self.decisions_at(tenant, e),
-                    None => self.decisions(tenant),
-                };
-                match result {
+                match self.decisions_at(tenant, min_epoch.unwrap_or(0)) {
                     Ok(decisions) => Response::DecisionsOk { decisions },
                     Err(e) => error_response(&e),
                 }
@@ -932,15 +898,12 @@ impl Service for ShardRouter {
             Request::Metrics => metrics_response(conn.registry.as_ref(), self),
             Request::Subscribe { shard, from_epoch } => {
                 match self.subscribe(shard as usize, from_epoch) {
-                    // The connection leaves request/response for good:
-                    // `replicate` owns it until the follower disconnects
-                    // or the subscription closes.
                     Ok((start, sub)) => {
-                        return Reply::TakeOver(Replication {
+                        return Reply::Replicate {
                             shard: shard as usize,
                             start,
                             sub,
-                        })
+                        }
                     }
                     Err(e) => error_response(&e),
                 }
@@ -949,19 +912,6 @@ impl Service for ShardRouter {
         };
         Reply::Respond(response)
     }
-
-    fn take_over(&self, stream: TcpStream, leftover: Vec<u8>, r: Replication) {
-        let _ = replicate(stream, leftover, self, r.shard, r.start, r.sub);
-    }
-}
-
-/// A successful `SUBSCRIBE`: the shard, how the follower starts, and the
-/// live batch feed the replication thread streams.
-#[derive(Debug)]
-pub struct Replication {
-    shard: usize,
-    start: SubscriptionStart,
-    sub: Subscription,
 }
 
 /// The `METRICS` reply body: the registry snapshot (when the server has
@@ -1062,16 +1012,16 @@ fn error_response(e: &ServeError) -> Response {
 
 /// Replication mode: after the `SUBSCRIBE_OK` goes out, a pusher thread
 /// streams the subscription's `BATCH` frames over the write half while
-/// this thread reads `EPOCH_ACK`s off the read half (the one protocol
-/// state where the server sends unsolicited frames — `docs/PROTOCOL.md`
-/// §7). `leftover` is whatever the session machine had buffered past
-/// the SUBSCRIBE (a pipelined ACK, typically) — it is replayed ahead of
-/// the socket. Any other client frame is a protocol violation that ends
-/// the connection; the follower resubscribes from its applied epoch.
+/// this thread reads `EPOCH_ACK`s off the read half and records each on
+/// the subscription (the one protocol state where the server sends
+/// unsolicited frames — `docs/PROTOCOL.md` §7). `leftover` is whatever
+/// the session machine had buffered past the SUBSCRIBE (a pipelined
+/// ACK, typically) — it is replayed ahead of the socket. Any other
+/// client frame is a protocol violation that ends the connection; the
+/// follower resubscribes from its applied epoch.
 fn replicate(
     stream: TcpStream,
     leftover: Vec<u8>,
-    router: &ShardRouter,
     shard: usize,
     start: SubscriptionStart,
     sub: Subscription,
@@ -1127,7 +1077,7 @@ fn replicate(
         match Frame::read_from(&mut reader) {
             Ok(Some(frame)) => match Request::from_frame(&frame) {
                 Ok(Request::EpochAck { shard: s, epoch }) if s as usize == shard => {
-                    let _ = router.record_ack(shard, epoch);
+                    sub.ack(epoch);
                 }
                 Ok(other) => {
                     break Err(NetError::Protocol(format!(

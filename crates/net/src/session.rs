@@ -27,7 +27,7 @@
 //! decode and encode for latency *attribution*; the readings never
 //! influence behaviour.) Every server endpoint — the leader and each
 //! read-only follower, all on the one `poll(2)` loop
-//! ([`crate::server::Endpoint::serve`]) — drives this same machine,
+//! ([`crate::server::Server::run`]) — drives this same machine,
 //! which is what pins them to identical wire behaviour.
 //!
 //! Driver contract: after feeding bytes, pop outputs until `None`. A

@@ -24,7 +24,7 @@
 //!
 //! Nothing here knows about frames or the protocol: bytes in, bytes
 //! out, readiness in between. The session layer ([`crate::session`])
-//! is the pure other half; `server::Endpoint::serve` glues the two.
+//! is the pure other half; `server::Server::run` glues the two.
 //!
 //! Unix-only (the workspace targets Linux); `poll(2)` and
 //! `get/setrlimit(2)` are declared directly — Rust already links libc

@@ -18,8 +18,8 @@ use corrfuse_core::fuser::{FuserConfig, Method};
 use corrfuse_core::TripleId;
 use corrfuse_net::server::spawn;
 use corrfuse_net::{
-    AclTable, Client, ClientConfig, Conn, Endpoint, ErrorCode, Frame, NetError, Reply, Request,
-    Response, Server, ServerConfig, Service,
+    AclTable, Client, ClientConfig, Conn, ErrorCode, Frame, NetError, Reply, Request, Response,
+    Server, ServerConfig, Service,
 };
 use corrfuse_obs::Registry;
 use corrfuse_serve::{RouterConfig, ShardRouter, TenantId};
@@ -456,17 +456,11 @@ struct PanicsOnScores {
 }
 
 impl Service for PanicsOnScores {
-    type TakeOver = <ShardRouter as Service>::TakeOver;
-
-    fn handle(&self, request: Request, conn: &mut Conn) -> Reply<Self::TakeOver> {
+    fn handle(&self, request: Request, conn: &mut Conn) -> Reply {
         if matches!(&request, Request::Scores { tenant, .. } if *tenant == self.tenant) {
             panic!("scores of tenant {} failed", self.tenant.0);
         }
         self.router.handle(request, conn)
-    }
-
-    fn take_over(&self, stream: TcpStream, leftover: Vec<u8>, state: Self::TakeOver) {
-        self.router.take_over(stream, leftover, state)
     }
 }
 
@@ -475,15 +469,14 @@ impl Service for PanicsOnScores {
 /// before the panic, are still answered, and the loop stops cleanly.
 #[test]
 fn a_panicking_request_is_answered_and_the_loop_serves_on() {
-    let endpoint = Endpoint::bind("127.0.0.1:0").unwrap();
-    let addr = endpoint.local_addr().unwrap().to_string();
-    let handle = endpoint.handle().unwrap();
-    let service = Arc::new(PanicsOnScores {
+    let service = PanicsOnScores {
         router: router(&[0, 1]),
         tenant: TenantId(1),
-    });
-    let serving = Arc::clone(&service);
-    let join = std::thread::spawn(move || endpoint.serve(&serving, &ServerConfig::new()));
+    };
+    let server = Server::bind("127.0.0.1:0", service, ServerConfig::new()).unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let handle = server.handle().unwrap();
+    let join = std::thread::spawn(move || server.run());
 
     let mut bystander = Client::connect(&addr).unwrap();
     bystander.ping().unwrap();

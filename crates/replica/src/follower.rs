@@ -308,14 +308,9 @@ impl Follower {
     /// at that epoch; a shard still behind reports the retryable
     /// [`ServeError::Stale`].
     pub fn scores_at(&self, tenant: TenantId, min_epoch: u64) -> Result<Vec<f64>> {
-        let shard = self.shard_of(tenant);
-        let st = self.state_at(shard, min_epoch)?;
-        let map = st
-            .maps
-            .get(&tenant)
-            .ok_or(ServeError::UnknownTenant(tenant))?;
-        let scores = st.session.as_ref().expect("caught-up session").scores();
-        Ok(map.project(scores, |p| p))
+        self.with_tenant_at(tenant, min_epoch, |session, map| {
+            map.project(session.scores(), |p| p)
+        })
     }
 
     /// Accept/reject decisions of `tenant` at the leader's threshold,
@@ -326,15 +321,26 @@ impl Follower {
 
     /// Bounded-staleness decisions; see [`Follower::scores_at`].
     pub fn decisions_at(&self, tenant: TenantId, min_epoch: u64) -> Result<Vec<bool>> {
-        let shard = self.shard_of(tenant);
-        let st = self.state_at(shard, min_epoch)?;
+        self.with_tenant_at(tenant, min_epoch, |session, map| {
+            let threshold = session.threshold();
+            map.project(session.scores(), |p| p > threshold)
+        })
+    }
+
+    /// Every tenant read, as on the leader: the tenant's shard, caught
+    /// up to `min_epoch` (0: no floor), read under its state lock.
+    fn with_tenant_at<R>(
+        &self,
+        tenant: TenantId,
+        min_epoch: u64,
+        f: impl FnOnce(&StreamSession, &TenantMap) -> R,
+    ) -> Result<R> {
+        let st = self.state_at(self.shard_of(tenant), min_epoch)?;
         let map = st
             .maps
             .get(&tenant)
             .ok_or(ServeError::UnknownTenant(tenant))?;
-        let session = st.session.as_ref().expect("caught-up session");
-        let threshold = session.threshold();
-        Ok(map.project(session.scores(), |p| p > threshold))
+        Ok(f(st.session.as_ref().expect("caught-up session"), map))
     }
 
     /// Follower statistics once **every** shard has reached `min_epoch`

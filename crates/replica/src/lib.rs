@@ -32,10 +32,10 @@
 //!   epoch-sequenced apply, catch-up gating, optional follower-side
 //!   journals for cold restart.
 //! * [`server`] — the read-only [`FollowerServer`]: the leader's one
-//!   server loop ([`corrfuse_net::Endpoint::serve`]) with the
-//!   [`Follower`] as its [`corrfuse_net::Service`], so followers get the
-//!   leader's session machine, ACLs and `net_*` wire metrics (writes
-//!   answer `FORBIDDEN`).
+//!   server type ([`corrfuse_net::Server`]) with the [`Follower`] as
+//!   its [`corrfuse_net::Service`], so followers get the leader's
+//!   session machine, ACLs and `net_*` wire metrics (writes answer
+//!   `FORBIDDEN`).
 //! * [`config`] — [`FollowerConfig`].
 //! * [`error`] — [`ReplicaError`].
 //!

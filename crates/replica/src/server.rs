@@ -1,25 +1,23 @@
 //! The read-only TCP front door of a [`Follower`]: the leader's server
-//! loop ([`corrfuse_net::Endpoint::serve`]) with the follower as its
-//! [`Service`], so followers share the leader's session machine — HELLO
-//! negotiation, chunking-blind framing, per-tenant ACLs
-//! ([`ServerConfig::with_acl`]) and the `net_*` wire metrics
-//! ([`ServerConfig::with_metrics`]). `SCORES`/`DECISIONS`/`STATS`
-//! honour the `min_epoch` bounded-staleness field (a shard still behind
-//! answers the retryable `STALE` error); `INGEST`, `FLUSH` and
-//! `SUBSCRIBE` are refused with `FORBIDDEN` — followers are read-only,
-//! and chained replication is out of scope. `SHUTDOWN` is refused
-//! unless the config opts in, exactly as on the leader.
+//! ([`corrfuse_net::Server`]) with the follower as its [`Service`], so
+//! followers share the leader's session machine — HELLO negotiation,
+//! chunking-blind framing, per-tenant ACLs
+//! ([`corrfuse_net::ServerConfig::with_acl`]) and the `net_*` wire
+//! metrics ([`corrfuse_net::ServerConfig::with_metrics`]).
+//! `SCORES`/`DECISIONS`/`STATS` honour the `min_epoch`
+//! bounded-staleness field (a shard still behind answers the retryable
+//! `STALE` error); `INGEST`, `FLUSH` and `SUBSCRIBE` are refused with
+//! `FORBIDDEN` — followers are read-only, and chained replication is
+//! out of scope. `SHUTDOWN` is refused unless the config opts in,
+//! exactly as on the leader.
 
-use std::convert::Infallible;
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use corrfuse_net::error::code_of;
 use corrfuse_net::wire::{WireMetric, WireShardStats, WireStats};
 use corrfuse_net::{
-    Conn, Endpoint, ErrorCode, NetError, Reply, Request, Response, ServerConfig, ServerHandle,
-    Service,
+    Conn, ErrorCode, NetError, Reply, Request, Response, Server, ServerHandle, Service,
 };
 use corrfuse_obs::{MetricSample, MetricValue};
 
@@ -30,53 +28,17 @@ use crate::follower::{Follower, FollowerStats};
 /// [`ServerHandle`]).
 pub type FollowerServerHandle = ServerHandle;
 
-/// The follower's read-only network front door; see the module docs.
-#[derive(Debug)]
-pub struct FollowerServer {
-    endpoint: Endpoint,
-    follower: Arc<Follower>,
-    config: ServerConfig,
-}
-
-impl FollowerServer {
-    /// Bind to `addr` (port 0 for ephemeral) and serve reads from
-    /// `follower`. The follower stays shared: in-process reads keep
-    /// working next to the network traffic.
-    pub fn bind(
-        addr: impl ToSocketAddrs,
-        follower: Arc<Follower>,
-        config: ServerConfig,
-    ) -> Result<FollowerServer> {
-        Ok(FollowerServer {
-            endpoint: Endpoint::bind(addr)?,
-            follower,
-            config,
-        })
-    }
-
-    /// The bound address (resolves the ephemeral port).
-    pub fn local_addr(&self) -> Result<SocketAddr> {
-        Ok(self.endpoint.local_addr()?)
-    }
-
-    /// A stop handle, safe to move to another thread.
-    pub fn handle(&self) -> Result<FollowerServerHandle> {
-        Ok(self.endpoint.handle()?)
-    }
-
-    /// Serve until stopped (the leader's loop; see
-    /// [`corrfuse_net::server`]).
-    pub fn serve(self) -> Result<()> {
-        Ok(self.endpoint.serve(&self.follower, &self.config)?)
-    }
-}
+/// The follower's read-only network front door: the one server type
+/// with the [`Follower`] as its service; see the module docs. Bind
+/// through this alias, `FollowerServer::bind(addr,
+/// Arc::clone(&follower), config)`: the follower stays shared, so
+/// in-process reads keep working next to the network traffic.
+pub type FollowerServer = Server<Follower>;
 
 /// The follower's requests: bounded-staleness reads; every write is
 /// refused.
 impl Service for Follower {
-    type TakeOver = Infallible;
-
-    fn handle(&self, request: Request, conn: &mut Conn) -> Reply<Infallible> {
+    fn handle(&self, request: Request, conn: &mut Conn) -> Reply {
         let response = match request {
             Request::Scores { tenant, min_epoch } => {
                 conn.batches += 1;
@@ -111,10 +73,6 @@ impl Service for Follower {
             other => return Reply::not_routed(&other),
         };
         Reply::Respond(response)
-    }
-
-    fn take_over(&self, _stream: TcpStream, _leftover: Vec<u8>, never: Infallible) {
-        match never {}
     }
 }
 
@@ -190,12 +148,15 @@ fn metrics_response(follower: &Follower, conn: &Conn) -> Response {
     }
 }
 
-/// Run a [`FollowerServer`] on a background thread.
+/// Run a [`FollowerServer`] on a background thread until it stops.
 pub fn spawn(server: FollowerServer) -> Result<(FollowerServerHandle, JoinHandle<Result<()>>)> {
     let handle = server.handle()?;
     let join = std::thread::Builder::new()
         .name("corrfuse-replica-accept".to_string())
-        .spawn(move || server.serve())
+        .spawn(move || {
+            server.run()?;
+            Ok(())
+        })
         .map_err(|e| ReplicaError::Net(NetError::Io(e.to_string())))?;
     Ok((handle, join))
 }

@@ -4,7 +4,8 @@
 //! requests and then waiting out the flush. The default subscriber
 //! queue absorbs what commits meanwhile: the follower keeps its first
 //! subscription on every shard, never re-bootstraps, and ends bitwise
-//! equal to the leader.
+//! equal to the leader. Its acknowledgements reach the leader: the
+//! leader's METRICS report every shard acked through its epoch.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -13,7 +14,7 @@ use corrfuse_core::dataset::{DatasetBuilder, SourceId};
 use corrfuse_core::fuser::{FuserConfig, Method};
 use corrfuse_core::TripleId;
 use corrfuse_net::server::spawn;
-use corrfuse_net::wire::WireMetricValue;
+use corrfuse_net::wire::{WireMetric, WireMetricValue};
 use corrfuse_net::{Client, ClientConfig, Server, ServerConfig};
 use corrfuse_replica::{Follower, FollowerConfig};
 use corrfuse_serve::{ReplicationConfig, RouterConfig, ShardRouter, TenantId};
@@ -22,6 +23,14 @@ use corrfuse_stream::Event;
 const TENANTS: u32 = 4;
 const SHARDS: usize = 2;
 const INGESTS_PER_TENANT: u32 = 300;
+
+/// The value of the gauge `name` in a METRICS reply.
+fn gauge(metrics: &[WireMetric], name: &str) -> u64 {
+    match metrics.iter().find(|m| m.name == name).map(|m| &m.value) {
+        Some(WireMetricValue::Gauge(v)) => *v as u64,
+        other => panic!("{name}: {other:?}"),
+    }
+}
 
 fn seed() -> corrfuse_core::dataset::Dataset {
     let mut b = DatasetBuilder::new();
@@ -72,13 +81,7 @@ fn a_follower_keeps_its_subscription_through_a_pipelined_burst() {
     client.flush().unwrap();
 
     let metrics = client.metrics().unwrap();
-    let leader_epoch = |shard: usize| {
-        let name = format!("serve_epoch_shard_{shard}");
-        match metrics.iter().find(|m| m.name == name).map(|m| &m.value) {
-            Some(WireMetricValue::Gauge(e)) => *e as u64,
-            other => panic!("{name}: {other:?}"),
-        }
-    };
+    let leader_epoch = |shard: usize| gauge(&metrics, &format!("serve_epoch_shard_{shard}"));
     let targets: Vec<u64> = (0..SHARDS).map(leader_epoch).collect();
     let deadline = Instant::now() + Duration::from_secs(30);
     while follower.applied_epochs() != targets {
@@ -98,6 +101,27 @@ fn a_follower_keeps_its_subscription_through_a_pipelined_burst() {
         let replica = follower.scores(TenantId(t)).unwrap();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&replica), bits(&leader), "tenant {t}");
+    }
+    // The follower acknowledges each applied epoch: the leader's ack
+    // marks reach its shard epochs, and it reports no lag.
+    loop {
+        let metrics = client.metrics().unwrap();
+        let series = |prefix: &str| -> Vec<u64> {
+            (0..SHARDS)
+                .map(|i| gauge(&metrics, &format!("{prefix}_shard_{i}")))
+                .collect()
+        };
+        let (acked, epochs) = (series("replica_applied_epoch"), series("serve_epoch"));
+        let lag = gauge(&metrics, "replica_lag_batches");
+        if acked == epochs && lag == 0 {
+            assert_eq!(epochs, targets);
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "leader saw acks {acked:?}, epochs {epochs:?}, lag {lag}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
     }
 
     drop(client);

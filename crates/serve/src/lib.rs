@@ -33,11 +33,13 @@
 //! * [`tenant`] — tenants speak tenant-local ids; shards namespace them
 //!   so co-tenants never collide. Translation is deterministic.
 //! * `shard` (internal) — the worker loop: batch, translate, ingest,
-//!   rotate the journal on size/age triggers, seal on shutdown.
+//!   rotate the journal every `rotate_max_batches` batches, seal on
+//!   shutdown.
 //! * `queue` (internal) — each shard's bounded queue, which is also its
 //!   message ledger (accepted, refused, done) and the barrier that
 //!   [`ShardRouter::flush`] joins. A worker that dies abandons its
-//!   queue, which wakes every flush waiting on that shard.
+//!   queue, which wakes every flush waiting on that shard and refuses
+//!   every later ingest as [`ServeError::ShardPanicked`].
 //! * [`stats`] — per-shard + aggregate queue depths, batch sizes,
 //!   ingest latency, flips, cache hit rates, rotations. With a
 //!   [`corrfuse_obs::Registry`] on the config
@@ -47,9 +49,11 @@
 //! * [`replica`] — the leader side of read-replica replication: every
 //!   committed batch is stamped with its shard **epoch** (batches
 //!   committed since start) and fanned out to subscriber queues
-//!   ([`ShardRouter::subscribe`]), reads accept a bounded-staleness
-//!   floor ([`ShardRouter::scores_at`], typed [`ServeError::Stale`]
-//!   when behind), and [`ShardRouter::snapshot_all`] takes a
+//!   ([`ShardRouter::subscribe`]), whose acknowledgements
+//!   ([`Subscription::ack`]) raise the shard's one ack mark; reads
+//!   accept a bounded-staleness floor ([`ShardRouter::scores_at`],
+//!   0 for none, typed [`ServeError::Stale`] when behind), and
+//!   [`ShardRouter::snapshot_all`] takes a
 //!   flush-fenced cross-shard export stamped with per-shard epochs.
 //!   `corrfuse-replica` builds the follower process on top.
 //! * [`migration`] — live tenant migration between shards with no

@@ -16,8 +16,10 @@
 //! [`Queue::counts`] reads all three with the depth and the high-water
 //! mark. [`Queue::join`] is the flush barrier: it waits until the done
 //! count reaches the accepted count read at the call. A consumer that
-//! goes away for good calls [`Queue::abandon`], which wakes every join;
-//! a join still short then reports the consumer gone.
+//! goes away for good calls [`Queue::abandon`], which wakes every join
+//! and every producer waiting for room; a join still short then reports
+//! the consumer gone, and every later push is refused, since nothing
+//! would ever take it.
 //!
 //! Close semantics: [`Queue::close`] stops new pushes immediately, but
 //! the consumer keeps draining buffered items — [`Queue::pop`] returns
@@ -25,7 +27,7 @@
 //! graceful-shutdown contract: accepted messages are never dropped.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, LockResult, Mutex};
+use std::sync::{Condvar, LockResult, Mutex, PoisonError};
 
 use crate::config::Backpressure;
 
@@ -36,6 +38,8 @@ pub(crate) enum PushError {
     Full,
     /// The queue was closed.
     Closed,
+    /// The consumer abandoned the queue: nothing would take the item.
+    Abandoned,
 }
 
 /// One read of the ledger, the depth and the high-water mark.
@@ -57,7 +61,8 @@ pub(crate) struct Counts {
 struct Inner<T> {
     buf: VecDeque<T>,
     closed: bool,
-    /// The consumer is gone for good: `done` will not grow.
+    /// The consumer is gone for good: `done` will not grow, and pushes
+    /// are refused.
     abandoned: bool,
     /// The ledger; its `depth` stays 0 here, `counts` reads `buf`'s.
     counts: Counts,
@@ -75,11 +80,12 @@ pub(crate) struct Queue<T> {
 }
 
 /// Every lock of the queue's mutex and every wait on its condvars goes
-/// through here. A poisoned lock panics; none is expected, because the
-/// lock is a leaf held only to move buffered items and add to counters,
-/// none of which panics.
+/// through here, and it takes over a poisoned guard. That is sound
+/// because the lock is a leaf, held only to move buffered items and add
+/// to counters, steps that cannot panic part-way: whatever panicked
+/// while holding it left the buffer and the counts whole.
 fn held<G>(result: LockResult<G>) -> G {
-    result.expect("queue lock")
+    result.unwrap_or_else(PoisonError::into_inner)
 }
 
 impl<T> Queue<T> {
@@ -102,7 +108,7 @@ impl<T> Queue<T> {
     /// Push one item under the given backpressure policy.
     pub fn push(&self, item: T, policy: Backpressure) -> Result<(), PushError> {
         let g = held(self.inner.lock());
-        let full = |i: &mut Inner<T>| !i.closed && i.buf.len() >= self.capacity;
+        let full = |i: &mut Inner<T>| !i.closed && !i.abandoned && i.buf.len() >= self.capacity;
         let mut g = match policy {
             Backpressure::Reject => g,
             Backpressure::Block => held(self.not_full.wait_while(g, full)),
@@ -110,6 +116,9 @@ impl<T> Queue<T> {
         };
         if g.closed {
             return Err(PushError::Closed);
+        }
+        if g.abandoned {
+            return Err(PushError::Abandoned);
         }
         if g.buf.len() >= self.capacity {
             g.counts.refused += 1;
@@ -163,11 +172,12 @@ impl<T> Queue<T> {
         g.counts.done >= target
     }
 
-    /// The consumer is gone for good: wake every [`Queue::join`]. Pushes
-    /// are unaffected.
+    /// The consumer is gone for good: refuse every later push, and wake
+    /// every [`Queue::join`] and every producer waiting for room.
     pub fn abandon(&self) {
         held(self.inner.lock()).abandoned = true;
         self.progressed.notify_all();
+        self.not_full.notify_all();
     }
 
     /// Refuse all future pushes; the consumer drains what is buffered.
@@ -265,6 +275,33 @@ mod tests {
         assert!(!joiner.join().unwrap(), "abandoned one item short");
         q.done(1);
         assert!(q.join(), "every accepted item is done");
+    }
+
+    /// A thread that dies holding the queue lock poisons it; every entry
+    /// point takes the guard over and the queue works on.
+    #[test]
+    fn a_poisoned_queue_lock_is_taken_over() {
+        let q = Arc::new(Queue::new(2));
+        q.push(1, Backpressure::Reject).unwrap();
+        let poisoner = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                let _guard = q.inner.lock();
+                panic!("poisoning the queue lock");
+            })
+        };
+        assert!(poisoner.join().is_err());
+        assert!(q.inner.is_poisoned());
+        q.push(2, Backpressure::Block).unwrap();
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.try_pop(), Some(2));
+        q.done(2);
+        assert!(q.join(), "every accepted item is done");
+        let c = q.counts();
+        assert_eq!(
+            (c.accepted, c.refused, c.done, c.depth, c.max_depth),
+            (2, 0, 2, 0, 2)
+        );
     }
 
     #[test]

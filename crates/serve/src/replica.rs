@@ -30,6 +30,7 @@
 //! `tests/replica_equivalence.rs`).
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use corrfuse_stream::Event;
@@ -72,16 +73,36 @@ pub enum SubscriptionStart {
     },
 }
 
-/// A live subscription: the consumer half of one subscriber queue.
+/// A live subscription: the consumer half of one subscriber queue, and
+/// the shard's ack mark its follower's acknowledgements raise.
 /// Dropping it (or the tap closing it for falling behind) ends the
 /// subscription: the queue closes, and the tap forgets it on its next
 /// publish.
 #[derive(Debug)]
 pub struct Subscription {
     queue: Arc<Queue<ReplicaBatch>>,
+    /// The highest epoch a follower of the shard acknowledged. One mark
+    /// per shard, shared by all its subscriptions and read by
+    /// [`crate::ShardRouter::stats`].
+    acked: Arc<AtomicU64>,
 }
 
 impl Subscription {
+    /// This subscription, acknowledging into `mark` (the shard's one
+    /// ack mark) instead of its own.
+    pub(crate) fn with_ack_mark(mut self, mark: Arc<AtomicU64>) -> Subscription {
+        self.acked = mark;
+        self
+    }
+
+    /// Record the follower's acknowledgement that it applied the stream
+    /// through `epoch`. Monotonic: a late or duplicate ack never lowers
+    /// the mark, which feeds [`crate::ShardStats::replica_acked_epoch`]
+    /// and the `replica_*` metrics gauges.
+    pub fn ack(&self, epoch: u64) {
+        self.acked.fetch_max(epoch, Ordering::SeqCst);
+    }
+
     /// Receive the next committed batch, waiting as long as it takes.
     /// `None` means the subscription ended — the router shut down, or
     /// this subscriber fell behind and was disconnected — and the
@@ -165,7 +186,7 @@ impl ReplicaTap {
                     false
                 }
                 // The subscription was dropped.
-                Err(PushError::Closed) => false,
+                Err(PushError::Closed | PushError::Abandoned) => false,
             }
         });
     }
@@ -210,7 +231,8 @@ impl ReplicaTap {
             }
         };
         self.subscribers.push(Arc::clone(&queue));
-        (start, Subscription { queue })
+        let acked = Arc::default();
+        (start, Subscription { queue, acked })
     }
 
     /// Live subscriber queues (a dropped subscription is pruned on the

@@ -34,7 +34,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread::JoinHandle;
 
@@ -178,7 +178,7 @@ impl ShardRouter {
                 queue,
                 core,
                 poison,
-                acked_epoch: AtomicU64::new(0),
+                acked_epoch: Arc::default(),
             });
             workers.push(Some(join));
         }
@@ -262,7 +262,8 @@ impl ShardRouter {
     /// [`ServeError::Backpressure`], retrying cannot succeed; the shard
     /// must be rebuilt from its journal. (Messages already queued when
     /// the shard poisons are dropped by the worker and counted in
-    /// [`crate::ShardStats::ingest_errors`].)
+    /// [`crate::ShardStats::ingest_errors`].) A shard whose worker died
+    /// refuses it with the equally fatal [`ServeError::ShardPanicked`].
     ///
     /// During a tenant's cut-over window
     /// ([`ShardRouter::migrate_tenant`]) the message is buffered and
@@ -298,9 +299,10 @@ impl ShardRouter {
 
     /// Enqueue one message on a specific shard: poison check, then push
     /// under the configured backpressure (the queue counts it accepted or
-    /// refused). Called with the route lock held (read or write) so
-    /// routing and enqueue are atomic with respect to migration state
-    /// transitions.
+    /// refused). A shard whose worker died refuses it with
+    /// [`ServeError::ShardPanicked`]: its abandoned queue takes no push.
+    /// Called with the route lock held (read or write) so routing and
+    /// enqueue are atomic with respect to migration state transitions.
     fn push_to(&self, shard: usize, msg: Msg) -> Result<()> {
         self.unpoisoned(shard)?;
         let queue = &self.shards[shard].queue;
@@ -311,6 +313,7 @@ impl ShardRouter {
                 depth: queue.counts().depth,
             }),
             Err(PushError::Closed) => Err(ServeError::ShuttingDown),
+            Err(PushError::Abandoned) => Err(ServeError::ShardPanicked { shard }),
         }
     }
 
@@ -341,20 +344,18 @@ impl ShardRouter {
     /// of unknown freshness; use [`ShardRouter::shard_snapshot`] to read
     /// the shard's last consistent state explicitly.
     pub fn scores(&self, tenant: TenantId) -> Result<Vec<f64>> {
-        self.with_tenant_at(tenant, None, |core, map| {
-            map.project(core.session.scores(), |p| p)
-        })
+        self.scores_at(tenant, 0)
     }
 
     /// [`ShardRouter::scores`] with a bounded-staleness floor: fails
     /// with the retryable [`ServeError::Stale`] unless the tenant's
-    /// shard has committed at least `min_epoch` batches. The same
-    /// `min_epoch` travels to replication followers over the wire, so a
-    /// reader can take a leader epoch fence (e.g. from
+    /// shard has committed at least `min_epoch` batches (0: no floor).
+    /// The same `min_epoch` travels to replication followers over the
+    /// wire, so a reader can take a leader epoch fence (e.g. from
     /// [`ShardRouter::snapshot_all`]) and demand reads at least that
     /// fresh from any replica.
     pub fn scores_at(&self, tenant: TenantId, min_epoch: u64) -> Result<Vec<f64>> {
-        self.with_tenant_at(tenant, Some(min_epoch), |core, map| {
+        self.with_tenant_at(tenant, min_epoch, |core, map| {
             map.project(core.session.scores(), |p| p)
         })
     }
@@ -363,16 +364,13 @@ impl ShardRouter {
     /// session's threshold. Fails with [`ServeError::ShardPoisoned`] on a
     /// poisoned shard; see [`ShardRouter::scores`].
     pub fn decisions(&self, tenant: TenantId) -> Result<Vec<bool>> {
-        self.with_tenant_at(tenant, None, |core, map| {
-            let threshold = core.session.threshold();
-            map.project(core.session.scores(), |p| p > threshold)
-        })
+        self.decisions_at(tenant, 0)
     }
 
     /// [`ShardRouter::decisions`] with a bounded-staleness floor; see
     /// [`ShardRouter::scores_at`].
     pub fn decisions_at(&self, tenant: TenantId, min_epoch: u64) -> Result<Vec<bool>> {
-        self.with_tenant_at(tenant, Some(min_epoch), |core, map| {
+        self.with_tenant_at(tenant, min_epoch, |core, map| {
             let threshold = core.session.threshold();
             map.project(core.session.scores(), |p| p > threshold)
         })
@@ -381,7 +379,7 @@ impl ShardRouter {
     fn with_tenant_at<R>(
         &self,
         tenant: TenantId,
-        min_epoch: Option<u64>,
+        min_epoch: u64,
         f: impl FnOnce(&ShardCore, &TenantMap) -> R,
     ) -> Result<R> {
         // Route-aware resolution. A migrated tenant's route carries its
@@ -391,8 +389,8 @@ impl ShardRouter {
         // repoint — and since the target was flushed past the fence
         // before the route flipped, the floor never spuriously trips.
         let (shard, fence) = self.serving(&self.routes(), tenant);
-        // The stricter floor wins; `None` (no floor) orders below `Some`.
-        let min_epoch = min_epoch.max(fence);
+        // The stricter floor wins; 0 is no floor.
+        let min_epoch = min_epoch.max(fence.unwrap_or(0));
         let core = self.core(shard);
         // Membership first (an unknown tenant is the caller's bug, not
         // the shard's — reporting ShardPoisoned for it would send the
@@ -403,15 +401,13 @@ impl ShardRouter {
             return Err(ServeError::UnknownTenant(tenant));
         };
         self.unpoisoned(shard)?;
-        if let Some(min) = min_epoch {
-            let epoch = core.session.epoch();
-            if epoch < min {
-                return Err(ServeError::Stale {
-                    shard,
-                    epoch,
-                    min_epoch: min,
-                });
-            }
+        let epoch = core.session.epoch();
+        if epoch < min_epoch {
+            return Err(ServeError::Stale {
+                shard,
+                epoch,
+                min_epoch,
+            });
         }
         Ok(f(&core, map))
     }
@@ -498,7 +494,9 @@ impl ShardRouter {
     /// epoch — plus the live [`Subscription`]. Registration is atomic
     /// with the captured state (both happen under the shard lock), so
     /// the subscriber sees every epoch exactly once, even across a
-    /// concurrent journal rotation.
+    /// concurrent journal rotation. Every subscription of a shard
+    /// acknowledges ([`Subscription::ack`]) into the shard's one ack
+    /// mark, which [`ShardStats::replica_acked_epoch`] reads.
     ///
     /// Fails with [`ServeError::InvalidConfig`] unless the router was
     /// built with [`RouterConfig::with_replication`], and with
@@ -509,7 +507,7 @@ impl ShardRouter {
         shard: usize,
         from_epoch: u64,
     ) -> Result<(SubscriptionStart, Subscription)> {
-        self.handle(shard)?;
+        let acked = Arc::clone(&self.handle(shard)?.acked_epoch);
         let mut core = self.core(shard);
         self.unpoisoned(shard)?;
         let ShardCore { session, tap, .. } = &mut *core;
@@ -519,23 +517,13 @@ impl ShardRouter {
             ));
         };
         let epoch = session.epoch();
-        Ok(tap.subscribe(from_epoch, epoch, || {
+        let (start, sub) = tap.subscribe(from_epoch, epoch, || {
             (
                 corrfuse_core::io::to_string(session.dataset()),
                 session.threshold(),
             )
-        }))
-    }
-
-    /// Record a follower's acknowledgement that it has applied `shard`'s
-    /// stream through `epoch`. Monotonic (a late or duplicate ack never
-    /// regresses the mark); feeds [`ShardStats::replica_acked_epoch`]
-    /// and the `replica_*` metrics gauges.
-    pub fn record_ack(&self, shard: usize, epoch: u64) -> Result<()> {
-        self.handle(shard)?
-            .acked_epoch
-            .fetch_max(epoch, Ordering::SeqCst);
-        Ok(())
+        });
+        Ok((start, sub.with_ack_mark(acked)))
     }
 
     /// Per-shard and aggregate statistics.
@@ -1125,5 +1113,58 @@ mod tests {
         router.ingest(TenantId(1), grow()).unwrap();
         router.flush_shard(1).unwrap();
         assert_eq!(router.scores(TenantId(1)).unwrap().len(), 3);
+    }
+
+    /// A shard whose worker died refuses ingest as `ShardPanicked`
+    /// instead of accepting messages nothing will apply. Its queue holds
+    /// one message under the default `Block` policy, so a second
+    /// accepted push would hold the caller for good: the ingests run on
+    /// a helper thread, each awaited behind a receive timeout.
+    #[test]
+    fn a_dead_shard_refuses_ingest() {
+        let config = FuserConfig::new(Method::PrecRec);
+        let seeds = vec![(TenantId(0), seed()), (TenantId(1), seed())];
+        let router_config = RouterConfig::new(2).with_queue_capacity(1);
+        let router = Arc::new(ShardRouter::new(config, router_config, seeds).unwrap());
+        let grow = || {
+            vec![
+                Event::add_triple("y", "p", "2"),
+                Event::claim(SourceId(1), TripleId(2)),
+            ]
+        };
+        // Poison shard 0's core lock; one message kills its worker.
+        let poisoner = {
+            let router = Arc::clone(&router);
+            std::thread::spawn(move || {
+                let _core = router.core(0);
+                panic!("poisoning shard 0's core lock");
+            })
+        };
+        assert!(poisoner.join().is_err());
+        router.ingest(TenantId(0), grow()).unwrap();
+        let flushed = router.flush();
+        assert!(
+            matches!(flushed, Err(ServeError::ShardPanicked { shard: 0 })),
+            "{flushed:?}"
+        );
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        {
+            let router = Arc::clone(&router);
+            std::thread::spawn(move || {
+                for _ in 0..3 {
+                    if tx.send(router.ingest(TenantId(0), grow())).is_err() {
+                        break;
+                    }
+                }
+            });
+        }
+        for i in 0..3 {
+            let ingested = rx.recv_timeout(std::time::Duration::from_secs(10));
+            assert!(
+                matches!(ingested, Ok(Err(ServeError::ShardPanicked { shard: 0 }))),
+                "ingest {i} into the dead shard: {ingested:?}"
+            );
+        }
     }
 }

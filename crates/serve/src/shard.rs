@@ -161,10 +161,11 @@ pub(crate) struct ShardHandle {
     /// Lock-free view of the shard's poison marker (shared with
     /// [`ShardCore::poison`]).
     pub poison: Arc<PoisonCell>,
-    /// Highest epoch any follower has acknowledged applying
-    /// (monotonic `fetch_max`; 0 before the first ack). Shard epoch
-    /// minus this is the shard's replication lag in batches.
-    pub acked_epoch: AtomicU64,
+    /// The shard's one ack mark: the highest epoch any follower has
+    /// acknowledged applying (0 before the first ack), raised through
+    /// each [`crate::Subscription::ack`]. Shard epoch minus this is the
+    /// shard's replication lag in batches.
+    pub acked_epoch: Arc<AtomicU64>,
 }
 
 /// Everything a worker thread needs.
